@@ -1076,15 +1076,11 @@ fn check_cmd(cli: &Cli) -> i32 {
     };
     let (_, outcome, rev) = run_selected_sweep(cli, true);
     let mut violations = trajectory::check(&baseline, &outcome.records, cli.time_factor);
-    // The multi-core scaling gate (PR 10): a parallel build on a multi-core
-    // host must actually produce the derived speedup cells — CI's 4-vCPU
-    // legs fail here if the scaling series silently disappears. Sequential
-    // builds skip it (the scaling cells are feature-gated out), and 1-core
-    // hosts pass vacuously inside `check_scaling`.
-    if cfg!(feature = "parallel") {
-        let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        violations.extend(trajectory::check_scaling(&outcome.records, host));
-    }
+    // The multi-core scaling gate: on a multi-core host every
+    // threads > 1 scaling cell must derive its speedup; 1-core hosts pass
+    // vacuously inside `check_scaling`.
+    let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    violations.extend(trajectory::check_scaling(&outcome.records, host));
     if violations.is_empty() {
         eprintln!(
             "perf gate OK: {} fresh cells at rev {rev} are within thresholds of {}",
@@ -1106,22 +1102,14 @@ fn check_cmd(cli: &Cli) -> i32 {
 
 /// E11 — message-level validation: the synchronous simulation of the naive
 /// broadcast reproduces the analytic `Θ(Δ)` round count and the exact listing.
-/// Built with `--features parallel`, the simulation steps nodes on all cores
-/// (`cargo run --release -p bench --features parallel --bin experiments -- e11`).
+/// The simulation steps nodes on all cores through `congest`'s deterministic
+/// parallel executor.
 fn e11_simulated_broadcast(json: bool) -> String {
-    let executor = if cfg!(feature = "parallel") {
-        "parallel"
-    } else {
-        "sequential"
-    };
     let mut log = Log::new(
         "e11",
         "Message-level simulation — naive broadcast on the CONGEST simulator",
         json,
     );
-    if log.text {
-        println!("(executor: {executor})");
-    }
     let mut table = Table::new(&["n", "m", "Δ", "simulated rounds", "words sent", "listing"]);
     for &n in &[100usize, 200, 300] {
         let g = gen::erdos_renyi(n, 0.08, 19 + n as u64);
@@ -1133,7 +1121,6 @@ fn e11_simulated_broadcast(json: bool) -> String {
             &[
                 ("n", n.to_string()),
                 ("m", g.num_edges().to_string()),
-                ("executor", json_string(executor)),
                 ("simulated_rounds", report.simulated_rounds.to_string()),
                 ("words_sent", report.metrics.words_sent.to_string()),
                 ("exact", exact.to_string()),

@@ -10,10 +10,9 @@
 //! cached — an interrupted sweep no longer throws away the big cells.
 //!
 //! Every parameter that can change a cell's result is in the cell's config
-//! object (including whether the binary was built with the `parallel`
-//! feature, and the resolved thread grant for engine cells, which depends on
-//! `CLIQUELIST_THREADS`), so the store key misses whenever the measurement
-//! conditions change.
+//! object (including the resolved thread grant for engine cells, which
+//! depends on `CLIQUELIST_THREADS`), so the store key misses whenever the
+//! measurement conditions change.
 
 use crate::json::Json;
 use crate::store::CellSpec;
@@ -38,18 +37,12 @@ fn num(value: usize) -> Json {
 
 /// The `perf` sweep: the full bench-trajectory grid.
 pub fn perf_sweep() -> Sweep {
-    let parallel_build = cfg!(feature = "parallel");
     let mut sweep = Sweep::new(
         "perf",
         "Bench trajectory — wall-clock of exact enumeration, thread/cluster scaling, \
          and one engine run per algorithm",
     );
-    let base = |kind: &str| {
-        vec![
-            ("kind", Json::Str(kind.to_string())),
-            ("parallel_build", Json::Bool(parallel_build)),
-        ]
-    };
+    let base = |kind: &str| vec![("kind", Json::Str(kind.to_string()))];
 
     // Exact sequential K_p enumeration — the path every algorithm's ground
     // truth and final broadcast run through. The first four cells are the
@@ -121,11 +114,7 @@ pub fn perf_sweep() -> Sweep {
     // engine resolves `Parallelism::Auto`, so the resolved grant is part of
     // the cell identity — a different `CLIQUELIST_THREADS` is a different
     // cell, which is exactly what the CI thread matrix wants.
-    let auto = if parallel_build {
-        cliquelist::config::auto_threads()
-    } else {
-        1
-    };
+    let auto = cliquelist::config::auto_threads();
     let engine_cells: &[(usize, u64, &[&str])] = &[
         (
             120,
@@ -280,7 +269,6 @@ pub fn perf_sweep() -> Sweep {
 /// debug builds (`experiments -- perf --sweep smoke`). Same executor, same
 /// store, same consolidation path as [`perf_sweep`].
 pub fn smoke_sweep() -> Sweep {
-    let parallel_build = cfg!(feature = "parallel");
     let mut sweep = Sweep::new("smoke", "Smoke sweep — tiny cells exercising the harness");
     for p in [3usize, 4] {
         sweep.cell(
@@ -288,7 +276,6 @@ pub fn smoke_sweep() -> Sweep {
             "er(40,0.3)",
             Json::obj(vec![
                 ("kind", Json::Str("enumeration".into())),
-                ("parallel_build", Json::Bool(parallel_build)),
                 ("gen", Json::Str("er".into())),
                 ("n", num(40)),
                 ("param", Json::Num(0.3)),
@@ -302,7 +289,6 @@ pub fn smoke_sweep() -> Sweep {
         "listing_workload(40)",
         Json::obj(vec![
             ("kind", Json::Str("engine".into())),
-            ("parallel_build", Json::Bool(parallel_build)),
             ("workload", Json::Str("listing".into())),
             ("n", num(40)),
             ("p", num(4)),
@@ -342,7 +328,8 @@ fn usize_field(config: &Json, key: &str) -> usize {
     config.get(key).and_then(Json::as_f64).unwrap_or(0.0) as usize
 }
 
-/// The enumeration-kernel strategy of a `kernel-sweep`/`scaling-sweep` cell.
+/// The enumeration-kernel strategy of a `kernel-sweep`/`scaling-sweep` cell;
+/// `Auto` for cells that name none (`thread-scaling`).
 fn kernel_strategy(config: &Json) -> cliques::KernelStrategy {
     match config.get("kernel").and_then(Json::as_str) {
         Some(name) => cliques::KernelStrategy::parse(name)
@@ -351,12 +338,11 @@ fn kernel_strategy(config: &Json) -> cliques::KernelStrategy {
     }
 }
 
-/// Like [`cliques::count_cliques_parallel`], but with the kernel pinned —
-/// the `scaling-sweep` measurement: `threads` workers steal shards of one
-/// [`cliques::ShardedEnumerator`] running an explicit [`KernelStrategy`](
-/// cliques::KernelStrategy), so each cell times exactly one (kernel,
+/// Counts `p`-cliques with `threads` workers stealing shards of one
+/// [`cliques::ShardedEnumerator`] that runs the given [`KernelStrategy`](
+/// cliques::KernelStrategy) — the `thread-scaling` (under `Auto`) and
+/// `scaling-sweep` measurement, so each cell times exactly one (kernel,
 /// thread-grant) point.
-#[cfg(feature = "parallel")]
 fn count_cliques_pinned(
     graph: &Graph,
     p: usize,
@@ -500,30 +486,6 @@ pub fn execute_perf_cell(spec: &CellSpec) -> Result<Json, Interrupted> {
                 ("mean_ms".to_string(), Json::Num(mean)),
             ]);
         }
-        "thread-scaling" => {
-            #[cfg(feature = "parallel")]
-            {
-                let graph = build_graph(&spec.config, spec.seed);
-                let threads = usize_field(&spec.config, "threads");
-                let truth = cliques::count_cliques(&graph, p);
-                let mut count = 0usize;
-                let (best, mean) = time_reps(REPS, || {
-                    count = cliques::count_cliques_parallel(&graph, p, threads);
-                });
-                assert_eq!(count, truth, "parallel count diverged");
-                metrics.extend([
-                    ("cliques".to_string(), num(count)),
-                    ("threads".to_string(), num(threads)),
-                    ("best_ms".to_string(), Json::Num(best)),
-                    ("mean_ms".to_string(), Json::Num(mean)),
-                ]);
-            }
-            #[cfg(not(feature = "parallel"))]
-            metrics.push((
-                "skipped".to_string(),
-                Json::Str("built without the `parallel` feature".to_string()),
-            ));
-        }
         "kernel-sweep" => {
             let graph = build_graph(&spec.config, spec.seed);
             let strategy = kernel_strategy(&spec.config);
@@ -548,34 +510,26 @@ pub fn execute_perf_cell(spec: &CellSpec) -> Result<Json, Interrupted> {
                 ("mean_ms".to_string(), Json::Num(mean)),
             ]);
         }
-        "scaling-sweep" => {
-            #[cfg(feature = "parallel")]
-            {
-                let graph = build_graph(&spec.config, spec.seed);
-                let threads = usize_field(&spec.config, "threads");
-                let strategy = kernel_strategy(&spec.config);
-                let truth = cliques::count_cliques(&graph, p);
-                let resolved = cliques::CliqueIndex::build(&graph)
-                    .resolve_kernel(strategy)
-                    .to_string();
-                let mut count = 0usize;
-                let (best, mean) = time_reps(REPS, || {
-                    count = count_cliques_pinned(&graph, p, strategy, threads);
-                });
-                assert_eq!(count, truth, "pinned parallel count diverged");
-                metrics.extend([
-                    ("cliques".to_string(), num(count)),
-                    ("threads".to_string(), num(threads)),
-                    ("resolved_kernel".to_string(), Json::Str(resolved)),
-                    ("best_ms".to_string(), Json::Num(best)),
-                    ("mean_ms".to_string(), Json::Num(mean)),
-                ]);
-            }
-            #[cfg(not(feature = "parallel"))]
-            metrics.push((
-                "skipped".to_string(),
-                Json::Str("built without the `parallel` feature".to_string()),
-            ));
+        "thread-scaling" | "scaling-sweep" => {
+            let graph = build_graph(&spec.config, spec.seed);
+            let threads = usize_field(&spec.config, "threads");
+            let strategy = kernel_strategy(&spec.config);
+            let truth = cliques::count_cliques(&graph, p);
+            let resolved = cliques::CliqueIndex::build(&graph)
+                .resolve_kernel(strategy)
+                .to_string();
+            let mut count = 0usize;
+            let (best, mean) = time_reps(REPS, || {
+                count = count_cliques_pinned(&graph, p, strategy, threads);
+            });
+            assert_eq!(count, truth, "pinned parallel count diverged");
+            metrics.extend([
+                ("cliques".to_string(), num(count)),
+                ("threads".to_string(), num(threads)),
+                ("resolved_kernel".to_string(), Json::Str(resolved)),
+                ("best_ms".to_string(), Json::Num(best)),
+                ("mean_ms".to_string(), Json::Num(mean)),
+            ]);
         }
         "cluster-scaling" | "engine" => {
             let graph = if spec.config.get("workload").and_then(Json::as_str) == Some("listing") {
@@ -857,12 +811,6 @@ mod tests {
             .cells
             .iter()
             .any(|c| c.experiment == "engine" && c.workload == "listing_workload(200)"));
-        // Every cell pins the build flavour, so sequential- and
-        // parallel-build results never alias in the store.
-        assert!(sweep
-            .cells
-            .iter()
-            .all(|c| c.config.get("parallel_build").is_some()));
     }
 
     #[test]
@@ -1075,7 +1023,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn executor_runs_scaling_cells_at_any_pinned_grant() {
         let cell = |kernel: &str, threads: usize| CellSpec {

@@ -14,24 +14,23 @@
 //!   the headline invariant is that reports and query payloads are
 //!   identical across thread counts and cache states, so baseline cells
 //!   produced on a 1-core host gate runs on any host. Cells are matched on
-//!   their identity with the host/build-dependent knobs (`threads`,
-//!   `auto_threads`, `parallel_build`) stripped.
+//!   their identity with the host-dependent knobs (`threads`,
+//!   `auto_threads`) stripped.
+//! * **Every baseline cell must be compared.** A baseline cell with no fresh
+//!   counterpart under that identity fails the gate: it was removed or its
+//!   identity drifted, and either way the gate would otherwise stop checking
+//!   it without a word. New fresh cells (grid growth) never fail the gate.
 //! * **Timing metrics are gated by a generous ratio** (`best_ms` may grow by
 //!   at most `time_factor`, default [`DEFAULT_TIME_FACTOR`]), and only
-//!   between cells whose *full* config matches (same thread grant, same
-//!   build flavour). Committed baselines come from a 1-core container — the
-//!   factor absorbs host noise while still catching order-of-magnitude
-//!   regressions.
+//!   between cells whose *full* config matches (same thread grant).
+//!   Committed baselines come from a 1-core container — the factor absorbs
+//!   host noise while still catching order-of-magnitude regressions.
 //! * **Scaling evidence is required on multi-core hosts.** [`check_scaling`]
-//!   fails the gate when a parallel-build sweep on a host with two or more
-//!   cores produces no derived `speedup_vs_1_thread` cells — the multi-core
-//!   CI leg cannot silently lose the scaling series — while 1-core hosts
-//!   pass vacuously (their derived cells are tagged with
+//!   fails the gate when a sweep on a host with two or more cores runs a
+//!   `threads > 1` scaling cell that derives no `speedup_vs_1_thread`, while
+//!   1-core hosts pass vacuously (their derived cells are tagged with
 //!   `speedup_provenance: "1-core host"`, so they never masquerade as
 //!   multi-core evidence).
-//!
-//! New cells (grid growth) and baseline cells with no fresh counterpart
-//! (feature-gated series) are reported but never fail the gate.
 
 use crate::json::Json;
 use crate::store::CellRecord;
@@ -45,9 +44,9 @@ use std::path::Path;
 /// baselines ran on; the gate exists to catch order-of-magnitude cliffs.
 pub const DEFAULT_TIME_FACTOR: f64 = 10.0;
 
-/// Config keys that are host- or build-dependent and therefore excluded
-/// from the identity used for deterministic-metric matching.
-const HOST_KEYS: &[&str] = &["threads", "auto_threads", "parallel_build"];
+/// Config keys that are host-dependent and therefore excluded from the
+/// identity used for deterministic-metric matching.
+const HOST_KEYS: &[&str] = &["threads", "auto_threads"];
 
 /// Metrics gated byte-exactly: clique counts, the embedded engine reports,
 /// the query-service batch payloads (which exclude their execution reports,
@@ -291,8 +290,8 @@ pub fn consolidate(sweep: &Sweep, records: &[CellRecord], history: &[Json], git_
                 (
                     "scaling",
                     Json::Str(
-                        "on multi-core parallel-build hosts, every threads > 1 scaling cell \
-                         must derive speedup_vs_1_thread; missing cells fail the gate"
+                        "on multi-core hosts, every threads > 1 scaling cell must derive \
+                         speedup_vs_1_thread; missing cells fail the gate"
                             .into(),
                     ),
                 ),
@@ -376,7 +375,12 @@ pub fn check(trajectory: &Json, fresh: &[CellRecord], time_factor: Option<f64>) 
         // Deterministic gate: match on the host-independent identity.
         let base_id = deterministic_identity(base);
         let Some(new) = fresh.iter().find(|r| deterministic_identity(r) == base_id) else {
-            // Feature-gated or removed cell: reported by the CLI, not a failure.
+            violations.push(Violation {
+                cell: cell_label(base),
+                metric: "cell".to_string(),
+                baseline: "present".to_string(),
+                fresh: "missing".to_string(),
+            });
             continue;
         };
         for metric in DETERMINISTIC_METRICS {
@@ -412,31 +416,26 @@ pub fn check(trajectory: &Json, fresh: &[CellRecord], time_factor: Option<f64>) 
     violations
 }
 
-/// The multi-core scaling gate (PR 10): on a host with two or more cores, a
-/// parallel-build sweep must actually produce the scaling evidence —
+/// The multi-core scaling gate: on a host with two or more cores,
 /// every `scaling-sweep`/`thread-scaling` cell with `threads > 1` must have
-/// derived a `speedup_vs_1_thread`, and at least one such cell must exist.
-/// A 1-core host (`host_threads < 2`) cannot measure speedup, so the gate
-/// passes vacuously there — which is exactly why every derived cell also
-/// carries `speedup_provenance`: committed 1-core numbers and multi-core CI
-/// numbers never alias. The caller is expected to skip this on sequential
-/// builds (where the scaling cells are feature-gated out).
+/// derived a `speedup_vs_1_thread`. A series that disappears entirely is
+/// caught by [`check`], whose baseline cells must all have fresh
+/// counterparts. A 1-core host (`host_threads < 2`) cannot measure speedup,
+/// so the gate passes vacuously there — which is exactly why every derived
+/// cell also carries `speedup_provenance`: committed 1-core numbers and
+/// multi-core CI numbers never alias.
 pub fn check_scaling(fresh: &[CellRecord], host_threads: usize) -> Vec<Violation> {
     let mut violations = Vec::new();
     if host_threads < 2 {
         return violations;
     }
     let fresh = with_speedups(fresh);
-    let mut saw_scaling_cell = false;
     for cell in fresh.iter().filter(|r| {
         matches!(
             r.spec.experiment.as_str(),
             "scaling-sweep" | "thread-scaling"
         )
     }) {
-        if cell.metrics.get("skipped").is_some() {
-            continue;
-        }
         let threads = cell
             .spec
             .config
@@ -446,7 +445,6 @@ pub fn check_scaling(fresh: &[CellRecord], host_threads: usize) -> Vec<Violation
         if threads <= 1.0 {
             continue;
         }
-        saw_scaling_cell = true;
         if cell.metrics.get("speedup_vs_1_thread").is_none() {
             violations.push(Violation {
                 cell: cell_label(cell),
@@ -455,14 +453,6 @@ pub fn check_scaling(fresh: &[CellRecord], host_threads: usize) -> Vec<Violation
                 fresh: "missing".to_string(),
             });
         }
-    }
-    if !saw_scaling_cell {
-        violations.push(Violation {
-            cell: "scaling-sweep".to_string(),
-            metric: "speedup_vs_1_thread".to_string(),
-            baseline: "at least one threads > 1 scaling cell on a multi-core host".to_string(),
-            fresh: "none ran".to_string(),
-        });
     }
     violations
 }
@@ -606,10 +596,15 @@ mod tests {
         let violations = check_scaling(&headless, 4);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].metric, "speedup_vs_1_thread");
-        // Losing the scaling cells entirely is itself a violation.
+        // A sweep without threads > 1 scaling cells (the smoke grid) has no
+        // speedup to derive; losing a committed series is `check`'s job.
         let none = vec![scaling_record("trie", 1, 8.0, 4.0)];
-        assert_eq!(check_scaling(&none, 4).len(), 1);
-        assert!(check_scaling(&[], 4).len() == 1);
+        assert!(check_scaling(&none, 4).is_empty());
+        assert!(check_scaling(&[], 4).is_empty());
+        let trajectory = consolidate(&sweep(), &full, &[], "rev");
+        let violations = check(&trajectory, &[], None);
+        assert_eq!(violations.len(), full.len());
+        assert!(violations.iter().all(|v| v.metric == "cell"));
     }
 
     #[test]
@@ -698,13 +693,27 @@ mod tests {
     }
 
     #[test]
-    fn missing_fresh_cells_do_not_fail_the_gate() {
+    fn missing_fresh_cells_fail_the_gate() {
         let baseline = vec![
             record("er(400,0.25)", Some(1), 100.0, 8.0),
             record("er(600,0.18)", Some(1), 500.0, 80.0),
         ];
         let trajectory = consolidate(&sweep(), &baseline, &[], "base-rev");
         let fresh = vec![record("er(400,0.25)", Some(1), 100.0, 8.0)];
-        assert!(check(&trajectory, &fresh, None).is_empty());
+        let violations = check(&trajectory, &fresh, None);
+        assert_eq!(violations.len(), 1);
+        assert_eq!(violations[0].metric, "cell");
+        assert_eq!(
+            violations[0].cell,
+            "thread-scaling/er(600,0.18) threads=1 seed=7"
+        );
+        assert_eq!(violations[0].fresh, "missing");
+        // New fresh cells (grid growth) still pass.
+        let grown = vec![
+            record("er(400,0.25)", Some(1), 100.0, 8.0),
+            record("er(600,0.18)", Some(1), 500.0, 80.0),
+            record("rmat(10,16)", Some(1), 7.0, 1.0),
+        ];
+        assert!(check(&trajectory, &grown, None).is_empty());
     }
 }

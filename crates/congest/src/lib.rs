@@ -32,10 +32,10 @@
 //!
 //! # Parallel execution
 //!
-//! With the opt-in `parallel` feature, `Network::run_parallel` steps node
-//! programs on all cores while remaining observationally identical to the
-//! sequential executor (same traces, round counts and outputs); see the
-//! documentation on the parallel `impl` block in [`network`].
+//! `Network::run_parallel` steps node programs on all cores while remaining
+//! observationally identical to the sequential `Network::run` (same traces,
+//! round counts and outputs); see the documentation on the parallel `impl`
+//! block in [`network`].
 //!
 //! # Example
 //!

@@ -16,7 +16,6 @@ type Mailbox<M> = Vec<(NodeId, M)>;
 
 /// Outcome of stepping one node: `(node index, new status, produced outbox,
 /// emitted trace events)`.
-#[cfg(feature = "parallel")]
 type NodeOutcome<M> = (usize, Status, Mailbox<M>, Vec<TraceEvent>);
 
 /// A rejected network construction or configuration.
@@ -584,7 +583,7 @@ fn drain_queue<M>(queue: &mut VecDeque<(M, u32)>) -> (u64, u64) {
     (messages, words)
 }
 
-/// The deterministic multi-threaded round executor (feature `parallel`).
+/// The deterministic multi-threaded round executor.
 ///
 /// Node programs are stepped concurrently on `threads` OS threads (the crate
 /// has no external dependencies, so the fan-out uses [`std::thread::scope`]
@@ -602,7 +601,6 @@ fn drain_queue<M>(queue: &mut VecDeque<(M, u32)>) -> (u64, u64) {
 /// The regression test `tests/parallel_determinism.rs` asserts that
 /// [`Network::run`] and [`Network::run_parallel`] produce identical traces,
 /// round counts and listings.
-#[cfg(feature = "parallel")]
 impl<P> Network<P>
 where
     P: NodeProgram + Send,
@@ -747,7 +745,6 @@ where
 
 /// Number of worker threads [`Network::run_parallel`] uses: the machine's
 /// available parallelism, or 1 if it cannot be determined.
-#[cfg(feature = "parallel")]
 pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }

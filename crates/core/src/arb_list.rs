@@ -35,9 +35,9 @@
 //! in-cluster listing and the fast-`K_4` light listing, all emitting into a
 //! private [`ShardBuffer`]), and the mutation of the invocation outcome plus
 //! the replay into the real sink is a *consume* step executed **only on the
-//! calling thread, in ascending cluster order**. Under the `parallel`
-//! feature and a [`Parallelism`](crate::Parallelism) grant above one thread,
-//! contiguous cluster ranges (size-balanced by goal-edge count through
+//! calling thread, in ascending cluster order**. Under a
+//! [`Parallelism`](crate::Parallelism) grant above one thread, contiguous
+//! cluster ranges (size-balanced by goal-edge count through
 //! [`balanced_ranges`](graphcore::ordered_merge::balanced_ranges)) fan out
 //! over the same
 //! [`ordered_merge`](graphcore::ordered_merge) orchestrator that drives the
@@ -61,7 +61,6 @@ use std::collections::BTreeMap;
 /// oversubscription lets fast workers steal the tail instead of idling
 /// behind one expensive cluster, while each task stays large enough to
 /// amortise its buffer.
-#[cfg(feature = "parallel")]
 const CLUSTER_TASKS_PER_THREAD: usize = 4;
 
 /// Result of one ARB-LIST invocation (the listed cliques are streamed to the
@@ -313,55 +312,43 @@ pub fn arb_list(
     };
 
     // --- Execute: fan the cluster tasks out, or run them inline ------------
-    // The parallel branch groups clusters into contiguous, goal-edge-balanced
-    // ranges and drives them through the shared ordered-merge orchestrator;
-    // consumption is strictly ascending and never stops early (every
-    // cluster's rounds count), so the merged outcome is byte-identical to the
-    // inline loop below at any thread count.
-    // `fanned_out` records the worker count the fan-out actually reached
-    // (None = the inline loop below ran) for the report's `threads_used`.
-    let fanned_out = {
-        #[cfg(feature = "parallel")]
-        {
-            let threads = config.effective_threads(true);
-            if threads > 1 && clusters.len() > 1 {
-                let weights: Vec<u64> = cluster_ems.iter().map(|em| 1 + em.len() as u64).collect();
-                let tasks = graphcore::ordered_merge::balanced_ranges(
-                    &weights,
-                    threads.saturating_mul(CLUSTER_TASKS_PER_THREAD),
-                );
-                graphcore::ordered_merge::ordered_merge(
-                    tasks.len(),
-                    threads,
-                    |task| {
-                        let (start, end) = tasks[task];
-                        (start as usize..end as usize)
-                            .map(&run_cluster)
-                            .collect::<Vec<ClusterYield>>()
-                    },
-                    |yields| {
-                        for y in yields {
-                            consume(y);
-                        }
-                        true
-                    },
-                );
-                Some(threads.min(tasks.len()))
-            } else {
-                None
-            }
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            None::<usize>
-        }
-    };
-    if fanned_out.is_none() {
+    // Under a thread grant, clusters are grouped into contiguous,
+    // goal-edge-balanced ranges and driven through the shared ordered-merge
+    // orchestrator; consumption is strictly ascending and never stops early
+    // (every cluster's rounds count), so the merged outcome is byte-identical
+    // to the inline loop at any thread count. `threads_used` records the
+    // worker count the fan-out actually reached (1 = the inline loop ran).
+    let threads = config.effective_threads(true);
+    let threads_used = if threads > 1 && clusters.len() > 1 {
+        let weights: Vec<u64> = cluster_ems.iter().map(|em| 1 + em.len() as u64).collect();
+        let tasks = graphcore::ordered_merge::balanced_ranges(
+            &weights,
+            threads.saturating_mul(CLUSTER_TASKS_PER_THREAD),
+        );
+        graphcore::ordered_merge::ordered_merge(
+            tasks.len(),
+            threads,
+            |task| {
+                let (start, end) = tasks[task];
+                (start as usize..end as usize)
+                    .map(&run_cluster)
+                    .collect::<Vec<ClusterYield>>()
+            },
+            |yields| {
+                for y in yields {
+                    consume(y);
+                }
+                true
+            },
+        );
+        threads.min(tasks.len())
+    } else {
         for index in 0..clusters.len() {
             consume(run_cluster(index));
         }
-    }
-    outcome.threads_used = fanned_out.unwrap_or(1);
+        1
+    };
+    outcome.threads_used = threads_used;
 
     outcome.rounds.add(phase::HEAVY_UPLOAD, max_heavy);
     outcome.rounds.add(phase::LIGHT_PROBES, max_probe);

@@ -52,9 +52,9 @@ pub(crate) fn run_streaming(
 /// This is the simulated counterpart of the analytic `naive-broadcast`
 /// engine algorithm; the two must agree on the listing, and the simulated
 /// round count matches [`naive_broadcast_rounds`] up to `O(1)` start-up
-/// slack. With the `parallel` feature enabled, node programs are stepped on
-/// all cores (deterministically — see `congest`'s parallel executor), which
-/// is what makes large-`n` simulations tractable.
+/// slack. Node programs are stepped on all cores by `congest`'s
+/// deterministic parallel executor, which is what makes large-`n`
+/// simulations tractable.
 pub fn simulate_naive_broadcast(
     graph: &Graph,
     p: usize,
@@ -64,10 +64,7 @@ pub fn simulate_naive_broadcast(
     let mut net = Network::new(topology, NetworkConfig::default(), |_| {
         NaiveBroadcastProgram::new(p)
     });
-    #[cfg(feature = "parallel")]
     let report = net.run_parallel(max_rounds);
-    #[cfg(not(feature = "parallel"))]
-    let report = net.run(max_rounds);
 
     let mut result = ListingResult::new();
     result
@@ -127,10 +124,7 @@ pub fn simulate_naive_broadcast_with_faults(
         .unwrap_or_else(|e| panic!("fault plan does not fit the topology: {e}"));
     let sink = Arc::new(MemorySink::new());
     net.set_trace_sink(sink.clone());
-    #[cfg(feature = "parallel")]
     let report = net.run_parallel(max_rounds);
-    #[cfg(not(feature = "parallel"))]
-    let report = net.run(max_rounds);
 
     let mut result = ListingResult::new();
     result

@@ -36,8 +36,7 @@ pub enum ExchangeMode {
 /// [`ParallelSupport`](crate::engine::ParallelSupport)) produce byte-identical
 /// output at every setting, and algorithms that simulate a CONGEST message
 /// schedule ignore the knob and record a sequential-fallback reason in the
-/// [`RunReport`](crate::RunReport). Builds without the `parallel` feature
-/// always run sequentially.
+/// [`RunReport`](crate::RunReport).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Parallelism {
     /// Strictly sequential local enumeration (the default).
@@ -204,9 +203,8 @@ pub struct ListingConfig {
     /// Seed for all randomised choices (partitions, tie-breaking).
     pub seed: u64,
     /// Thread parallelism of the local enumeration. Only algorithms with
-    /// sharded local enumeration honour it; everything else (and every build
-    /// without the `parallel` feature) runs sequentially and says so in the
-    /// [`RunReport`](crate::RunReport).
+    /// sharded local enumeration honour it; everything else runs
+    /// sequentially and says so in the [`RunReport`](crate::RunReport).
     pub parallelism: Parallelism,
     /// Enumeration kernel of every local clique search the run performs
     /// (full listings, shards, goal-edge queries). Like [`Parallelism`] this
@@ -392,14 +390,13 @@ impl ListingConfig {
     }
 
     /// Worker threads the local enumeration of a run may use: 1 unless the
-    /// algorithm opted into sharded enumeration (`algorithm_supports`), the
-    /// crate was built with the `parallel` feature, **and** the
-    /// [`Parallelism`] knob resolves above 1. This is the single source of
-    /// truth shared by the enumeration path and the
+    /// algorithm opted into sharded enumeration (`algorithm_supports`)
+    /// **and** the [`Parallelism`] knob resolves above 1. This is the single
+    /// source of truth shared by the enumeration path and the
     /// [`RunReport`](crate::RunReport) summary, so the two can never
     /// disagree.
     pub fn effective_threads(&self, algorithm_supports: bool) -> usize {
-        if !algorithm_supports || !cfg!(feature = "parallel") {
+        if !algorithm_supports {
             return 1;
         }
         self.parallelism.threads().max(1)
@@ -524,16 +521,15 @@ mod tests {
     }
 
     #[test]
-    fn effective_threads_requires_support_and_feature() {
+    fn effective_threads_requires_algorithm_support() {
         let cfg = ListingConfig {
             parallelism: Parallelism::Threads(4),
             ..ListingConfig::for_p(4)
         };
         // Algorithms that never opted in are always sequential.
         assert_eq!(cfg.effective_threads(false), 1);
-        // Opted-in algorithms get the resolved count only in parallel builds.
-        let expected = if cfg!(feature = "parallel") { 4 } else { 1 };
-        assert_eq!(cfg.effective_threads(true), expected);
+        // Opted-in algorithms get the resolved count.
+        assert_eq!(cfg.effective_threads(true), 4);
         let off = ListingConfig::for_p(4);
         assert_eq!(off.effective_threads(true), 1);
     }

@@ -375,19 +375,16 @@ impl Engine {
                 .kernel
                 .resolve(graphcore::orientation::degeneracy_ordering(graph).degeneracy),
         };
-        // Capability + build only — never the requested thread count — so the
+        // Capability only — never the requested thread count — so the
         // serialised report stays byte-identical across parallelism settings.
         // `threads_used` is whatever fan-out the algorithm recorded while it
         // ran (clamped to the grant; 1 when it recorded nothing).
         let sharded = matches!(info.parallel, ParallelSupport::Sharded);
         let threads_granted = self.config.effective_threads(sharded);
         report.parallelism = ParallelismSummary {
-            supported: sharded && cfg!(feature = "parallel"),
+            supported: sharded,
             sequential_reason: match info.parallel {
                 ParallelSupport::Sequential(reason) => Some(reason),
-                ParallelSupport::Sharded if !cfg!(feature = "parallel") => {
-                    Some("built without the `parallel` feature")
-                }
                 ParallelSupport::Sharded => None,
             },
             threads_granted,
@@ -993,14 +990,13 @@ mod tests {
     fn capability_metadata_marks_every_builtin_sharded() {
         // Since the cluster fan-out landed, every built-in path shards: the
         // dense local enumerations over root shards, the CONGEST pipelines
-        // over cluster tasks. Capability stays a build/algorithm fact.
+        // over cluster tasks. Capability stays an algorithm fact.
         for algorithm in algorithms() {
             let info = algorithm.info();
             assert_eq!(info.parallel, ParallelSupport::Sharded, "{}", info.name);
         }
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn threads_used_records_actual_fanout_not_the_grant() {
         // A tiny graph cannot feed 8 workers: the shard plan has at most one
@@ -1071,18 +1067,10 @@ mod tests {
             .build()
             .unwrap();
         let (report, _) = engine.count(&graph);
-        if cfg!(feature = "parallel") {
-            assert!(report.parallelism.supported);
-            assert_eq!(report.parallelism.sequential_reason, None);
-            assert_eq!(report.parallelism.threads_granted, 4);
-        } else {
-            assert!(!report.parallelism.supported);
-            assert_eq!(report.parallelism.threads_granted, 1);
-            let reason = report.parallelism.sequential_reason.expect("reason");
-            assert!(reason.contains("parallel"));
-            assert!(report.to_json().contains(reason));
-        }
-        // Capability is a build/algorithm fact: the same engine without any
+        assert!(report.parallelism.supported);
+        assert_eq!(report.parallelism.sequential_reason, None);
+        assert_eq!(report.parallelism.threads_granted, 4);
+        // Capability is an algorithm fact: the same engine without any
         // parallelism request serialises identically.
         let sequential = Engine::builder().p(4).algorithm("general").build().unwrap();
         let (sequential_report, _) = sequential.count(&graph);
@@ -1103,20 +1091,12 @@ mod tests {
             .build()
             .unwrap();
         let (report, _) = engine.count(&graph);
-        if cfg!(feature = "parallel") {
-            assert!(report.parallelism.supported);
-            assert_eq!(report.parallelism.sequential_reason, None);
-            assert_eq!(report.parallelism.threads_granted, 3);
-            // A 30-vertex dense graph yields well over 3 shards, so the grant
-            // is fully used — and `threads_used` never exceeds the grant.
-            assert_eq!(report.parallelism.threads_used, 3);
-        } else {
-            assert!(!report.parallelism.supported);
-            assert_eq!(report.parallelism.threads_granted, 1);
-            assert_eq!(report.parallelism.threads_used, 1);
-            let reason = report.parallelism.sequential_reason.expect("reason");
-            assert!(reason.contains("parallel"));
-        }
+        assert!(report.parallelism.supported);
+        assert_eq!(report.parallelism.sequential_reason, None);
+        assert_eq!(report.parallelism.threads_granted, 3);
+        // A 30-vertex dense graph yields well over 3 shards, so the grant is
+        // fully used — and `threads_used` never exceeds the grant.
+        assert_eq!(report.parallelism.threads_used, 3);
     }
 
     #[test]

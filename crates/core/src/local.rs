@@ -6,8 +6,8 @@
 //! final broadcast, `eden-k4`'s naive finish) end in the same step over
 //! their surviving graph. This module is that step's single implementation —
 //! sequential by default, sharded across [`std::thread::scope`] workers when
-//! the `parallel` feature is on and the validated
-//! [`Parallelism`](crate::Parallelism) knob resolves above one thread.
+//! the validated [`Parallelism`](crate::Parallelism) knob resolves above one
+//! thread.
 //!
 //! The parallel path keeps the engine's exactly-once deterministic emission
 //! contract by construction: workers claim contiguous shards of the
@@ -42,16 +42,13 @@ pub(crate) fn stream_cliques(
     if sink.is_saturated() {
         return 1;
     }
-    #[cfg(feature = "parallel")]
-    {
-        let threads = config.effective_threads(true);
-        if threads > 1 && config.p >= 3 {
-            // Build the snapshot artifact (ordering + DAG + bitsets) once and
-            // hand it to the sharded path — the same build/query split the
-            // `query` crate's GraphSnapshot amortises across whole batches.
-            let index = cliques::CliqueIndex::build(graph);
-            return parallel_stream(graph, &index, config, threads, sink);
-        }
+    let threads = config.effective_threads(true);
+    if threads > 1 && config.p >= 3 {
+        // Build the snapshot artifact (ordering + DAG + bitsets) once and
+        // hand it to the sharded path — the same build/query split the
+        // `query` crate's GraphSnapshot amortises across whole batches.
+        let index = cliques::CliqueIndex::build(graph);
+        return parallel_stream(graph, &index, config, threads, sink);
     }
     cliques::for_each_clique_while_with(graph, config.p, config.kernel, |c| {
         sink.accept(c);
@@ -62,13 +59,12 @@ pub(crate) fn stream_cliques(
 
 /// The sharded path: fan shards out over scoped worker threads through
 /// [`graphcore::ordered_merge::ordered_merge`] (the single orchestration
-/// shared with the graph-level drivers and the cluster fan-out of
-/// `arb_list` — stop flag, ordered replay and backpressure live there), with
-/// one [`ShardBuffer`] per shard bridging the enumeration to the
-/// `dyn CliqueSink`. Only this thread ever touches `sink`. Returns the worker
+/// shared with the cluster fan-out of `arb_list` and the query crate's batch
+/// and delta fan-outs — stop flag, ordered replay and backpressure live
+/// there), with one [`ShardBuffer`] per shard bridging the enumeration to
+/// the `dyn CliqueSink`. Only this thread ever touches `sink`. Returns the worker
 /// count actually spawned (`threads` capped by the shard count; 1 when the
 /// plan degenerates to a single shard and the enumeration runs inline).
-#[cfg(feature = "parallel")]
 fn parallel_stream(
     graph: &Graph,
     index: &cliques::CliqueIndex,
@@ -78,7 +74,7 @@ fn parallel_stream(
 ) -> usize {
     use crate::sink::ShardBuffer;
     use graphcore::cliques::{ShardedEnumerator, SHARDS_PER_THREAD};
-    use graphcore::ordered_merge::ordered_merge as merge_shards;
+    use graphcore::ordered_merge::ordered_merge;
 
     let p = config.p;
     let enumerator =
@@ -92,7 +88,7 @@ fn parallel_stream(
         });
         return 1;
     }
-    merge_shards(
+    ordered_merge(
         shards,
         threads,
         |shard| {

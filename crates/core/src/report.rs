@@ -52,19 +52,18 @@ pub struct SinkSummary {
 /// [`Parallelism`](crate::Parallelism) knob.
 ///
 /// `supported` and `sequential_reason` are a pure function of the algorithm
-/// and the build (never of the requested thread count or the host), so the
-/// JSON rendered by [`RunReport::to_json`] is byte-identical across every
-/// parallelism setting — the report artifact stays diffable.
+/// (never of the requested thread count or the host), so the JSON rendered
+/// by [`RunReport::to_json`] is byte-identical across every parallelism
+/// setting — the report artifact stays diffable.
 /// `threads_granted` and `threads_used` are the host-dependent execution
 /// details and are deliberately **not** serialised, for the same reason
 /// timings are not.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ParallelismSummary {
-    /// Whether this algorithm in this build can shard its local enumeration.
+    /// Whether this algorithm can shard its local enumeration.
     pub supported: bool,
     /// Why runs are pinned to sequential execution (`None` when sharding is
-    /// available): either the algorithm's capability reason (CONGEST
-    /// simulation) or the missing `parallel` feature.
+    /// available): the algorithm's capability reason.
     pub sequential_reason: Option<&'static str>,
     /// Worker threads the engine granted to the local enumeration (1 =
     /// sequential). An upper bound on what the enumeration actually fans out

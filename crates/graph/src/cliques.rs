@@ -1,5 +1,5 @@
-//! Exact `K_p` enumeration: the sequential ground truth and its sharded
-//! parallel counterpart.
+//! Exact `K_p` enumeration: the sequential ground truth and the shards that
+//! parallelise it.
 //!
 //! The enumerator follows the standard ordered-search scheme (kClist-style):
 //! fix a degeneracy ordering, build the [`OrientedDag`] of later neighbours
@@ -18,11 +18,11 @@
 //! explores only its own later-neighbour DAG, so disjoint root ranges can be
 //! enumerated independently. [`ShardPlan`] partitions the ordering into
 //! contiguous, work-balanced shards and [`ShardedEnumerator`] runs the same
-//! arena-based search over any single shard; with the `parallel` feature,
-//! `for_each_clique_parallel_while` fans shards out over
-//! [`std::thread::scope`] workers and replays the per-shard results in
-//! ascending shard order, so the emission order is **byte-identical** to the
-//! sequential enumeration regardless of thread count (see `DESIGN.md` §8).
+//! arena-based search over any single shard. Callers fan shards out over
+//! [`std::thread::scope`] workers through [`crate::ordered_merge`] and replay
+//! the per-shard results in ascending shard order, so the emission order is
+//! **byte-identical** to the sequential enumeration regardless of thread
+//! count (see `DESIGN.md` §8).
 //!
 //! All of the search's build-once state — the degeneracy ordering, the
 //! oriented DAG and the adjacency bitsets — lives in [`CliqueIndex`], an
@@ -938,112 +938,11 @@ impl<'g> ShardedEnumerator<'g> {
     }
 }
 
-/// Shards planned per worker thread by the parallel drivers: oversubscribing
-/// lets fast workers steal the tail instead of idling behind one slow shard,
-/// while the per-shard overhead (one arena + one buffer) stays negligible.
-#[cfg(feature = "parallel")]
+/// Shards planned per worker thread by the sharded paths (the engine's
+/// dense enumeration, the bench's pinned counts): oversubscribing lets fast
+/// workers steal the tail instead of idling behind one slow shard, while the
+/// per-shard overhead (one arena + one buffer) stays negligible.
 pub const SHARDS_PER_THREAD: usize = 8;
-
-/// The ordered shard merge used by every parallel driver (this module's
-/// `for_each_clique_parallel*` and the engine's sink path in the
-/// `cliquelist` crate). Re-exported from [`crate::ordered_merge`], where the
-/// orchestration lives once for all fan-outs (root shards here, cluster
-/// tasks in the CONGEST pipeline); see that module for the determinism and
-/// backpressure contract.
-#[cfg(feature = "parallel")]
-pub use crate::ordered_merge::ordered_merge as merge_shards;
-
-/// Parallel counterpart of [`for_each_clique`]: enumerates every `p`-clique
-/// on up to `threads` scoped worker threads, calling `visit` **on the calling
-/// thread** in exactly the sequential emission order.
-///
-/// The thread count influences wall-clock time only, never results: workers
-/// fill one buffer per contiguous shard and the caller replays the buffers
-/// in ascending shard order (see `DESIGN.md` §8 for the determinism
-/// argument).
-#[cfg(feature = "parallel")]
-pub fn for_each_clique_parallel(
-    graph: &Graph,
-    p: usize,
-    threads: usize,
-    mut visit: impl FnMut(&[u32]),
-) {
-    for_each_clique_parallel_while(graph, p, threads, |c| {
-        visit(c);
-        true
-    });
-}
-
-/// Parallel counterpart of [`for_each_clique_while`]: like
-/// [`for_each_clique_parallel`], but the callback returns whether to
-/// continue. Returns `true` when the enumeration ran to completion.
-///
-/// A declined visit stops the replay immediately and signals the workers to
-/// abandon their remaining shards; cliques already buffered by other workers
-/// are discarded, so an early stop costs at most the shards in flight.
-/// Degenerate inputs (`threads ≤ 1`, `p < 3`, or a plan with a single shard)
-/// fall back to the sequential enumeration.
-#[cfg(feature = "parallel")]
-pub fn for_each_clique_parallel_while(
-    graph: &Graph,
-    p: usize,
-    threads: usize,
-    mut visit: impl FnMut(&[u32]) -> bool,
-) -> bool {
-    if threads <= 1 || p < 3 {
-        return for_each_clique_while(graph, p, visit);
-    }
-    let enumerator = ShardedEnumerator::new(graph, p, threads.saturating_mul(SHARDS_PER_THREAD));
-    let shards = enumerator.num_shards();
-    if shards <= 1 {
-        return for_each_clique_while(graph, p, visit);
-    }
-    merge_shards(
-        shards,
-        threads,
-        |shard| {
-            // Flat buffer of `p`-wide rows: no per-clique allocation.
-            let mut flat: Vec<u32> = Vec::new();
-            enumerator.for_each_in_shard(shard, |c| flat.extend_from_slice(c));
-            flat
-        },
-        |flat| flat.chunks_exact(p).all(&mut visit),
-    )
-}
-
-/// Parallel counterpart of [`count_cliques`]: counts without materialising
-/// or merging, since a count needs no emission order — each worker sums the
-/// cliques of the shards it claims.
-#[cfg(feature = "parallel")]
-pub fn count_cliques_parallel(graph: &Graph, p: usize, threads: usize) -> usize {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    if threads <= 1 || p < 3 {
-        return count_cliques(graph, p);
-    }
-    let enumerator = ShardedEnumerator::new(graph, p, threads.saturating_mul(SHARDS_PER_THREAD));
-    let shards = enumerator.num_shards();
-    if shards <= 1 {
-        return count_cliques(graph, p);
-    }
-    let next = AtomicUsize::new(0);
-    let total = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(shards) {
-            let (enumerator, next, total) = (&enumerator, &next, &total);
-            scope.spawn(move || loop {
-                let shard = next.fetch_add(1, Ordering::Relaxed);
-                if shard >= shards {
-                    break;
-                }
-                let mut count = 0usize;
-                enumerator.for_each_in_shard(shard, |_| count += 1);
-                total.fetch_add(count, Ordering::Relaxed);
-            });
-        }
-    });
-    total.into_inner()
-}
 
 /// Reusable state for repeated [`cliques_containing_edge`]-style queries
 /// against one graph: the adjacency bitsets, the candidate arena, the vertex
@@ -1405,26 +1304,39 @@ mod tests {
 
     #[test]
     fn bitset_and_merge_paths_agree() {
-        // A graph straddling the bitset degree threshold: a dense core (above
-        // it) plus a sparse fringe (below it) so both intersection paths run.
+        // Two components on either side of the bitset degree floor: a dense
+        // core whose vertices all get bitset rows, and a disjoint K_7 whose
+        // degree-6 vertices stay below MIN_BITSET_DEGREE_THRESHOLD and are
+        // row-less candidates of each other. The pinned recursive kernel
+        // therefore intersects through both paths of `intersect_candidates`.
+        const CORE: u32 = 24;
+        let k7 = CORE..CORE + 7;
         let mut edges = Vec::new();
-        for u in 0..80u32 {
-            for v in (u + 1)..80u32 {
+        for u in 0..CORE {
+            for v in (u + 1)..CORE {
                 if (u + v) % 7 != 0 {
                     edges.push((u, v));
                 }
             }
         }
-        for f in 80..120u32 {
-            edges.push((f, f % 7));
-            edges.push((f, f % 11 + 20));
-            edges.push((f, f % 5 + 40));
+        for u in k7.clone() {
+            for v in (u + 1)..k7.end {
+                edges.push((u, v));
+            }
         }
-        let g = Graph::from_edges(120, &edges).unwrap();
-        assert!(g.max_degree() >= BITSET_DEGREE_THRESHOLD);
-        assert!((0..120u32).any(|v| g.degree(v) < BITSET_DEGREE_THRESHOLD));
+        let g = Graph::from_edges(k7.end as usize, &edges).unwrap();
+        let index = CliqueIndex::build(&g);
+        assert!((0..CORE).all(|v| index.bitset_row(v).is_some()));
+        assert!(k7
+            .clone()
+            .all(|v| g.degree(v) < MIN_BITSET_DEGREE_THRESHOLD && index.bitset_row(v).is_none()));
         for p in [3usize, 4, 5] {
-            let listed = list_cliques(&g, p);
+            let mut listed = Vec::new();
+            index.for_each_clique_while_with(&g, p, KernelStrategy::Recursive, |c| {
+                listed.push(c.to_vec());
+                true
+            });
+            listed.sort_unstable();
             // Reference: merge-only enumeration via the containing-edge API
             // (which never builds bitsets), unioned over all edges.
             let mut reference: Vec<Clique> = Vec::new();
@@ -1551,51 +1463,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_enumeration_is_byte_identical_to_sequential() {
-        let g = gen::erdos_renyi(80, 0.25, 5);
-        for p in [3usize, 4, 5] {
-            let mut sequential = Vec::new();
-            for_each_clique(&g, p, |c| sequential.push(c.to_vec()));
-            for threads in [1usize, 2, 3, 8] {
-                let mut parallel = Vec::new();
-                for_each_clique_parallel(&g, p, threads, |c| parallel.push(c.to_vec()));
-                assert_eq!(parallel, sequential, "p={p} threads={threads}");
-                assert_eq!(
-                    count_cliques_parallel(&g, p, threads),
-                    sequential.len(),
-                    "p={p} threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_while_stops_early_with_the_sequential_prefix() {
-        let g = gen::complete_graph(18);
-        let mut sequential = Vec::new();
-        for_each_clique(&g, 4, |c| sequential.push(c.to_vec()));
-        for limit in [1usize, 5, 40] {
-            let mut prefix = Vec::new();
-            let completed = for_each_clique_parallel_while(&g, 4, 4, |c| {
-                prefix.push(c.to_vec());
-                prefix.len() < limit
-            });
-            assert!(!completed, "limit={limit}");
-            assert_eq!(prefix.len(), limit);
-            assert_eq!(prefix, sequential[..limit], "limit={limit}");
-        }
-        // A never-declining visitor completes and sees everything.
-        let mut all = Vec::new();
-        assert!(for_each_clique_parallel_while(&g, 4, 4, |c| {
-            all.push(c.to_vec());
-            true
-        }));
-        assert_eq!(all, sequential);
     }
 
     #[test]

@@ -16,13 +16,13 @@
 //!   and arboricity bounds — the paper's algorithms are parameterised by an
 //!   orientation with bounded out-degree;
 //! * [`cliques`]: exact `K_p` enumeration — the sequential ground truth used
-//!   to verify the distributed algorithms, plus its sharded parallel
-//!   counterpart (feature `parallel`) whose merged output is byte-identical
-//!   to the sequential order at any thread count;
+//!   to verify the distributed algorithms, plus the shard plans and
+//!   per-shard enumerator whose ordered merge is byte-identical to the
+//!   sequential order at any thread count;
 //! * [`ordered_merge`]: the generic work-item orchestrator behind every
-//!   deterministic parallel fan-out (root shards, cluster tasks): balanced
-//!   contiguous planning, claim-window backpressure and ascending-index
-//!   replay;
+//!   deterministic parallel fan-out (root shards, cluster tasks, query
+//!   batches, changed edges): balanced contiguous planning, claim-window
+//!   backpressure and ascending-index replay;
 //! * [`spectral`]: conductance and lazy-random-walk mixing-time estimates used
 //!   to validate the clusters produced by the expander decomposition;
 //! * [`partition`]: random vertex partitions and the edge-count bound of

@@ -1,15 +1,20 @@
 //! The generic ordered-merge orchestrator behind every deterministic
 //! parallel fan-out in the workspace.
 //!
-//! Two call sites share this module (that sharing is the point — the subtle
+//! Four call sites share this module (that sharing is the point — the subtle
 //! orchestration exists exactly once):
 //!
-//! * the sharded clique enumeration of [`crate::cliques`], whose work items
-//!   are contiguous root shards of the degeneracy ordering;
+//! * the engine's sharded dense enumeration (`cliquelist::local`), whose work
+//!   items are contiguous root shards of the degeneracy ordering
+//!   ([`crate::cliques::ShardedEnumerator`]);
 //! * the cluster fan-out of the CONGEST pipeline (`cliquelist::arb_list`),
-//!   whose work items are contiguous ranges of a decomposition's clusters.
+//!   whose work items are contiguous ranges of a decomposition's clusters;
+//! * the query batch fan-out (`query::service`), whose work items are the
+//!   requests of a batch or the root shards of one count;
+//! * the delta listing (`query::delta`), whose work items are the changed
+//!   edges of a churn batch.
 //!
-//! Both follow the same plan/execute split: an indexed list of independent
+//! All follow the same plan/execute split: an indexed list of independent
 //! work items, `produce(item)` running on worker threads against shared
 //! read-only state, and `consume(result)` running **only on the calling
 //! thread**, strictly in ascending item order. When the items are contiguous
@@ -60,7 +65,6 @@ pub fn balanced_ranges(weights: &[u64], target: usize) -> Vec<(u32, u32)> {
 /// workers racing ahead of one slow item could buffer nearly the whole
 /// result set; with it, at most `O(threads)` item results ever exist at
 /// once.
-#[cfg(feature = "parallel")]
 const CLAIM_WINDOW_PER_THREAD: usize = 2;
 
 /// The generic ordered merge: `produce(item)` runs on up to `threads` scoped
@@ -77,7 +81,7 @@ const CLAIM_WINDOW_PER_THREAD: usize = 2;
 ///   sequential pass at any thread count.
 /// * **Bounded buffering.** A worker may claim an item only while it is
 ///   within a fixed window of the replay cursor
-///   ([`CLAIM_WINDOW_PER_THREAD`] per thread); workers past the window block
+///   (`CLAIM_WINDOW_PER_THREAD` per thread); workers past the window block
 ///   until the cursor advances. Peak outstanding results are therefore
 ///   `O(threads)` items, not `O(items)` — one slow early item cannot make
 ///   the merge buffer the whole result set.
@@ -85,7 +89,6 @@ const CLAIM_WINDOW_PER_THREAD: usize = 2;
 /// # Panics
 ///
 /// Panics if `threads == 0` (the caller decides the sequential fallback).
-#[cfg(feature = "parallel")]
 pub fn ordered_merge<T, P, C>(items: usize, threads: usize, produce: P, mut consume: C) -> bool
 where
     T: Send,
@@ -216,7 +219,6 @@ mod tests {
         assert_eq!(ranges[0], (0, 1), "the heavy item gets a range of its own");
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn consumes_in_order_despite_adversarial_completion() {
         // Early items sleep longest, so completion order is roughly the
@@ -242,7 +244,6 @@ mod tests {
         assert_eq!(consumed.into_inner(), expected);
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn stops_early_and_releases_parked_workers() {
         use std::sync::atomic::{AtomicUsize, Ordering};
@@ -270,7 +271,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn claim_window_bounds_the_run_ahead() {
         use std::sync::atomic::{AtomicUsize, Ordering};
@@ -303,7 +303,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn single_item_and_more_threads_than_items() {
         let mut seen = Vec::new();
@@ -321,7 +320,6 @@ mod tests {
         assert!(ordered_merge(0, 4, |item| item, |_: usize| false));
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_threads_panic() {

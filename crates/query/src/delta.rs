@@ -13,13 +13,12 @@
 //!
 //! [`delta_cliques`] diffs the two snapshots' sorted edge streams directly
 //! (it never trusts a caller-supplied batch), fans the per-edge enumerations
-//! out through `graphcore::ordered_merge` under the `parallel` feature, and
+//! out through `graphcore::ordered_merge` under a thread grant, and
 //! canonicalises the result — sorted, duplicate-free, exactly-once — so the
 //! delta is byte-identical at any thread grant. The churn differential
 //! battery (`tests/churn_differential.rs`) pins `delta == set difference of
 //! the full listings` across workloads, clique sizes and thread grants.
 
-use crate::service::resolve_threads;
 use crate::snapshot::GraphSnapshot;
 use cliquelist::Parallelism;
 use graphcore::Clique;
@@ -140,8 +139,8 @@ fn cliques_on_edge(snapshot: &GraphSnapshot, p: usize, (u, v): (u32, u32)) -> Ve
 /// caller's batch contained ineffective changes — and `delta_cliques(s, s, p,
 /// ..)` is always empty. Work is proportional to the churn: one per-edge
 /// containment enumeration per changed edge, fanned out over scoped workers
-/// when the `parallel` feature is on. The output is canonical and identical
-/// at every thread grant (`&self`-concurrent: both snapshots are only read).
+/// under a thread grant. The output is canonical and identical at every
+/// thread grant (`&self`-concurrent: both snapshots are only read).
 ///
 /// `p < 2` deltas are empty by definition (vertices never churn); `p == 2`
 /// deltas are the edge difference itself.
@@ -196,22 +195,13 @@ pub fn delta_cliques(
         bucket.extend(cliques);
         consumed += 1;
     };
-    let threads = resolve_threads(parallelism).min(num_items.max(1));
-    #[cfg(feature = "parallel")]
-    let fanned_out = threads > 1 && {
+    let threads = parallelism.threads().min(num_items);
+    if threads > 1 {
         graphcore::ordered_merge::ordered_merge(num_items, threads, produce, |cliques| {
             consume(cliques);
             true
         });
-        true
-    };
-    #[cfg(not(feature = "parallel"))]
-    let fanned_out = {
-        let _ = threads;
-        false
-    };
-    // Sequential path (and the only path without the `parallel` feature).
-    if !fanned_out {
+    } else {
         for i in 0..num_items {
             consume(produce(i));
         }
@@ -303,7 +293,6 @@ mod tests {
         assert!(format!("{err}").contains("vertex set"));
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn delta_is_identical_at_any_thread_grant() {
         let g = gen::erdos_renyi(50, 0.25, 9);

@@ -122,7 +122,7 @@ pub struct QueryService {
 impl QueryService {
     /// A service over `snapshot` with the [`Parallelism::Auto`] thread grant
     /// (the `CLIQUELIST_THREADS` environment knob, available parallelism
-    /// otherwise; always 1 without the `parallel` feature).
+    /// otherwise).
     pub fn new(snapshot: Arc<GraphSnapshot>) -> QueryService {
         QueryService::with_parallelism(snapshot, Parallelism::Auto)
     }
@@ -133,7 +133,7 @@ impl QueryService {
     pub fn with_parallelism(snapshot: Arc<GraphSnapshot>, parallelism: Parallelism) -> Self {
         QueryService {
             snapshot,
-            threads: resolve_threads(parallelism),
+            threads: parallelism.threads().max(1),
             cache: QueryCache::new(),
         }
     }
@@ -175,14 +175,14 @@ impl QueryService {
 
     /// Executes a batch, returning responses in request order.
     ///
-    /// With more than one granted thread (and the `parallel` feature), the
-    /// requests fan out over scoped workers through
-    /// [`graphcore::ordered_merge`]; the replay happens on the calling
-    /// thread in ascending request order, so the response sequence — and
-    /// every [`QueryResponse::to_json`] payload in it — is byte-identical at
-    /// any thread count. Duplicate queries within one batch may race to the
-    /// same cache entry; both compute the same deterministic outcome, so
-    /// only the hit/miss counters (never the payloads) depend on timing.
+    /// With more than one granted thread, the requests fan out over scoped
+    /// workers through [`graphcore::ordered_merge`]; the replay happens on
+    /// the calling thread in ascending request order, so the response
+    /// sequence — and every [`QueryResponse::to_json`] payload in it — is
+    /// byte-identical at any thread count. Duplicate queries within one batch
+    /// may race to the same cache entry; both compute the same deterministic
+    /// outcome, so only the hit/miss counters (never the payloads) depend on
+    /// timing.
     ///
     /// # Errors
     ///
@@ -197,31 +197,28 @@ impl QueryService {
             self.check(query)?;
         }
         let mut responses = Vec::with_capacity(queries.len());
-        #[cfg(feature = "parallel")]
-        {
-            let fanout = self.threads.min(queries.len());
-            if fanout > 1 {
-                let mut first_error = None;
-                graphcore::ordered_merge::ordered_merge(
-                    queries.len(),
-                    fanout,
-                    |i| self.run(&queries[i], 1),
-                    |result| match result {
-                        Ok(response) => {
-                            responses.push(response);
-                            true
-                        }
-                        Err(error) => {
-                            first_error = Some(error);
-                            false
-                        }
-                    },
-                );
-                return match first_error {
-                    Some(error) => Err(error),
-                    None => Ok(responses),
-                };
-            }
+        let fanout = self.threads.min(queries.len());
+        if fanout > 1 {
+            let mut first_error = None;
+            graphcore::ordered_merge::ordered_merge(
+                queries.len(),
+                fanout,
+                |i| self.run(&queries[i], 1),
+                |result| match result {
+                    Ok(response) => {
+                        responses.push(response);
+                        true
+                    }
+                    Err(error) => {
+                        first_error = Some(error);
+                        false
+                    }
+                },
+            );
+            return match first_error {
+                Some(error) => Err(error),
+                None => Ok(responses),
+            };
         }
         for query in queries {
             responses.push(self.run(query, 1)?);
@@ -298,7 +295,6 @@ impl QueryService {
         let mut meter = BudgetMeter::new(query.budget());
         let outcome = match query.kind() {
             QueryKind::CountKp => {
-                #[cfg(feature = "parallel")]
                 if inner_threads > 1 && query.budget().is_none() {
                     let plan = self
                         .snapshot
@@ -331,7 +327,6 @@ impl QueryService {
                         ));
                     }
                 }
-                let _ = inner_threads;
                 let mut total = 0u64;
                 index.for_each_clique_while_with(graph, p, self.snapshot.kernel(), |_| {
                     if !meter.admit() {
@@ -435,20 +430,6 @@ impl BudgetMeter {
     }
 }
 
-/// Resolves a [`Parallelism`] setting to a concrete worker count. Without
-/// the `parallel` feature everything runs sequentially. Shared with the
-/// delta-listing fan-out in [`crate::delta`].
-pub(crate) fn resolve_threads(parallelism: Parallelism) -> usize {
-    if cfg!(not(feature = "parallel")) {
-        return 1;
-    }
-    match parallelism {
-        Parallelism::Off => 1,
-        Parallelism::Threads(n) => n.max(1),
-        Parallelism::Auto => cliquelist::auto_threads(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -460,7 +441,6 @@ mod tests {
         (QueryService::new(snapshot.clone()), snapshot)
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn query_reports_record_actual_fanout_not_the_grant() {
         // A tiny snapshot degenerates to a single shard: however wide the
@@ -688,7 +668,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn thread_grants_never_change_payloads() {
         let snapshot = GraphSnapshot::build(gen::erdos_renyi(50, 0.3, 21)).into_shared();

@@ -10,11 +10,12 @@
 //! verifying the delta against the full listings as it goes.
 //!
 //! ```text
-//! cargo run --release --features parallel --example churn
+//! cargo run --release --example churn
 //! ```
 //!
-//! (Also runs without `parallel`; the per-edge fan-out then executes
-//! sequentially with an identical delta — determinism is the whole point.)
+//! The per-edge delta enumeration fans out over worker threads; a
+//! sequential run (`Parallelism::Off`) yields an identical delta —
+//! determinism is the whole point.
 
 use distributed_clique_listing::cliquelist::Parallelism;
 use distributed_clique_listing::graphcore::{cliques, gen, EdgeBatch};

@@ -10,11 +10,12 @@
 //! content-addressed cache short-circuiting every enumeration.
 //!
 //! ```text
-//! cargo run --release --features parallel --example query_service
+//! cargo run --release --example query_service
 //! ```
 //!
-//! (Also runs without `parallel`; the batch then executes sequentially with
-//! identical payloads — determinism is the whole point.)
+//! The batch fans out over worker threads; a sequential service
+//! (`Parallelism::Off`) returns identical payloads — determinism is the whole
+//! point.
 
 use distributed_clique_listing::graphcore::gen;
 use distributed_clique_listing::query::{GraphSnapshot, QueryBuilder, QueryOutcome, QueryService};

@@ -60,9 +60,9 @@ fn main() {
     println!("verification against the sequential ground truth: OK");
 
     // Same graph through the CONGESTED CLIQUE algorithm with Parallelism::Auto:
-    // its local enumeration shards across worker threads (in `--features
-    // parallel` builds), and the output is byte-identical to a sequential run
-    // — the knob only ever changes wall-clock time. CONGEST-simulated
+    // its local enumeration shards across worker threads, and the output is
+    // byte-identical to a sequential run — the knob only ever changes
+    // wall-clock time. CONGEST-simulated
     // algorithms ignore it and record why in the report.
     let parallel_engine = Engine::builder()
         .p(5)

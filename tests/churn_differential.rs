@@ -34,9 +34,8 @@ const RMAT_PROBS: (f64, f64, f64, f64) = (0.57, 0.19, 0.19, 0.05);
 const PS: [usize; 3] = [3, 4, 5];
 const SEEDS: [u64; 2] = [1, 2];
 
-/// The thread grants every differential assertion runs under. Without the
-/// `parallel` feature each resolves to one worker — the assertions still
-/// compare against the same sequential baseline.
+/// The thread grants every differential assertion runs under, each compared
+/// against the same sequential baseline.
 fn grants() -> [Parallelism; 4] {
     [
         Parallelism::Off,

@@ -97,9 +97,7 @@ impl CliqueSink for TraceSink {
 /// output — identical sink-call traces (which subsumes the collected set and
 /// the count), identical `FirstK` prefixes, and identical `to_json`
 /// artifacts. Algorithms without sharded local enumeration must fall back to
-/// sequential rather than diverge. Runs under both feature configurations
-/// (without `parallel`, every setting falls back — equality is then the
-/// fallback's correctness check).
+/// sequential rather than diverge.
 #[test]
 fn parallelism_settings_are_byte_identical_for_every_algorithm() {
     let settings = [

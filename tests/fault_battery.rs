@@ -15,10 +15,8 @@
 //!   instead of panics or hangs; replaying the same `(seed, plan)` pair is
 //!   byte-identical, at any thread grant.
 
-#[cfg(feature = "parallel")]
-use distributed_clique_listing::cliquelist::Parallelism;
 use distributed_clique_listing::cliquelist::{
-    algorithms, baselines, Engine, Resilience, RunOutcome,
+    algorithms, baselines, Engine, Parallelism, Resilience, RunOutcome,
 };
 use distributed_clique_listing::congest::{
     FaultPlan, MemorySink, Network, NetworkConfig, Topology, TraceEvent,
@@ -152,7 +150,6 @@ fn crash_plans_yield_a_deterministic_partial_listing() {
     assert_eq!(again_cliques, partial);
 
     // And byte-identical across thread grants (sharded enumeration).
-    #[cfg(feature = "parallel")]
     for threads in [1usize, 2, 8] {
         let granted = Engine::builder()
             .p(4)
@@ -264,10 +261,7 @@ fn faulty_trace(graph: &Graph, plan: &FaultPlan, threads: Option<usize>) -> Vec<
     net.set_trace_sink(sink.clone());
     let report = match threads {
         None => net.run(20_000),
-        #[cfg(feature = "parallel")]
         Some(t) => net.run_parallel_with_threads(t, 20_000),
-        #[cfg(not(feature = "parallel"))]
-        Some(_) => unreachable!("thread grants need the parallel feature"),
     };
     assert!(report.terminated);
     sink.events()
@@ -297,7 +291,6 @@ fn fault_event_sequences_replay_identically() {
     // Repeated runs replay the exact event sequence...
     assert_eq!(faulty_trace(&graph, &plan, None), reference);
     // ...and so does the parallel executor at every thread grant.
-    #[cfg(feature = "parallel")]
     for threads in [1usize, 2, 8] {
         assert_eq!(
             faulty_trace(&graph, &plan, Some(threads)),

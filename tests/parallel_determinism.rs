@@ -1,11 +1,7 @@
-//! Regression test for the `parallel` feature: the multi-threaded round
-//! executor must be *observationally identical* to the sequential one —
-//! identical traces, identical round reports (counts and traffic metrics) and
-//! identical listings — for any thread count.
-//!
-//! Run with `cargo test --features parallel --test parallel_determinism`.
-
-#![cfg(feature = "parallel")]
+//! Regression test for the multi-threaded round executor: it must be
+//! *observationally identical* to the sequential one — identical traces,
+//! identical round reports (counts and traffic metrics) and identical
+//! listings — for any thread count.
 
 use distributed_clique_listing::cliquelist::baselines::NaiveBroadcastProgram;
 use distributed_clique_listing::congest::{

@@ -1,9 +1,11 @@
-//! The parallel-vs-sequential differential battery for the sharded clique
-//! enumeration.
+//! The parallel-vs-sequential differential battery.
 //!
-//! The sharded enumerator promises output **byte-identical** to the
-//! sequential enumerator at every thread count — same cliques, same emission
-//! order, same early-stop prefixes. This battery checks that promise
+//! The sharded paths promise output **byte-identical** to
+//! `Parallelism::Off` at every thread count — same cliques, same emission
+//! order, same early-stop prefixes. The first half of this file checks that
+//! promise for the sharded dense enumeration, driven through `Engine`
+//! `naive-broadcast` (whose only listing step is the engine's shared local
+//! enumeration: `ShardedEnumerator` shards replayed through `ordered_merge`),
 //! differentially across the full matrix of
 //!
 //! * clique sizes `p ∈ {3, 4, 5, 6}`,
@@ -14,9 +16,8 @@
 //! * seeds drawn from the deterministic in-tree property harness (no
 //!   proptest in the build environment; failures reproduce exactly).
 //!
-//! Checked per cell: the collected listing with emission order (the
-//! visit-call trace), the allocation-free parallel count, and `FirstK`-style
-//! early-stop prefixes. Shard-plan structure is covered separately.
+//! Checked per cell: the sink-call trace, the `CountSink` count and
+//! `FirstK` early-stop prefixes. Shard-plan structure is covered separately.
 //!
 //! The second half of the file is the **cluster-parallel battery** (PR 5):
 //! the CONGEST pipelines (`general`, `fast-k4`, `eden-k4`) fan their
@@ -25,13 +26,8 @@
 //! `Parallelism::Off` run exactly — sink-call traces, counts, `FirstK`
 //! prefixes, per-phase round breakdowns and `to_json` bytes.
 
-#![cfg(feature = "parallel")]
-
 use distributed_clique_listing::cliquelist::{CliqueSink, CountSink, Engine, FirstK, Parallelism};
-use distributed_clique_listing::graphcore::cliques::{
-    count_cliques_parallel, for_each_clique, for_each_clique_parallel,
-    for_each_clique_parallel_while, for_each_clique_while, ShardPlan, ShardedEnumerator,
-};
+use distributed_clique_listing::graphcore::cliques::{ShardPlan, ShardedEnumerator};
 use distributed_clique_listing::graphcore::orientation::{degeneracy_ordering, OrientedDag};
 use distributed_clique_listing::graphcore::{gen, Clique, Graph};
 use rand::rngs::SmallRng;
@@ -68,11 +64,33 @@ fn workloads(seed: u64) -> Vec<(String, Graph)> {
     ]
 }
 
-/// The sequential visit-call trace: the reference for every comparison.
+/// Records the exact sink-call sequence of a run (never saturates).
+#[derive(Default)]
+struct TraceSink {
+    accepts: Vec<Clique>,
+}
+
+impl CliqueSink for TraceSink {
+    fn accept(&mut self, clique: &[u32]) {
+        self.accepts.push(clique.to_vec());
+    }
+}
+
+fn naive_engine(p: usize, parallelism: Parallelism) -> Engine {
+    Engine::builder()
+        .p(p)
+        .algorithm("naive-broadcast")
+        .parallelism(parallelism)
+        .build()
+        .expect("valid engine")
+}
+
+/// The `Parallelism::Off` sink-call trace: the reference for every
+/// comparison.
 fn sequential_trace(graph: &Graph, p: usize) -> Vec<Clique> {
-    let mut trace = Vec::new();
-    for_each_clique(graph, p, |c| trace.push(c.to_vec()));
-    trace
+    let mut trace = TraceSink::default();
+    naive_engine(p, Parallelism::Off).run(graph, &mut trace);
+    trace.accepts
 }
 
 #[test]
@@ -84,15 +102,18 @@ fn parallel_trace_and_count_match_sequential_across_the_matrix() {
             for p in 3usize..=6 {
                 let reference = sequential_trace(&graph, p);
                 for threads in THREADS {
-                    let mut trace = Vec::new();
-                    for_each_clique_parallel(&graph, p, threads, |c| trace.push(c.to_vec()));
+                    let engine = naive_engine(p, Parallelism::Threads(threads));
+                    let mut trace = TraceSink::default();
+                    engine.run(&graph, &mut trace);
                     assert_eq!(
-                        trace, reference,
+                        trace.accepts, reference,
                         "round {round}, {label}, p={p}, threads={threads}: \
-                         parallel visit trace diverged from sequential"
+                         sink-call trace diverged from Parallelism::Off"
                     );
+                    let mut count = CountSink::new();
+                    engine.run(&graph, &mut count);
                     assert_eq!(
-                        count_cliques_parallel(&graph, p, threads),
+                        count.count as usize,
                         reference.len(),
                         "round {round}, {label}, p={p}, threads={threads}: count diverged"
                     );
@@ -114,53 +135,25 @@ fn early_stop_prefixes_match_sequential_first_k() {
             continue;
         }
         for threads in THREADS {
+            let engine = naive_engine(p, Parallelism::Threads(threads));
             for k in [1usize, 3, 17, reference.len() + 1] {
-                let mut prefix = Vec::new();
-                let completed = for_each_clique_parallel_while(&graph, p, threads, |c| {
-                    prefix.push(c.to_vec());
-                    prefix.len() < k
-                });
-                // The visitor declines at visit k, so the run completes only
-                // when fewer than k cliques exist.
+                let mut first = FirstK::new(k);
+                let report = engine.run(&graph, &mut first);
                 let expected = k.min(reference.len());
                 assert_eq!(
-                    prefix,
+                    first.cliques,
                     reference[..expected],
                     "p={p} threads={threads} k={k}"
                 );
+                // The sink saturates exactly when at least k cliques exist.
                 assert_eq!(
-                    completed,
-                    reference.len() < k,
-                    "p={p} threads={threads} k={k}: completion flag wrong"
+                    report.sink.saturated,
+                    reference.len() >= k,
+                    "p={p} threads={threads} k={k}: saturation flag wrong"
                 );
             }
         }
     }
-}
-
-#[test]
-fn while_variants_agree_on_completion_for_degenerate_inputs() {
-    // p < 3 and tiny graphs delegate to the sequential path; the parallel
-    // entry points must still be total and equal.
-    for p in 0usize..=2 {
-        let graph = gen::path_graph(5);
-        let mut seq = Vec::new();
-        for_each_clique_while(&graph, p, |c| {
-            seq.push(c.to_vec());
-            true
-        });
-        let mut par = Vec::new();
-        assert!(for_each_clique_parallel_while(&graph, p, 4, |c| {
-            par.push(c.to_vec());
-            true
-        }));
-        assert_eq!(par, seq, "p={p}");
-    }
-    let empty = Graph::new(0);
-    assert_eq!(count_cliques_parallel(&empty, 4, 8), 0);
-    let mut visited = false;
-    for_each_clique_parallel(&empty, 3, 8, |_| visited = true);
-    assert!(!visited);
 }
 
 #[test]
@@ -193,18 +186,6 @@ fn shard_plans_partition_the_ordering_with_balanced_work() {
 
 /// The three cluster-pipeline algorithms made `Sharded` by PR 5.
 const CONGEST_ALGORITHMS: [&str; 3] = ["general", "fast-k4", "eden-k4"];
-
-/// Records the exact sink-call sequence of a run (never saturates).
-#[derive(Default)]
-struct TraceSink {
-    accepts: Vec<Clique>,
-}
-
-impl CliqueSink for TraceSink {
-    fn accept(&mut self, clique: &[u32]) {
-        self.accepts.push(clique.to_vec());
-    }
-}
 
 /// Workloads where the cluster pipeline genuinely activates (dense enough to
 /// produce clusters) plus a sparse shape exercising the no-cluster path.

@@ -1,10 +1,6 @@
 //! Workspace-level integration test: the full `K_p` listing pipeline on small
 //! planted workloads, driven through the `Engine` API and cross-checked
 //! against `graphcore::cliques` exact enumeration.
-//!
-//! This test is feature-independent on purpose: CI runs it both with the
-//! default (sequential) configuration and with `--features parallel`, so the
-//! listing pipeline is exercised under both executors.
 
 use distributed_clique_listing::cliquelist::baselines::simulate_naive_broadcast;
 use distributed_clique_listing::cliquelist::Engine;
@@ -67,8 +63,8 @@ fn fast_k4_matches_exact_enumeration_on_planted_workload() {
     assert_eq!(listed, exact);
 }
 
-/// The message-level simulation path (which switches executor with the
-/// `parallel` feature) must agree with the exact enumeration too.
+/// The message-level simulation path (stepped by the parallel round
+/// executor) must agree with the exact enumeration too.
 #[test]
 fn simulated_broadcast_matches_exact_enumeration() {
     let (graph, _) = gen::planted_cliques(60, 0.05, 3, 4, 41);

@@ -9,11 +9,8 @@
 //! * the cache state (a cold service and a warm replay of the same batch).
 //!
 //! This file checks that promise differentially across workload families and
-//! mixed query batches, under both feature configurations: without
-//! `parallel`, every grant falls back to sequential execution and the
-//! equality degenerates to a determinism check of the fallback; with
-//! `parallel`, the batches genuinely fan out over scoped workers through
-//! `ordered_merge`. It also pins the cache-identity contract at the
+//! mixed query batches, which fan out over scoped workers through
+//! `ordered_merge` under every grant above one thread. It also pins the cache-identity contract at the
 //! workspace surface: any change to the snapshot, the query parameters or
 //! the seed must miss the cache, and only byte-identical requests may hit.
 
