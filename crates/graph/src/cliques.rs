@@ -428,6 +428,69 @@ impl CliqueIndex {
         }
     }
 
+    /// The number of `p`-cliques of `graph` under an explicit
+    /// [`KernelStrategy`], computed without visiting a single clique; `None`
+    /// when the count does not fit in a `u64`.
+    ///
+    /// Equal to the number of cliques [`CliqueIndex::for_each_clique_while_with`]
+    /// visits, on every kernel. The recursive kernel adds `|C|` at the last
+    /// level instead of emitting each clique; the trie kernel also counts the
+    /// level above the last from packed-row popcounts and takes
+    /// `C(|C|, needed)` for a complete candidate set. Only the trie kernel
+    /// therefore answers huge counts quickly; the recursive kernel still
+    /// walks every `(p - 1)`-clique prefix.
+    ///
+    /// `graph` must be the graph this index was built from.
+    pub fn count_cliques(&self, graph: &Graph, p: usize, strategy: KernelStrategy) -> Option<u64> {
+        match p {
+            0 => Some(1),
+            1 => Some(graph.num_vertices() as u64),
+            2 => Some(graph.num_edges() as u64),
+            _ => self.count_roots(
+                graph,
+                p,
+                self.resolve_kernel(strategy),
+                &self.ordering.order,
+            ),
+        }
+    }
+
+    /// The count-only search from every root in `roots` under a resolved
+    /// kernel — the loop behind [`CliqueIndex::count_cliques`] and
+    /// [`ShardedEnumerator::count_in_shard`]. Requires `p >= 3`.
+    fn count_roots(
+        &self,
+        graph: &Graph,
+        p: usize,
+        kernel: KernelChoice,
+        roots: &[u32],
+    ) -> Option<u64> {
+        match kernel {
+            KernelChoice::Trie => {
+                trie::TrieKernel::new().count_roots(graph, &self.bitsets, &self.dag, p, roots)
+            }
+            KernelChoice::Recursive => {
+                let mut arena = self.arena(p);
+                let mut total = 0u64;
+                for &v in roots {
+                    let candidates = self.dag.out_neighbors(v);
+                    if candidates.len() + 1 < p {
+                        continue;
+                    }
+                    arena[0].clear();
+                    arena[0].extend_from_slice(candidates);
+                    total = total.checked_add(count_extensions(
+                        graph,
+                        &self.bitsets,
+                        p - 1,
+                        &mut arena,
+                    )?)?;
+                }
+                Some(total)
+            }
+        }
+    }
+
     /// Streams every `p`-clique of `graph` containing the vertex `v`
     /// (canonical sorted form, each exactly once, deterministic order) until
     /// `visit` declines; returns whether the query completed. An out-of-range
@@ -548,6 +611,14 @@ pub fn list_cliques(graph: &Graph, p: usize) -> Vec<Clique> {
 }
 
 /// Counts the cliques on exactly `p` vertices without materialising them.
+///
+/// This is the *visiting* reference count: it streams every clique through
+/// [`for_each_clique`] and adds one per visit, never taking the count-only
+/// descents or the binomial shortcut of [`CliqueIndex::count_cliques`]. It
+/// stays visiting because it is the yardstick: tests hold the count-only
+/// path to it, the enumeration cells of the bench trajectory record its
+/// count (and time), and the benchmark cross-checks it against an
+/// independent census.
 pub fn count_cliques(graph: &Graph, p: usize) -> usize {
     let mut count = 0usize;
     for_each_clique(graph, p, |_| count += 1);
@@ -672,6 +743,36 @@ fn extend_clique(
         }
     }
     true
+}
+
+/// Count-only counterpart of [`extend_clique`]: the number of ways to pick
+/// `needed` more vertices, in increasing position, from the candidate set in
+/// `arena[0]` so that they form a clique; `None` on `u64` overflow. The last
+/// level adds `|C|` instead of visiting each completion, so one level up
+/// sums `|C[i+1..] ∩ N(u_i)|`.
+fn count_extensions(
+    graph: &Graph,
+    bitsets: &NeighborBitsets,
+    needed: usize,
+    arena: &mut [Vec<u32>],
+) -> Option<u64> {
+    let (current, deeper) = arena.split_at_mut(1);
+    let candidates: &[u32] = &current[0];
+    if candidates.len() < needed {
+        return Some(0);
+    }
+    if needed == 1 {
+        return Some(candidates.len() as u64);
+    }
+    let mut total = 0u64;
+    for (i, &u) in candidates.iter().enumerate() {
+        if candidates.len() - i < needed {
+            break;
+        }
+        intersect_candidates(graph, bitsets, u, &candidates[i + 1..], &mut deeper[0]);
+        total = total.checked_add(count_extensions(graph, bitsets, needed - 1, deeper)?)?;
+    }
+    Some(total)
 }
 
 /// A partition of a degeneracy ordering's roots into contiguous,
@@ -928,6 +1029,19 @@ impl<'g> ShardedEnumerator<'g> {
         }
     }
 
+    /// The number of `p`-cliques rooted in `shard`, computed without visiting
+    /// any (see [`CliqueIndex::count_cliques`]); `None` when it does not fit
+    /// in a `u64`. Summing every shard gives the whole graph's count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard >= self.num_shards()`.
+    pub fn count_in_shard(&self, shard: usize) -> Option<u64> {
+        let index = self.index();
+        let roots = &index.ordering.order[self.plan.range(shard)];
+        index.count_roots(self.graph, self.p, self.kernel, roots)
+    }
+
     /// Like [`ShardedEnumerator::for_each_in_shard_while`] with a visitor
     /// that never declines.
     pub fn for_each_in_shard(&self, shard: usize, mut visit: impl FnMut(&[u32])) {
@@ -1163,6 +1277,32 @@ mod tests {
         let g = gen::complete_graph(8);
         for p in 0..=9 {
             assert_eq!(count_cliques(&g, p), binomial(8, p), "p = {p}");
+        }
+    }
+
+    #[test]
+    fn count_only_descents_are_exact_up_to_u64_and_none_past_it() {
+        let g = gen::erdos_renyi(40, 0.3, 4);
+        let index = CliqueIndex::build(&g);
+        for p in 0..=2 {
+            let visited = count_cliques(&g, p) as u64;
+            assert_eq!(
+                index.count_cliques(&g, p, KernelStrategy::Auto),
+                Some(visited)
+            );
+        }
+        // On K_n every root's candidate set is complete, so the trie kernel
+        // sums one binomial per root: C(n - 1, p - 1) + C(n - 2, p - 1) + …
+        // = C(n, p). On K_68 at p = 34 each of those binomials fits in a
+        // u64 but their sum does not.
+        for (n, p, want) in [(67, 34, Some(14_226_520_737_620_288_370)), (68, 34, None)] {
+            let k = gen::complete_graph(n);
+            let index = CliqueIndex::build(&k);
+            assert_eq!(
+                index.count_cliques(&k, p, KernelStrategy::Trie),
+                want,
+                "K_{n}, p={p}"
+            );
         }
     }
 

@@ -295,6 +295,45 @@ impl TrieKernel {
         true
     }
 
+    /// Count-only counterpart of [`TrieKernel::enumerate_roots`]: the number
+    /// of `p`-cliques rooted in `roots`, or `None` when it does not fit in a
+    /// `u64`. Visits no clique (see [`count_descend`]).
+    pub(crate) fn count_roots(
+        &mut self,
+        graph: &Graph,
+        bitsets: &NeighborBitsets,
+        dag: &OrientedDag,
+        p: usize,
+        roots: &[u32],
+    ) -> Option<u64> {
+        let mut total = 0u64;
+        for &v in roots {
+            let candidates = dag.out_neighbors(v);
+            if candidates.len() + 1 < p {
+                continue;
+            }
+            self.node.materialize(graph, bitsets, candidates);
+            self.fill_full_mask(p - 1);
+            total = total.checked_add(count_descend(&self.node, p - 1, &mut self.masks)?)?;
+        }
+        Some(total)
+    }
+
+    /// Sizes the mask arena for `needed` levels and sets the first level to
+    /// every member of the materialised node.
+    fn fill_full_mask(&mut self, needed: usize) {
+        let k = self.node.len();
+        let stride = self.node.stride;
+        self.masks.clear();
+        self.masks.resize(needed * stride, 0);
+        for w in 0..stride {
+            self.masks[w] = u64::MAX;
+        }
+        if !k.is_multiple_of(64) && stride > 0 {
+            self.masks[stride - 1] = u64::MAX >> (64 - (k % 64));
+        }
+    }
+
     /// Runs the masked search over the *whole* materialised node (full
     /// initial mask). The stack already holds the clique prefix.
     pub(crate) fn descend_full(
@@ -304,17 +343,7 @@ impl TrieKernel {
         scratch: &mut Vec<u32>,
         visit: &mut impl FnMut(&[u32]) -> bool,
     ) -> bool {
-        let k = self.node.len();
-        let stride = self.node.stride;
-        let needed = p - stack.len();
-        self.masks.clear();
-        self.masks.resize(needed * stride, 0);
-        for w in 0..stride {
-            self.masks[w] = u64::MAX;
-        }
-        if !k.is_multiple_of(64) && stride > 0 {
-            self.masks[stride - 1] = u64::MAX >> (64 - (k % 64));
-        }
+        self.fill_full_mask(p - stack.len());
         descend(
             &self.node,
             p,
@@ -427,6 +456,76 @@ fn descend(
         }
     }
     true
+}
+
+/// Count-only counterpart of [`descend`]: the number of `needed`-cliques
+/// inside the masked candidate set, or `None` when it overflows `u64`.
+/// Nothing is visited: the last level is the mask's popcount, the level
+/// above it is the number of edges inside the set (each counted from both
+/// endpoints, hence the halving), and a complete set contributes
+/// `C(|C|, needed)` directly — the count the combination shortcut of
+/// [`descend`] would have emitted one by one.
+fn count_descend(node: &InducedNode, needed: usize, masks: &mut [u64]) -> Option<u64> {
+    let stride = node.stride;
+    let (current, deeper) = masks.split_at_mut(stride);
+    let k: usize = current.iter().map(|w| w.count_ones() as usize).sum();
+    if k < needed {
+        return Some(0);
+    }
+    match needed {
+        1 => return Some(k as u64),
+        2 => {
+            let mut degrees = 0u64;
+            for (wi, &mword) in current.iter().enumerate() {
+                let mut word = mword;
+                while word != 0 {
+                    let row = node.row((wi << 6) + word.trailing_zeros() as usize);
+                    word &= word - 1;
+                    for (&r, &m) in row.iter().zip(current.iter()) {
+                        degrees += u64::from((r & m).count_ones());
+                    }
+                }
+            }
+            return Some(degrees / 2);
+        }
+        _ => {}
+    }
+    if is_complete(node, current, k) {
+        return binomial(k, needed);
+    }
+    let mut total = 0u64;
+    let mut remaining = k;
+    for wi in 0..stride {
+        let mut word = current[wi];
+        while word != 0 {
+            // The visiting search's prune: too few candidates remain.
+            if remaining < needed {
+                return Some(total);
+            }
+            let i = (wi << 6) + word.trailing_zeros() as usize;
+            word &= word - 1;
+            remaining -= 1;
+            child_mask(current, node.row(i), i, &mut deeper[..stride]);
+            total = total.checked_add(count_descend(node, needed - 1, deeper)?)?;
+        }
+    }
+    Some(total)
+}
+
+/// `C(n, r)`, or `None` when it does not fit in a `u64`.
+///
+/// Multiplies up `C(n, i + 1) = C(n, i) · (n - i) / (i + 1)`, exact at every
+/// step, in `u128` over `i < min(r, n - r)`. Those partial binomials only
+/// grow, so the first one past `u64::MAX` proves the result overflows too.
+fn binomial(n: usize, r: usize) -> Option<u64> {
+    if r > n {
+        return Some(0);
+    }
+    let mut acc = 1u64;
+    for i in 0..r.min(n - r) {
+        acc = u64::try_from(u128::from(acc) * (n - i) as u128 / (i + 1) as u128).ok()?;
+    }
+    Some(acc)
 }
 
 /// Writes `current ∩ row ∩ {j : j > i}` into `out` — the deeper candidate
@@ -573,6 +672,20 @@ mod tests {
             }
         }
         assert_eq!(node.local_index(99), None);
+    }
+
+    #[test]
+    fn binomials_are_exact_up_to_u64_and_none_past_it() {
+        assert_eq!(binomial(5, 7), Some(0));
+        assert_eq!(binomial(0, 0), Some(1));
+        assert_eq!(binomial(12, 4), Some(495));
+        // The symmetric form never passes through C(70, 35).
+        assert_eq!(binomial(70, 69), Some(70));
+        // The naive u64 recurrence wraps on this one.
+        assert_eq!(binomial(66, 33), Some(7_219_428_434_016_265_740));
+        assert_eq!(binomial(67, 33), Some(14_226_520_737_620_288_370));
+        assert_eq!(binomial(68, 34), None);
+        assert_eq!(binomial(70, 35), None);
     }
 
     #[test]

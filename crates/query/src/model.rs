@@ -165,6 +165,12 @@ pub enum QueryError {
         /// The budget the query carried.
         budget: u64,
     },
+    /// The number of `p`-cliques does not fit in a `u64`, so a `CountKp`
+    /// query cannot answer it. Never cached.
+    CountOverflow {
+        /// The clique size queried.
+        p: usize,
+    },
     /// A vertex parameter outside the snapshot's vertex range.
     VertexOutOfRange {
         /// The offending vertex.
@@ -211,6 +217,11 @@ impl fmt::Display for QueryError {
             QueryError::BudgetExceeded { budget } => write!(
                 f,
                 "work budget exhausted: the enumeration would visit more than {budget} cliques"
+            ),
+            QueryError::CountOverflow { p } => write!(
+                f,
+                "the number of {p}-cliques exceeds the largest count a query can return ({})",
+                u64::MAX
             ),
             QueryError::VertexOutOfRange {
                 vertex,

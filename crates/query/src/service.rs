@@ -167,7 +167,8 @@ impl QueryService {
     /// snapshot (despite an identical graph) did not prepare the query's
     /// clique size, [`QueryError::BudgetExceeded`] when the query carries a
     /// work budget the enumeration exhausted (the partial result is
-    /// discarded, never cached).
+    /// discarded, never cached), [`QueryError::CountOverflow`] when a count
+    /// does not fit in a `u64` (never cached either).
     pub fn execute(&self, query: &Query) -> Result<QueryResponse, QueryError> {
         self.check(query)?;
         self.run(query, self.threads)
@@ -188,8 +189,9 @@ impl QueryService {
     ///
     /// Validates every query up front (see [`QueryService::execute`]) and
     /// returns the first error before executing anything. A
-    /// [`QueryError::BudgetExceeded`] surfaces at execution time instead;
-    /// the replay stops at the first exhausted query in *request* order, so
+    /// [`QueryError::BudgetExceeded`] or [`QueryError::CountOverflow`]
+    /// surfaces at execution time instead; the replay stops at the first
+    /// failed query in *request* order, so
     /// which error a mixed batch reports is deterministic at any thread
     /// count (earlier queries may already have been computed and cached).
     pub fn execute_batch(&self, queries: &[Query]) -> Result<Vec<QueryResponse>, QueryError> {
@@ -284,6 +286,7 @@ impl QueryService {
     /// visit more cliques than its budget allows. Budgeted queries always
     /// take the sequential path, so the visit count the budget meters is the
     /// deterministic enumeration order — the same at any thread grant.
+    /// Unbudgeted counts visit nothing (see [`QueryService::count`]).
     fn compute(
         &self,
         query: &Query,
@@ -294,39 +297,10 @@ impl QueryService {
         let p = query.p();
         let mut meter = BudgetMeter::new(query.budget());
         let outcome = match query.kind() {
+            QueryKind::CountKp if query.budget().is_none() => {
+                return self.count(p, inner_threads);
+            }
             QueryKind::CountKp => {
-                if inner_threads > 1 && query.budget().is_none() {
-                    let plan = self
-                        .snapshot
-                        .plan_for(p)
-                        .expect("checked: p is prepared")
-                        .clone();
-                    let shards = plan.num_shards();
-                    if shards > 1 {
-                        let enumerator =
-                            graphcore::cliques::ShardedEnumerator::from_plan(graph, index, p, plan)
-                                .with_kernel(self.snapshot.kernel());
-                        let mut total = 0u64;
-                        graphcore::ordered_merge::ordered_merge(
-                            shards,
-                            inner_threads,
-                            |shard| {
-                                let mut count = 0u64;
-                                enumerator.for_each_in_shard(shard, |_| count += 1);
-                                count
-                            },
-                            |count| {
-                                total += count;
-                                true
-                            },
-                        );
-                        return Ok((
-                            QueryOutcome::Count(total),
-                            shards,
-                            inner_threads.min(shards),
-                        ));
-                    }
-                }
                 let mut total = 0u64;
                 index.for_each_clique_while_with(graph, p, self.snapshot.kernel(), |_| {
                     if !meter.admit() {
@@ -387,6 +361,45 @@ impl QueryService {
         };
         meter.finish()?;
         Ok((outcome, 1, 1))
+    }
+
+    /// Answers an unbudgeted `CountKp` with the count-only kernels: summed
+    /// over the snapshot's shard plan with `inner_threads > 1` workers, or in
+    /// one inline call otherwise. Returns `(outcome, shards, threads_used)`,
+    /// or [`QueryError::CountOverflow`] when the count does not fit in a
+    /// `u64`.
+    fn count(
+        &self,
+        p: usize,
+        inner_threads: usize,
+    ) -> Result<(QueryOutcome, usize, usize), QueryError> {
+        let (graph, index, kernel) = (
+            self.snapshot.graph(),
+            self.snapshot.index(),
+            self.snapshot.kernel(),
+        );
+        let plan = self.snapshot.plan_for(p).expect("checked: p is prepared");
+        let shards = plan.num_shards();
+        let (total, shards, threads_used) = if inner_threads > 1 && shards > 1 {
+            let enumerator =
+                graphcore::cliques::ShardedEnumerator::from_plan(graph, index, p, plan.clone())
+                    .with_kernel(kernel);
+            let mut total = Some(0u64);
+            graphcore::ordered_merge::ordered_merge(
+                shards,
+                inner_threads,
+                |shard| enumerator.count_in_shard(shard),
+                |count| {
+                    total = total.zip(count).and_then(|(t, c)| t.checked_add(c));
+                    total.is_some()
+                },
+            );
+            (total, shards, inner_threads.min(shards))
+        } else {
+            (index.count_cliques(graph, p, kernel), 1, 1)
+        };
+        let total = total.ok_or(QueryError::CountOverflow { p })?;
+        Ok((QueryOutcome::Count(total), shards, threads_used))
     }
 }
 

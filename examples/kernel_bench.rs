@@ -1,7 +1,9 @@
 //! Kernel selection walkthrough: run the recursive and trie enumeration
 //! kernels side by side on one dense and one sparse workload, cross-check
 //! that they count exactly the same cliques, and show what `Auto` resolves
-//! to on each graph.
+//! to on each graph. Every strategy is timed twice: visiting each clique,
+//! and through the count-only descent (`CliqueIndex::count_cliques`), which
+//! must give the same number without visiting any.
 //!
 //! ```text
 //! cargo run --release --example kernel_bench
@@ -26,13 +28,27 @@ fn timed_count(
     index: &CliqueIndex,
     p: usize,
     strategy: KernelStrategy,
-) -> (usize, f64) {
+) -> (u64, f64) {
     let start = Instant::now();
-    let mut count = 0usize;
+    let mut count = 0u64;
     index.for_each_clique_while_with(graph, p, strategy, |_| {
         count += 1;
         true
     });
+    (count, start.elapsed().as_secs_f64() * 1e3)
+}
+
+/// Times one count-only `p`-clique count under an explicit strategy.
+fn timed_count_only(
+    graph: &Graph,
+    index: &CliqueIndex,
+    p: usize,
+    strategy: KernelStrategy,
+) -> (u64, f64) {
+    let start = Instant::now();
+    let count = index
+        .count_cliques(graph, p, strategy)
+        .expect("example counts fit in a u64");
     (count, start.elapsed().as_secs_f64() * 1e3)
 }
 
@@ -56,11 +72,15 @@ fn compare(label: &str, graph: &Graph, p: usize) {
         KernelStrategy::Auto,
     ] {
         let (count, ms) = timed_count(graph, &index, p, strategy);
+        let (only, only_ms) = timed_count_only(graph, &index, p, strategy);
         println!(
-            "  {:<9} -> {count} cliques in {ms:8.1} ms (runs the {} kernel)",
+            "  {:<9} -> {count} cliques in {ms:8.1} ms visiting, {only_ms:8.1} ms count-only \
+             (ratio {:.2}; runs the {} kernel)",
             strategy.name(),
+            only_ms / ms.max(1e-9),
             index.resolve_kernel(strategy)
         );
+        assert_eq!(only, count, "{label} {strategy}: count-only != visiting");
         counts.push(count);
         times.push(ms);
     }
@@ -70,7 +90,11 @@ fn compare(label: &str, graph: &Graph, p: usize) {
         counts.windows(2).all(|w| w[0] == w[1]),
         "kernels disagree on {label}: {counts:?}"
     );
-    assert_eq!(counts[0], count_cliques(graph, p), "{label} ground truth");
+    assert_eq!(
+        counts[0],
+        count_cliques(graph, p) as u64,
+        "{label} ground truth"
+    );
     println!(
         "  counts agree; trie/recursive wall-clock ratio = {:.2}x",
         times[0] / times[1].max(1e-9)

@@ -17,13 +17,14 @@
 //!
 //! Checked per cell: the visit-call trace against the *retained naive
 //! reference* (plain backtracking, structurally independent of both
-//! kernels), counts, `FirstK` early-stop prefixes, and `RunReport::to_json`
-//! bytes. A final cell pins the `Auto` resolution itself: a pure, replayable
+//! kernels), the count-only counts (`CliqueIndex::count_cliques` and the sum
+//! of `ShardedEnumerator::count_in_shard` over a multi-shard plan), `FirstK`
+//! early-stop prefixes, and `RunReport::to_json` bytes. A final cell pins the `Auto` resolution itself: a pure, replayable
 //! function of (strategy, degeneracy) — never of the host.
 
 use distributed_clique_listing::cliquelist::{algorithms, CliqueSink, Engine, FirstK, Parallelism};
 use distributed_clique_listing::graphcore::cliques::{
-    for_each_clique_while_with, CliqueIndex, KernelChoice, KernelStrategy,
+    for_each_clique_while_with, CliqueIndex, KernelChoice, KernelStrategy, ShardedEnumerator,
 };
 use distributed_clique_listing::graphcore::{gen, Clique, Graph};
 
@@ -114,12 +115,31 @@ fn every_kernel_matches_brute_force_across_the_matrix() {
                     sorted, naive,
                     "{label}, p={p}: listing diverged from the naive reference"
                 );
+                let index = CliqueIndex::build(&graph);
+                let want = Some(naive.len() as u64);
                 for strategy in STRATEGIES {
                     assert_eq!(
                         trace_with(&graph, p, strategy),
                         reference,
                         "{label}, p={p}, {strategy}: visit trace diverged from \
                          the recursive kernel"
+                    );
+                    // The count-only descents, whole-graph and summed over
+                    // a multi-shard plan, count exactly the naive listing.
+                    assert_eq!(
+                        index.count_cliques(&graph, p, strategy),
+                        want,
+                        "{label}, p={p}, {strategy}: count-only count diverged"
+                    );
+                    let sharded =
+                        ShardedEnumerator::with_index(&graph, &index, p, 4).with_kernel(strategy);
+                    assert!(sharded.num_shards() > 1, "{label}: plan has one shard");
+                    let summed = (0..sharded.num_shards())
+                        .map(|shard| sharded.count_in_shard(shard))
+                        .sum::<Option<u64>>();
+                    assert_eq!(
+                        summed, want,
+                        "{label}, p={p}, {strategy}: shard counts diverged"
                     );
                 }
             }

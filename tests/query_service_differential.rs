@@ -13,8 +13,12 @@
 //! `ordered_merge` under every grant above one thread. It also pins the cache-identity contract at the
 //! workspace surface: any change to the snapshot, the query parameters or
 //! the seed must miss the cache, and only byte-identical requests may hit.
+//! Finally it holds the three sources of a count equal (the sharded and
+//! inline count-only paths and the visiting reference) and pins the typed,
+//! uncached count-overflow error.
 
 use distributed_clique_listing::cliquelist::Parallelism;
+use distributed_clique_listing::graphcore::cliques::{self, KernelChoice, KernelStrategy};
 use distributed_clique_listing::graphcore::{gen, Graph};
 use distributed_clique_listing::query::{
     GraphSnapshot, Query, QueryBuilder, QueryError, QueryOutcome, QueryResponse, QueryService,
@@ -365,6 +369,95 @@ fn work_budgets_are_typed_deterministic_and_uncached() {
         service.execute(&tight).unwrap_err(),
         QueryError::BudgetExceeded { budget: 2 }
     );
+}
+
+/// The three places a count comes from agree at every explicit grant: a lone
+/// `execute` (summed shard by shard over the snapshot's plan once the grant
+/// allows more than one thread), the same query inside a batch (one inline
+/// count-only call) and the visiting reference `cliques::count_cliques`.
+#[test]
+fn the_three_count_paths_agree_across_grants() {
+    let snapshot = GraphSnapshot::build(gen::erdos_renyi(60, 0.3, 9)).into_shared();
+    for p in [3usize, 4, 5] {
+        let want = QueryOutcome::Count(cliques::count_cliques(snapshot.graph(), p) as u64);
+        let count = QueryBuilder::new().p(p).count().build(&snapshot).unwrap();
+        let batch = [
+            count.clone(),
+            QueryBuilder::new().p(p).exists().build(&snapshot).unwrap(),
+        ];
+        for grant in [
+            Parallelism::Off,
+            Parallelism::Threads(1),
+            Parallelism::Threads(2),
+            Parallelism::Threads(8),
+        ] {
+            let service = QueryService::with_parallelism(snapshot.clone(), grant);
+            let lone = service.execute(&count).unwrap();
+            assert_eq!(lone.outcome, want, "p={p}, {grant:?}: lone execute");
+            if grant.threads() > 1 {
+                assert!(
+                    lone.report.shards > 1,
+                    "p={p}, {grant:?}: the lone count did not run shard by shard"
+                );
+            }
+            service.clear_cache();
+            let batched = service.execute_batch(&batch).unwrap();
+            assert_eq!(batched[0].outcome, want, "p={p}, {grant:?}: in a batch");
+            assert_eq!(batched[0].report.shards, 1, "p={p}, {grant:?}: inline");
+        }
+    }
+}
+
+/// A count past `u64::MAX` is a typed error, the same on a replay, and never
+/// cached; the largest counts that fit are exact. Both complete graphs run
+/// the default kernel, which `Auto` resolves to the trie here: its binomial
+/// shortcut answers them at once, where visiting would never finish.
+#[test]
+fn count_overflow_is_typed_deterministic_and_uncached() {
+    let prepared = |n: usize, p: usize| {
+        GraphSnapshot::builder(gen::complete_graph(n))
+            .prepare_p(p)
+            .build()
+            .unwrap()
+            .into_shared()
+    };
+    // C(66, 33) fits in a u64; a naive u64 binomial recurrence wraps on it.
+    let fits = prepared(66, 33);
+    // C(70, 35) ≈ 1.12e20 does not fit.
+    let overflows = prepared(70, 35);
+    assert_eq!(fits.resolved_kernel(), KernelChoice::Trie);
+    assert_eq!(
+        overflows
+            .index()
+            .count_cliques(overflows.graph(), 35, KernelStrategy::Auto),
+        None
+    );
+    for grant in [Parallelism::Off, Parallelism::Threads(2)] {
+        let service = QueryService::with_parallelism(fits.clone(), grant);
+        let count = QueryBuilder::new().p(33).count().build(&fits).unwrap();
+        assert_eq!(
+            service.execute(&count).unwrap().outcome,
+            QueryOutcome::Count(7_219_428_434_016_265_740),
+            "{grant:?}"
+        );
+        let service = QueryService::with_parallelism(overflows.clone(), grant);
+        let count = QueryBuilder::new().p(35).count().build(&overflows).unwrap();
+        let entries = service.cache_stats().entries;
+        for attempt in 0..2 {
+            let err = service.execute(&count).unwrap_err();
+            assert_eq!(
+                err,
+                QueryError::CountOverflow { p: 35 },
+                "{grant:?}, attempt {attempt}"
+            );
+            assert!(err.to_string().contains("35-cliques"), "{err}");
+        }
+        assert_eq!(
+            service.cache_stats().entries,
+            entries,
+            "{grant:?}: overflows must not be cached"
+        );
+    }
 }
 
 /// Budgeted batches across the full grant matrix: successful payloads are
