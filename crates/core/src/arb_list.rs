@@ -13,17 +13,20 @@
 //! * `Ê_r`  — the remaining edges (`E'_r` plus the bad-bad edges), at most a
 //!   quarter of the incoming `E_r`.
 //!
-//! The listed instances are streamed into the caller's [`CliqueSink`]. For
-//! the general algorithm, one invocation emits each clique at most once (a
-//! per-invocation [`Dedup`] layer absorbs the cross-cluster overlap), and
-//! cliques listed by *different* invocations are structurally distinct
-//! because every listed clique contains a goal edge and goal edges are
-//! removed from the graph. For the fast-`K_4` variant the emission can
-//! contain duplicates (the light-node listing overlaps the in-cluster
-//! listing and later invocations): its callers wrap the **whole run** in a
-//! single `Dedup` — see `driver::run_congest` — which is both necessary for
-//! cross-invocation duplicates and sufficient for the in-invocation ones, so
-//! this function adds no second layer.
+//! The listed instances are streamed into the caller's [`CliqueSink`]. Inside
+//! one cluster the in-cluster listing emits each clique once, at its smallest
+//! goal edge (see [`sparse_listing`](crate::sparse_listing)), so duplicates
+//! can only come from *different* clusters, when a clique holds goal edges of
+//! both. For the general algorithm a per-invocation [`Dedup`] layer absorbs
+//! that cross-cluster overlap, so one invocation emits each clique at most
+//! once, and cliques listed by *different* invocations are structurally
+//! distinct because every listed clique contains a goal edge and goal edges
+//! are removed from the graph. For the fast-`K_4` variant the emission can
+//! also repeat cliques of the light-node listing, which overlaps the
+//! in-cluster listing and later invocations: its callers wrap the **whole
+//! run** in a single `Dedup` — see `driver::run_congest` — which is both
+//! necessary for cross-invocation duplicates and sufficient for the
+//! in-invocation ones, so this function adds no second layer.
 //!
 //! # Cluster-parallel execution
 //!
@@ -432,11 +435,16 @@ fn light_node_listing(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::CollectSink;
     use graphcore::{gen, Clique};
     use std::collections::HashSet;
 
     fn run_arb(graph: &Graph, p: usize, variant: Variant) -> (ArbListOutcome, HashSet<Clique>) {
+        let (outcome, trace) = run_arb_traced(graph, p, variant);
+        (outcome, trace.into_iter().collect())
+    }
+
+    /// [`run_arb`] keeping the raw accept sequence, repeats included.
+    fn run_arb_traced(graph: &Graph, p: usize, variant: Variant) -> (ArbListOutcome, Vec<Clique>) {
         let orientation = Orientation::from_degeneracy(graph);
         let a = orientation.max_out_degree().max(1);
         let er = graph.edge_set();
@@ -449,7 +457,7 @@ mod tests {
             variant,
             ..ListingConfig::for_p(p)
         };
-        let mut sink = CollectSink::new();
+        let mut sink = TraceSink::default();
         let outcome = arb_list(
             graph,
             &orientation,
@@ -460,7 +468,7 @@ mod tests {
             7,
             &mut sink,
         );
-        (outcome, sink.into_cliques())
+        (outcome, sink.accepts)
     }
 
     #[test]
@@ -620,11 +628,13 @@ mod tests {
     #[test]
     fn dedup_exists_for_duplicates_not_order() {
         // The Dedup layers of the pipeline absorb *structural* duplicates —
-        // a clique containing several goal edges (of one cluster or of
-        // overlapping clusters) is found once per goal edge. They are NOT
-        // needed to repair iteration order: with the flat dense-id tables,
-        // the raw (pre-dedup) emission sequence of the fast-K4 variant —
-        // which runs without any inner Dedup — is identical from run to run.
+        // a clique holding goal edges of two clusters is listed by both, and
+        // the fast-K4 light listing re-finds cliques the in-cluster listing
+        // emitted (inside one cluster each clique is listed once, at its
+        // smallest goal edge). They are NOT needed to repair iteration
+        // order: with the flat dense-id tables, the raw (pre-dedup) emission
+        // sequence of the fast-K4 variant — which runs without any inner
+        // Dedup — is identical from run to run.
         let g = gen::erdos_renyi(90, 0.35, 23);
         let orientation = Orientation::from_degeneracy(&g);
         let a = orientation.max_out_degree().max(1);
@@ -656,5 +666,23 @@ mod tests {
         );
         let (_, deduped) = run_arb(&g, 4, Variant::FastK4);
         assert_eq!(distinct, deduped);
+    }
+
+    #[test]
+    fn one_cluster_lists_each_clique_once_without_a_dedup() {
+        // A tripartite background is K4-free; two in-part edges add K4s that
+        // hold several goal edges each. The decomposition keeps the whole
+        // graph as one cluster, so there is no outside node and no light
+        // listing, and the fast-K4 variant runs without an inner Dedup: a
+        // clique found at two of its goal edges would reach the sink twice.
+        let mut edges: Vec<(u32, u32)> = gen::multipartite(60, 3, 0.8, 5).edges().collect();
+        edges.extend([(0, 3), (1, 4)]);
+        let g = Graph::from_edges(60, &edges).unwrap();
+        let (out, raw) = run_arb_traced(&g, 4, Variant::FastK4);
+        assert_eq!(out.diagnostics.clusters, 1);
+        assert_eq!(out.diagnostics.cluster_edges, g.num_edges());
+        let distinct: HashSet<&Clique> = raw.iter().collect();
+        assert!(!distinct.is_empty());
+        assert_eq!(raw.len(), distinct.len(), "a clique was emitted twice");
     }
 }

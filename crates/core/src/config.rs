@@ -206,12 +206,13 @@ pub struct ListingConfig {
     /// sharded local enumeration honour it; everything else runs
     /// sequentially and says so in the [`RunReport`](crate::RunReport).
     pub parallelism: Parallelism,
-    /// Enumeration kernel of every local clique search the run performs
-    /// (full listings, shards, goal-edge queries). Like [`Parallelism`] this
-    /// knob controls only wall-clock behaviour: both kernels emit the same
-    /// cliques in the same order, byte for byte (the kernel differential
-    /// battery enforces it), so reports are identical at every setting. The
-    /// default [`KernelStrategy::Auto`] resolves per enumerated graph by the
+    /// Enumeration kernel of the run's root-ordered clique searches (full
+    /// listings and shards; the in-cluster goal-edge listing always runs the
+    /// recursive kernel). Like [`Parallelism`] this knob controls only
+    /// wall-clock behaviour: both kernels emit the same cliques in the same
+    /// order, byte for byte (the kernel differential battery enforces it),
+    /// so reports are identical at every setting. The default
+    /// [`KernelStrategy::Auto`] resolves per enumerated graph by the
     /// degeneracy heuristic in `graphcore::cliques`.
     pub kernel: KernelStrategy,
     /// The slack factor between the arboricity bound `A` and the cluster

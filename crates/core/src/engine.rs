@@ -578,8 +578,10 @@ impl EngineBuilder {
         self
     }
 
-    /// Selects the enumeration kernel of every local enumeration (defaults to
-    /// [`KernelStrategy::Auto`], which resolves per graph by degeneracy).
+    /// Selects the enumeration kernel of every root-ordered local enumeration
+    /// (defaults to [`KernelStrategy::Auto`], which resolves per graph by
+    /// degeneracy); the in-cluster goal-edge listing always runs the
+    /// recursive kernel.
     /// Like [`EngineBuilder::parallelism`], this knob never changes a run's
     /// output — both kernels are held to byte-identical listings — only its
     /// wall-clock profile.

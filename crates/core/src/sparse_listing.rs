@@ -24,16 +24,17 @@
 //! mode is selected by [`ListingConfig::exchange_mode`] (a builder option of
 //! the [`Engine`](crate::Engine)).
 //!
-//! The emission into the sink may contain duplicates across goal edges (a
-//! clique can contain several goal edges of the same cluster) and across
-//! clusters; the caller (`arb_list`) wraps the downstream sink in a
-//! per-invocation [`Dedup`](crate::sink::Dedup) layer, preserving the
-//! engine's exactly-once contract. The emission *order* needs no such
-//! repair: goal edges are visited in sorted order and each goal edge's
-//! cliques stream in ascending canonical order, so the raw (pre-dedup)
-//! sequence is already deterministic — the `Dedup` exists solely for the
-//! genuine duplicates above, never to absorb iteration-order noise (see
-//! `dedup_exists_for_duplicates_not_order` in `arb_list`).
+//! Step 5 lists each clique once inside the cluster, at its lexicographically
+//! smallest goal edge (see `list_at_first_goal_edge`): the ordering rule that
+//! orientation-based listers such as kClist use to find each clique exactly
+//! once, applied to goal edges. Goal edges are visited in sorted order and
+//! each goal edge's cliques stream in ascending canonical order, so the
+//! emission is deterministic and equals the first occurrences of listing
+//! every clique through every goal edge. Duplicates remain only *across*
+//! clusters (a clique can hold goal edges of two clusters); `arb_list`'s
+//! per-invocation [`Dedup`](crate::sink::Dedup) layer absorbs those for the
+//! general variant, and the run-level one does for fast-`K_4`, preserving
+//! the engine's exactly-once contract.
 //!
 //! All load accounting is flat: per-rank loads live in `Vec`s keyed by the
 //! dense identifiers of Lemma 2.5 ([`ClusterIds`]), part-pair counts in a
@@ -46,7 +47,7 @@ use crate::result::{phase, Rounds};
 use crate::sink::CliqueSink;
 use expander::{Cluster, ClusterIds, ClusterRouter, DenseTable, PairTable};
 use graphcore::partition::VertexPartition;
-use graphcore::{cliques, EdgeSet, Graph};
+use graphcore::{cliques, intersect_sorted_into, EdgeSet, Graph};
 
 pub use crate::config::ExchangeMode;
 
@@ -84,8 +85,9 @@ pub struct SparseListingInput<'a> {
 }
 
 /// Runs the sparsity-aware listing for one cluster, streaming the listed
-/// cliques into `sink` (in sorted-goal-edge order, possibly with duplicates —
-/// see the module docs) and returning the rounds charged.
+/// cliques into `sink` (each once, at its smallest goal edge, in
+/// sorted-goal-edge order — see the module docs) and returning the rounds
+/// charged.
 pub fn cluster_listing(
     input: &SparseListingInput<'_>,
     config: &ListingConfig,
@@ -211,39 +213,102 @@ pub fn cluster_listing(
     // Every K_p whose edges are all known and which contains a goal edge is
     // listed by the owner of the tuple of its vertex parts; since every tuple
     // is owned, this equals the set of K_p in the known-edge graph containing
-    // a goal edge. Goal edges are visited in sorted order so the emission
-    // order is deterministic (EdgeSet iteration order is not). The
-    // per-cluster enumerator amortises its bitsets and candidate arena over
-    // all goal edges of the cluster.
+    // a goal edge.
     let undirected: Vec<(u32, u32)> = input
         .known_edges
         .iter()
         .map(|&(a, b)| (a.min(b), a.max(b)))
         .collect();
     let known_graph = Graph::from_edges(n, &undirected).expect("known edges are in range");
-    let mut enumerator =
-        cliques::EdgeCliqueEnumerator::with_strategy(&known_graph, p, config.kernel);
-    for e in input.goal_edges.to_sorted_vec() {
+    let goal_graph = Graph::from_edge_set(n, input.goal_edges).expect("goal edges are in range");
+    list_at_first_goal_edge(&known_graph, &goal_graph, p, sink);
+    outcome
+}
+
+/// Streams every `p`-clique of `known` that contains an edge of `goal` into
+/// `sink`, each exactly once: at its lexicographically smallest goal edge.
+///
+/// Goal edges are visited in sorted order, and goal edge `(u, v)` with
+/// `u < v` streams its cliques in ascending canonical order, keeping only
+/// those with no smaller goal edge inside:
+///
+/// - a common neighbour `w` of `u` and `v` seeds the search if `w > v`; if
+///   `u < w < v` and `{u, w}` is not a goal edge; or if `w < u` and neither
+///   `{w, u}` nor `{w, v}` is one — the pairs through `u` or `v` that sort
+///   before `(u, v)`;
+/// - a completed clique is dropped if two of its other vertices `x < y`,
+///   with `x < u`, form a goal edge.
+///
+/// The result is exactly the first occurrences of the listing that streams
+/// *every* clique of every goal edge, in the same order, so a downstream
+/// `Dedup` sees each clique once and early-stop prefixes do not move. The
+/// seeds below `v` come from the non-goal rows, and the enumerator probes
+/// the seed list against `v`'s bitset row; no edge set is hashed. A
+/// saturated sink stops the enumeration mid-edge.
+fn list_at_first_goal_edge(known: &Graph, goal: &Graph, p: usize, sink: &mut dyn CliqueSink) {
+    let non_goal = row_difference(known, goal);
+    let mut enumerator = cliques::EdgeCliqueEnumerator::new(known, p);
+    let mut seeds: Vec<u32> = Vec::new();
+    let below = |row: &[u32], bound: u32| row.partition_point(|&w| w < bound);
+    for (u, v) in goal.edges() {
         if sink.is_saturated() {
             break;
         }
-        // Stream the cliques of this goal edge directly into the sink
-        // (ascending canonical order, no per-edge clique materialisation); a
-        // saturated sink aborts mid-edge and the enumerator resets its
-        // scratch state at the next query.
-        enumerator.for_each_containing_edge_while(e.u(), e.v(), |clique| {
-            sink.accept(clique);
+        // Seeds in ascending order, each adjacent to `u`; the enumerator
+        // keeps those adjacent to `v`.
+        let (non_goal_u, non_goal_v) = (non_goal.neighbors(u), non_goal.neighbors(v));
+        let known_u = known.neighbors(u);
+        let (u_at, v_at) = (below(non_goal_u, u), below(non_goal_v, u));
+        // w < u: neither {w, u} nor {w, v} is a goal edge.
+        intersect_sorted_into(&non_goal_u[..u_at], &non_goal_v[..v_at], &mut seeds);
+        // u < w < v: {u, w} is not a goal edge.
+        seeds.extend_from_slice(&non_goal_u[u_at..below(non_goal_u, v)]);
+        // w > v: no pair through w sorts before (u, v).
+        seeds.extend_from_slice(&known_u[below(known_u, v + 1)..]);
+        enumerator.for_each_containing_edge_while(u, v, &seeds, |clique| {
+            let earlier_goal_edge =
+                clique
+                    .iter()
+                    .take_while(|&&x| x < u)
+                    .enumerate()
+                    .any(|(i, &x)| {
+                        clique[i + 1..]
+                            .iter()
+                            .any(|&y| y != u && y != v && goal.has_edge(x, y))
+                    });
+            if !earlier_goal_edge {
+                sink.accept(clique);
+            }
             !sink.is_saturated()
         });
     }
-    outcome
+}
+
+/// The known edges that are not goal edges: row `x` is the sorted difference
+/// of `x`'s known and goal rows, taken by one merge per row.
+fn row_difference(known: &Graph, goal: &Graph) -> Graph {
+    let mut edges = Vec::new();
+    for x in 0..known.num_vertices() as u32 {
+        let goal_row = goal.neighbors(x);
+        let mut at = 0;
+        for &y in known.neighbors(x).iter().filter(|&&y| y > x) {
+            while goal_row.get(at).is_some_and(|&g| g < y) {
+                at += 1;
+            }
+            if goal_row.get(at) != Some(&y) {
+                edges.push((x, y));
+            }
+        }
+    }
+    Graph::from_edges(known.num_vertices(), &edges).expect("known edges are in range")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{CollectSink, Dedup};
+    use crate::sink::{CollectSink, Dedup, FirstK};
     use graphcore::{gen, Clique, Edge, Orientation};
+    use std::collections::HashSet;
 
     fn inputs_for(
         graph: &Graph,
@@ -271,7 +336,7 @@ mod tests {
         input: &SparseListingInput<'_>,
         config: &ListingConfig,
         seed: u64,
-    ) -> (SparseListingOutcome, std::collections::HashSet<Clique>) {
+    ) -> (SparseListingOutcome, HashSet<Clique>) {
         let mut collect = Dedup::new(CollectSink::new());
         let outcome = cluster_listing(input, config, seed, &mut collect);
         (outcome, collect.into_inner().into_cliques())
@@ -294,7 +359,7 @@ mod tests {
         let cfg = ListingConfig::for_p(4);
         let (out, got) = listed(&input, &cfg, 3);
         // Expected: all K4 of g containing an edge inside the cluster prefix.
-        let expected: std::collections::HashSet<Clique> = cliques::list_cliques(&g, 4)
+        let expected: HashSet<Clique> = cliques::list_cliques(&g, 4)
             .into_iter()
             .filter(|c| {
                 c.iter()
@@ -404,5 +469,98 @@ mod tests {
         // Rounds are still the full communication cost.
         let (full, _) = listed(&input, &cfg, 3);
         assert_eq!(out.rounds.total(), full.rounds.total());
+    }
+
+    /// The sequence a `Dedup` lets through when every clique of every goal
+    /// edge is listed: first occurrences, in sorted goal-edge order,
+    /// ascending canonical order within an edge.
+    fn first_occurrences(known: &Graph, goal: &EdgeSet, p: usize) -> Vec<Clique> {
+        let mut seen = HashSet::new();
+        goal.to_sorted_vec()
+            .iter()
+            .flat_map(|e| cliques::cliques_containing_edge(known, p, e.u(), e.v()))
+            .filter(|c| seen.insert(c.clone()))
+            .collect()
+    }
+
+    /// How many cliques the completed-clique check has to drop: at goal edge
+    /// `(u, v)`, every other vertex passes the seed test, yet two other
+    /// vertices `x < y` with `x < u` form a goal edge.
+    fn pairwise_rejections(known: &Graph, goal: &EdgeSet, p: usize) -> usize {
+        let is_goal = |a: u32, b: u32| goal.contains_pair(a, b);
+        let mut rejections = 0;
+        for e in goal.to_sorted_vec() {
+            let (u, v) = (e.u(), e.v());
+            for c in cliques::cliques_containing_edge(known, p, u, v) {
+                let others: Vec<u32> = c.into_iter().filter(|&w| w != u && w != v).collect();
+                let seeds_pass = others
+                    .iter()
+                    .all(|&w| w > v || (!is_goal(u, w) && (w > u || !is_goal(w, v))));
+                let pair_hit = others
+                    .iter()
+                    .enumerate()
+                    .any(|(i, &x)| x < u && others[i + 1..].iter().any(|&y| is_goal(x, y)));
+                rejections += usize::from(seeds_pass && pair_hit);
+            }
+        }
+        rejections
+    }
+
+    #[test]
+    fn each_clique_is_listed_once_at_its_smallest_goal_edge() {
+        let mut rejections = 0;
+        for g in [gen::erdos_renyi(30, 0.6, 4), gen::complete_graph(12)] {
+            let n = g.num_vertices();
+            let (cluster, em_graph, known, _) = inputs_for(&g, n);
+            let learned = DenseTable::new(cluster.len());
+            let edges: Vec<Edge> = g.edges().map(|(u, v)| Edge::new(u, v)).collect();
+            // Goal sets: every edge, one edge, and each edge with
+            // probability 1/2 (the coin is an independent G(n, 1/2)).
+            let mut goal_sets: Vec<EdgeSet> = vec![
+                edges.iter().copied().collect(),
+                std::iter::once(edges[edges.len() / 2]).collect(),
+            ];
+            for seed in 0..4 {
+                let coin = gen::erdos_renyi(n, 0.5, 100 + seed);
+                goal_sets.push(
+                    edges
+                        .iter()
+                        .copied()
+                        .filter(|e| coin.has_edge(e.u(), e.v()))
+                        .collect(),
+                );
+            }
+            for goal in &goal_sets {
+                let input = SparseListingInput {
+                    cluster: &cluster,
+                    em_graph: &em_graph,
+                    known_edges: &known,
+                    goal_edges: goal,
+                    learned_words: &learned,
+                    n,
+                    arboricity_bound: n - 1,
+                };
+                for p in [3usize, 4, 5] {
+                    let cfg = ListingConfig::for_p(p);
+                    let oracle = first_occurrences(&g, goal, p);
+                    // An unbounded FirstK records every accept, in order.
+                    let mut raw = FirstK::new(usize::MAX);
+                    cluster_listing(&input, &cfg, 1, &mut raw);
+                    let distinct: HashSet<&Clique> = raw.cliques.iter().collect();
+                    assert_eq!(distinct.len(), raw.cliques.len(), "p={p}: a clique repeats");
+                    assert_eq!(raw.cliques, oracle, "p={p}: not the deduplicated sequence");
+                    for k in [1, oracle.len() / 3, oracle.len()] {
+                        let mut first = FirstK::new(k);
+                        cluster_listing(&input, &cfg, 1, &mut first);
+                        assert_eq!(first.cliques, oracle[..k.min(oracle.len())], "p={p} k={k}");
+                    }
+                    rejections += pairwise_rejections(&g, goal, p);
+                }
+            }
+        }
+        assert!(
+            rejections > 0,
+            "no cell exercised the completed-clique check"
+        );
     }
 }

@@ -1058,11 +1058,11 @@ impl<'g> ShardedEnumerator<'g> {
 /// per-shard overhead (one arena + one buffer) stays negligible.
 pub const SHARDS_PER_THREAD: usize = 8;
 
-/// Reusable state for repeated [`cliques_containing_edge`]-style queries
-/// against one graph: the adjacency bitsets, the candidate arena, the vertex
-/// stack and the sort scratch are built once and shared across every queried
-/// edge. This is the hot path of the in-cluster listing, which asks for the
-/// cliques of each goal edge of a cluster in turn.
+/// Reusable state for many per-edge queries against one graph: the adjacency
+/// bitsets, the candidate arena, the vertex stack and the sort scratch are
+/// built once and shared across every queried edge. The in-cluster listing
+/// holds one per cluster and asks it for the cliques of each goal edge in
+/// turn.
 pub struct EdgeCliqueEnumerator<'g> {
     graph: &'g Graph,
     p: usize,
@@ -1070,34 +1070,13 @@ pub struct EdgeCliqueEnumerator<'g> {
     arena: Vec<Vec<u32>>,
     stack: Vec<u32>,
     scratch: Vec<u32>,
-    strategy: KernelStrategy,
-    /// Trie-kernel state; its node caches the materialised neighbourhood of
-    /// [`EdgeCliqueEnumerator::cached_root`] across queries.
-    kernel: trie::TrieKernel,
-    /// Endpoint whose induced neighbourhood the kernel node currently holds.
-    cached_root: Option<u32>,
-    /// Lower endpoint of the previous query — `Auto`'s amortisation signal:
-    /// a materialisation is paid for only once a second consecutive query
-    /// shares the endpoint, so isolated queries never pay the `O(d²)` build.
-    last_root: Option<u32>,
 }
 
 impl<'g> EdgeCliqueEnumerator<'g> {
-    /// Prepares an enumerator for `p`-cliques of `graph` under
-    /// [`KernelStrategy::Auto`]. Builds the high-degree adjacency bitsets
-    /// once; worth it from a handful of edge queries onward.
+    /// Prepares an enumerator for `p`-cliques of `graph`. Builds the
+    /// high-degree adjacency bitsets once; worth it from a handful of edge
+    /// queries onward.
     pub fn new(graph: &'g Graph, p: usize) -> Self {
-        Self::with_strategy(graph, p, KernelStrategy::Auto)
-    }
-
-    /// Like [`EdgeCliqueEnumerator::new`] with an explicit
-    /// [`KernelStrategy`]. The strategy governs only whether queries sharing
-    /// a lower endpoint reuse one induced-subgraph materialisation of that
-    /// endpoint's neighbourhood (the prefix `{a} ⊂ {a, b}` of every such
-    /// query): `Trie` materialises on first use, `Auto` from the second
-    /// consecutive shared-endpoint query, `Recursive` never. Output is
-    /// byte-identical across strategies.
-    pub fn with_strategy(graph: &'g Graph, p: usize, strategy: KernelStrategy) -> Self {
         EdgeCliqueEnumerator {
             graph,
             p,
@@ -1105,62 +1084,44 @@ impl<'g> EdgeCliqueEnumerator<'g> {
             arena: (0..p.saturating_sub(1)).map(|_| Vec::new()).collect(),
             stack: Vec::with_capacity(p),
             scratch: Vec::with_capacity(p),
-            strategy,
-            kernel: trie::TrieKernel::new(),
-            cached_root: None,
-            last_root: None,
         }
     }
 
-    /// Writes every `p`-clique containing the edge `{a, b}` into `out`
-    /// (cleared first), sorted, each exactly once — the same output as
-    /// [`cliques_containing_edge`], without the per-call setup.
-    pub fn cliques_containing_edge_into(&mut self, a: u32, b: u32, out: &mut Vec<Clique>) {
-        out.clear();
-        self.for_each_containing_edge_while(a, b, |c| {
-            out.push(c.to_vec());
-            true
-        });
-        out.sort_unstable();
-        out.dedup();
-    }
-
-    /// Streams every `p`-clique containing the edge `{a, b}` (canonical
-    /// sorted form, ascending canonical order, each exactly once) until
-    /// `visit` declines; returns whether the query ran to completion. An
-    /// absent edge visits nothing and completes.
+    /// Streams every `p`-clique that contains the edge `{a, b}` and whose
+    /// other vertices all lie in `among` (canonical sorted form, ascending
+    /// canonical order, each exactly once) until `visit` declines; returns
+    /// whether the query ran to completion. An absent edge visits nothing and
+    /// completes.
     ///
-    /// This is the streaming building block behind the saturation-aware
-    /// in-cluster listing: declining unwinds the search immediately, and the
-    /// enumerator's scratch state (candidate arena, vertex stack, sort
-    /// scratch) is **reset at the start of every query**, so a query aborted
-    /// mid-recursion leaves the enumerator ready for the next goal edge. The
-    /// reset is deliberate: an aborted search skips the unwinding that would
-    /// otherwise pop the seed vertices, so relying on balanced pushes/pops
-    /// would poison the next query's stack (regression-tested in
+    /// `among` must be sorted ascending, and every entry must be adjacent to
+    /// `a`. The enumerator intersects it with the neighbourhood of `b`,
+    /// probing `b`'s bitset row when it has one, so the candidate set costs
+    /// one bit test per entry of `among`. Passing `graph.neighbors(a)` lists
+    /// every clique through the edge, like [`cliques_containing_edge`].
+    ///
+    /// Declining unwinds the search immediately, and the enumerator's scratch
+    /// state (candidate arena, vertex stack, sort scratch) is **reset at the
+    /// start of every query**, so a query aborted mid-recursion leaves the
+    /// enumerator ready for the next edge. The reset is deliberate: an
+    /// aborted search skips the unwinding that would otherwise pop the seed
+    /// vertices, so relying on balanced pushes/pops would poison the next
+    /// query's stack (regression-tested in
     /// `edge_enumerator_resumes_cleanly_after_an_aborted_query`).
     pub fn for_each_containing_edge_while(
         &mut self,
         a: u32,
         b: u32,
+        among: &[u32],
         mut visit: impl FnMut(&[u32]) -> bool,
     ) -> bool {
+        debug_assert!(among.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(among.iter().all(|&w| self.graph.has_edge(a, w)));
         if self.p < 2 || !self.graph.has_edge(a, b) {
             return true;
         }
         if self.p == 2 {
             return visit(&[a.min(b), a.max(b)]);
         }
-        let root = a.min(b);
-        let other = a.max(b);
-        let reuse = match self.strategy {
-            KernelStrategy::Recursive => false,
-            KernelStrategy::Trie => true,
-            // Amortisation rule: only materialise once a second consecutive
-            // query shares the endpoint (or the node is already cached).
-            KernelStrategy::Auto => self.cached_root == Some(root) || self.last_root == Some(root),
-        } && trie::node_fits_budget(self.graph.degree(root));
-        self.last_root = Some(root);
         let EdgeCliqueEnumerator {
             graph,
             p,
@@ -1168,36 +1129,12 @@ impl<'g> EdgeCliqueEnumerator<'g> {
             arena,
             stack,
             scratch,
-            kernel,
-            cached_root,
-            ..
         } = self;
-        // Reset every piece of per-query scratch state up front — a previous
-        // query aborted by its visitor leaves its seed vertices on the stack
-        // and the last partial clique in the sort scratch. The cached trie
-        // node is *not* scratch: it is immutable during a query, so an abort
-        // cannot poison it.
         stack.clear();
         scratch.clear();
-        stack.push(root);
-        stack.push(other);
-        if reuse {
-            if *cached_root != Some(root) {
-                kernel
-                    .node_mut()
-                    .materialize(graph, bitsets, graph.neighbors(root));
-                *cached_root = Some(root);
-            }
-            // `other` is a neighbour of `root` by the edge check above, so it
-            // has a local id; its row inside N(root) is exactly the common
-            // neighbourhood of the edge — the initial candidate set.
-            let pivot = kernel
-                .node()
-                .local_index(other)
-                .expect("edge endpoint must appear in its neighbour's materialised node");
-            return kernel.descend_from_row(*p, pivot, stack, scratch, &mut visit);
-        }
-        graph.common_neighbors_into(a, b, &mut arena[0]);
+        stack.push(a.min(b));
+        stack.push(a.max(b));
+        intersect_candidates(graph, bitsets, b, among, &mut arena[0]);
         extend_clique(graph, bitsets, *p, arena, stack, scratch, &mut visit)
     }
 }
@@ -1350,29 +1287,6 @@ mod tests {
             assert_eq!(containing, expected);
         }
         assert!(cliques_containing_edge(&g, 4, 0, 0).is_empty());
-    }
-
-    #[test]
-    fn edge_enumerator_matches_the_one_shot_function() {
-        let g = gen::erdos_renyi(50, 0.3, 8);
-        for p in [3usize, 4, 5] {
-            let mut enumerator = EdgeCliqueEnumerator::new(&g, p);
-            let mut out = Vec::new();
-            for (a, b) in g.edges() {
-                enumerator.cliques_containing_edge_into(a, b, &mut out);
-                assert_eq!(out, cliques_containing_edge(&g, p, a, b), "p={p} {a}-{b}");
-            }
-            // Absent edges yield nothing.
-            enumerator.cliques_containing_edge_into(0, 0, &mut out);
-            assert!(out.is_empty());
-        }
-        let mut pairs = EdgeCliqueEnumerator::new(&g, 2);
-        let mut out = Vec::new();
-        let first = g.edges().next();
-        if let Some((a, b)) = first {
-            pairs.cliques_containing_edge_into(b, a, &mut out);
-            assert_eq!(out, vec![vec![a, b]]);
-        }
     }
 
     #[test]
@@ -1550,28 +1464,6 @@ mod tests {
     }
 
     #[test]
-    fn containing_edge_stream_is_sorted_and_matches_the_buffered_query() {
-        let g = gen::erdos_renyi(45, 0.35, 6);
-        for p in [3usize, 4, 5] {
-            let mut enumerator = EdgeCliqueEnumerator::new(&g, p);
-            let mut buffered = Vec::new();
-            for (a, b) in g.edges() {
-                let mut streamed: Vec<Clique> = Vec::new();
-                assert!(enumerator.for_each_containing_edge_while(a, b, |c| {
-                    streamed.push(c.to_vec());
-                    true
-                }));
-                enumerator.cliques_containing_edge_into(a, b, &mut buffered);
-                // The stream arrives in ascending canonical order, so it must
-                // equal the sorted+deduped buffered output element for
-                // element.
-                assert_eq!(streamed, buffered, "p={p} edge {a}-{b}");
-                assert!(streamed.windows(2).all(|w| w[0] < w[1]), "p={p} not sorted");
-            }
-        }
-    }
-
-    #[test]
     fn edge_enumerator_resumes_cleanly_after_an_aborted_query() {
         let g = gen::erdos_renyi(50, 0.4, 9);
         for p in [3usize, 4] {
@@ -1585,7 +1477,7 @@ mod tests {
                 .find(|&(a, b)| cliques_containing_edge(&g, p, a, b).len() >= 2)
                 .expect("dense test graph has a multi-clique edge");
             let mut visits = 0usize;
-            let completed = enumerator.for_each_containing_edge_while(a, b, |_| {
+            let completed = enumerator.for_each_containing_edge_while(a, b, g.neighbors(a), |_| {
                 visits += 1;
                 false
             });
@@ -1593,16 +1485,51 @@ mod tests {
             assert_eq!(visits, 1, "p={p}: exactly one visit before the abort");
             // Every later query must be unaffected by the aborted one: the
             // scratch state (stack, arena, sort scratch) is reset per query.
-            let mut out = Vec::new();
+            // Over the whole neighbourhood, a query streams the one-shot
+            // function's sorted list; over part of it, the sublist whose
+            // other vertices lie in that part, in the same order.
             for &(c, d) in &edges {
-                enumerator.cliques_containing_edge_into(c, d, &mut out);
+                let mut streamed: Vec<Clique> = Vec::new();
+                assert!(
+                    enumerator.for_each_containing_edge_while(c, d, g.neighbors(c), |q| {
+                        streamed.push(q.to_vec());
+                        true
+                    })
+                );
                 assert_eq!(
-                    out,
+                    streamed,
                     cliques_containing_edge(&g, p, c, d),
                     "p={p}: query {c}-{d} after an aborted query diverged"
                 );
+                let even: Vec<u32> = g
+                    .neighbors(c)
+                    .iter()
+                    .copied()
+                    .filter(|w| w % 2 == 0)
+                    .collect();
+                let mut among_even: Vec<Clique> = Vec::new();
+                enumerator.for_each_containing_edge_while(c, d, &even, |q| {
+                    among_even.push(q.to_vec());
+                    true
+                });
+                streamed.retain(|q| q.iter().all(|&w| w == c || w == d || w % 2 == 0));
+                assert_eq!(among_even, streamed, "p={p}: restricted query {c}-{d}");
             }
+            // Absent edges visit nothing and complete.
+            assert!(enumerator.for_each_containing_edge_while(0, 0, &[], |_| false));
         }
+        let (a, b) = g.edges().next().expect("test graph has an edge");
+        let mut pairs = Vec::new();
+        EdgeCliqueEnumerator::new(&g, 2).for_each_containing_edge_while(
+            b,
+            a,
+            g.neighbors(b),
+            |q| {
+                pairs.push(q.to_vec());
+                true
+            },
+        );
+        assert_eq!(pairs, vec![vec![a, b]]);
     }
 
     #[test]
@@ -1807,8 +1734,8 @@ mod tests {
     #[test]
     fn explicit_kernel_strategies_agree_everywhere() {
         // Trie and recursive kernels must emit identical bytes through every
-        // entry point: full listings, early-stopped prefixes, shards and
-        // edge-query streams. (The cross-crate differential battery widens
+        // entry point: full listings, early-stopped prefixes and shards.
+        // (The cross-crate differential battery widens
         // this to engine reports; this test pins the graphcore layer.)
         let workloads = [
             gen::erdos_renyi(60, 0.25, 7),
@@ -1855,43 +1782,6 @@ mod tests {
                         sharded.for_each_in_shard(shard, |c| merged.push(c.to_vec()));
                     }
                     assert_eq!(merged, recursive, "workload {w} p={p} {strategy}");
-                }
-                // Edge-query streams agree across strategies, including after
-                // aborted queries and across shared-endpoint runs (the edges
-                // iterator groups edges by lower endpoint, which is exactly
-                // the prefix-reuse pattern).
-                let mut reference =
-                    EdgeCliqueEnumerator::with_strategy(g, p, KernelStrategy::Recursive);
-                for strategy in [KernelStrategy::Trie, KernelStrategy::Auto] {
-                    let mut reused = EdgeCliqueEnumerator::with_strategy(g, p, strategy);
-                    for (a, b) in g.edges() {
-                        let mut expected = Vec::new();
-                        reference.for_each_containing_edge_while(a, b, |c| {
-                            expected.push(c.to_vec());
-                            true
-                        });
-                        let mut streamed = Vec::new();
-                        assert!(reused.for_each_containing_edge_while(a, b, |c| {
-                            streamed.push(c.to_vec());
-                            true
-                        }));
-                        assert_eq!(streamed, expected, "workload {w} p={p} {strategy} {a}-{b}");
-                        // Aborting mid-stream must not poison the cache.
-                        if expected.len() > 1 {
-                            let mut first = Vec::new();
-                            assert!(!reused.for_each_containing_edge_while(a, b, |c| {
-                                first.push(c.to_vec());
-                                false
-                            }));
-                            assert_eq!(first[..], expected[..1]);
-                            let mut again = Vec::new();
-                            reused.for_each_containing_edge_while(a, b, |c| {
-                                again.push(c.to_vec());
-                                true
-                            });
-                            assert_eq!(again, expected, "workload {w} p={p} retry {a}-{b}");
-                        }
-                    }
                 }
             }
         }

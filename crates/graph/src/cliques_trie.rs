@@ -159,8 +159,7 @@ impl std::fmt::Display for KernelChoice {
 /// One materialised trie node: the induced subgraph of a candidate set,
 /// re-labelled to dense local ids `0..k` (ascending global order, so local
 /// bit order equals global emission order) with one packed adjacency row per
-/// member. Reused across roots (and, in the edge enumerator, across queries
-/// sharing an endpoint) — `materialize` only grows the buffers.
+/// member. Reused across roots — `materialize` only grows the buffers.
 pub(crate) struct InducedNode {
     /// Members of the candidate set, ascending global ids.
     verts: Vec<u32>,
@@ -229,11 +228,6 @@ impl InducedNode {
         &self.rows[i * self.stride..(i + 1) * self.stride]
     }
 
-    /// Local id of a global vertex, if it is a member.
-    pub(crate) fn local_index(&self, v: u32) -> Option<usize> {
-        self.verts.binary_search(&v).ok()
-    }
-
     /// Number of members.
     pub(crate) fn len(&self) -> usize {
         self.verts.len()
@@ -242,7 +236,7 @@ impl InducedNode {
 
 /// All per-enumeration scratch of the trie kernel: the one materialised node
 /// plus the per-depth mask arena and the combination buffers. One kernel per
-/// concurrent enumeration (a shard, a full listing, an edge-query stream);
+/// concurrent enumeration (a shard, a full listing, a count);
 /// nothing is shared, so `&CliqueIndex` callers stay `Sync`.
 pub(crate) struct TrieKernel {
     node: InducedNode,
@@ -354,43 +348,6 @@ impl TrieKernel {
             scratch,
             visit,
         )
-    }
-
-    /// Runs the masked search from the local row of `pivot_local` as the
-    /// initial candidate set — the edge enumerator's entry point, where the
-    /// node is the (cached) neighbourhood of one endpoint and the initial
-    /// candidates are the common neighbours with the other.
-    pub(crate) fn descend_from_row(
-        &mut self,
-        p: usize,
-        pivot_local: usize,
-        stack: &mut Vec<u32>,
-        scratch: &mut Vec<u32>,
-        visit: &mut impl FnMut(&[u32]) -> bool,
-    ) -> bool {
-        let stride = self.node.stride;
-        let needed = p - stack.len();
-        self.masks.clear();
-        self.masks.resize(needed * stride, 0);
-        self.masks[..stride].copy_from_slice(self.node.row(pivot_local));
-        descend(
-            &self.node,
-            p,
-            &mut self.masks,
-            stack,
-            &mut self.bits,
-            &mut self.combo,
-            scratch,
-            visit,
-        )
-    }
-
-    pub(crate) fn node(&self) -> &InducedNode {
-        &self.node
-    }
-
-    pub(crate) fn node_mut(&mut self) -> &mut InducedNode {
-        &mut self.node
     }
 }
 
@@ -665,13 +622,11 @@ mod tests {
         node.materialize(&g, &bitsets, &verts);
         assert_eq!(node.len(), verts.len());
         for (i, &u) in verts.iter().enumerate() {
-            assert_eq!(node.local_index(u), Some(i));
             for (j, &w) in verts.iter().enumerate() {
                 let bit = node.row(i)[j >> 6] >> (j & 63) & 1 == 1;
                 assert_eq!(bit, g.has_edge(u, w), "{u}-{w}");
             }
         }
-        assert_eq!(node.local_index(99), None);
     }
 
     #[test]
