@@ -56,7 +56,7 @@ use crate::config::{ListingConfig, Variant};
 use crate::result::{phase, Diagnostics, Rounds};
 use crate::sink::{CliqueSink, Dedup, ShardBuffer};
 use crate::sparse_listing::{cluster_listing, SparseListingInput};
-use expander::{decompose, Cluster};
+use expander::{decompose, Cluster, Decomposition};
 use graphcore::{EdgeSet, Graph, Orientation};
 use std::collections::BTreeMap;
 
@@ -199,7 +199,9 @@ pub fn arb_list(
     // Cluster-membership broadcast: one round, all clusters in parallel.
     outcome.rounds.add(phase::MEMBERSHIP, 1);
 
-    let em_graph = decomposition.em_graph(n);
+    // The per-cluster E'_m edge sets double as the fan-out's balancing
+    // weights: a cluster's listing work scales with its goal-edge count.
+    let (em_graph, cluster_ems) = split_cluster_edges(&decomposition, n);
     let heavy_threshold = match config.variant {
         Variant::General => config.heavy_threshold(n),
         // Section 3: heavy means at least n^{d-1/3} cluster neighbours.
@@ -207,12 +209,6 @@ pub fn arb_list(
     };
 
     let clusters = &decomposition.clusters;
-    // The per-cluster E'_m edge sets double as the fan-out's balancing
-    // weights: a cluster's listing work scales with its goal-edge count.
-    let cluster_ems: Vec<EdgeSet> = clusters
-        .iter()
-        .map(|c| c.edges_within(&decomposition.em))
-        .collect();
 
     // Work-avoidance flag shared between the consume step (which raises it
     // once the real sink saturates) and the producers (whose gated buffers
@@ -375,6 +371,24 @@ pub fn arb_list(
     }
 
     outcome
+}
+
+/// The `E_m` graph and every cluster's share of `E_m`, from one pass over
+/// `E_m` routed by `cluster_of`: both endpoints of an `E_m` edge lie in the
+/// same cluster. Equals [`Decomposition::em_graph`] and
+/// [`Cluster::edges_within`] per cluster, without scanning `E_m` once per
+/// cluster.
+fn split_cluster_edges(decomposition: &Decomposition, n: usize) -> (Graph, Vec<EdgeSet>) {
+    let mut cluster_ems = vec![EdgeSet::new(); decomposition.clusters.len()];
+    let mut em_edges = Vec::with_capacity(decomposition.em.len());
+    for e in decomposition.em.iter() {
+        let cluster = decomposition.cluster_of[e.u() as usize]
+            .expect("E_m edges join vertices of one cluster");
+        cluster_ems[cluster].insert(e);
+        em_edges.push(e.endpoints());
+    }
+    let em_graph = Graph::from_edges(n, &em_edges).expect("E_m endpoints are in range");
+    (em_graph, cluster_ems)
 }
 
 /// The light-node listing of Section 3: every `C`-light node asks all its
@@ -666,6 +680,33 @@ mod tests {
         );
         let (_, deduped) = run_arb(&g, 4, Variant::FastK4);
         assert_eq!(distinct, deduped);
+    }
+
+    #[test]
+    fn the_one_pass_split_equals_edges_within_for_every_cluster() {
+        // Three dense blocks, each an er(40, 0.5), joined in a path by one
+        // edge each, plus a sparse tail that peels into E_s.
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        for (block, seed) in [(0u32, 1u64), (1, 2), (2, 3)] {
+            let offset = 40 * block;
+            edges.extend(
+                gen::erdos_renyi(40, 0.5, seed)
+                    .edges()
+                    .map(|(u, v)| (u + offset, v + offset)),
+            );
+        }
+        edges.extend([(0, 40), (41, 80)]);
+        edges.extend((120..139).map(|v| (v, v + 1)));
+        let g = Graph::from_edges(140, &edges).unwrap();
+        let decomposition = decompose(&g, 0.5, &ListingConfig::for_p(4).decomposition, 7);
+        assert!(decomposition.clusters.len() >= 3);
+
+        let (em_graph, cluster_ems) = split_cluster_edges(&decomposition, 140);
+        assert_eq!(em_graph, decomposition.em_graph(140));
+        assert_eq!(cluster_ems.len(), decomposition.clusters.len());
+        for (cluster, em) in decomposition.clusters.iter().zip(&cluster_ems) {
+            assert_eq!(*em, cluster.edges_within(&decomposition.em));
+        }
     }
 
     #[test]

@@ -76,7 +76,8 @@ impl Cluster {
     }
 
     /// Estimated mixing time of the lazy random walk restricted to the
-    /// cluster's internal edges.
+    /// cluster's internal edges: `f64::INFINITY` when the walk does not mix,
+    /// which includes a cluster vertex out of range for `em_graph`.
     pub fn mixing_time(&self, em_graph: &Graph) -> f64 {
         spectral::mixing_time_estimate(em_graph, &self.vertices)
     }
@@ -126,6 +127,12 @@ mod tests {
         assert_eq!(c.outside_neighbors(&g), vec![4, 5]);
         assert!(c.mixing_time(&g) < 10.0);
         assert_eq!(c.bandwidth(&g), 3);
+    }
+
+    #[test]
+    fn out_of_range_vertices_do_not_mix() {
+        let c = Cluster::new(0, vec![0, 1, 9]);
+        assert!(c.mixing_time(&gen::complete_graph(5)).is_infinite());
     }
 
     #[test]

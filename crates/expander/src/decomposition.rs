@@ -4,7 +4,6 @@ use crate::cluster::Cluster;
 use congest::{ChargePolicy, PrimitiveKind};
 use graphcore::{spectral, Edge, EdgeSet, Graph, Orientation};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// Tuning knobs of the decomposition construction.
 ///
@@ -293,12 +292,12 @@ pub fn decompose(
     let mixing_limit = config.mixing_limit(n);
     let er_budget = (config.max_er_fraction * m as f64).floor() as usize;
 
-    // Remaining graph as mutable adjacency sets.
-    let mut remaining: Vec<BTreeSet<u32>> = (0..n as u32)
-        .map(|v| graph.neighbors(v).iter().copied().collect())
-        .collect();
+    // Remaining graph as sorted adjacency rows.
+    let mut remaining: Vec<Vec<u32>> = (0..n as u32).map(|v| graph.neighbors(v).to_vec()).collect();
+    // One vertex mask shared by the helpers below; each leaves it all false.
+    let mut mask = vec![false; n];
 
-    let mut es = EdgeSet::new();
+    // E_s is kept as its orientation: the out-lists of the peeled vertices.
     let mut es_out: Vec<Vec<u32>> = vec![Vec::new(); n];
     let mut er = EdgeSet::new();
     let mut em = EdgeSet::new();
@@ -307,46 +306,30 @@ pub fn decompose(
 
     // Global peel.
     let all: Vec<u32> = (0..n as u32).collect();
-    peel(&mut remaining, &all, threshold, &mut es, &mut es_out);
+    peel(&mut remaining, &all, threshold, &mut es_out, &mut mask);
 
     // Component queue.
-    let mut queue: Vec<Vec<u32>> = components(&remaining, &all);
+    let mut queue: Vec<Vec<u32>> = components(&remaining, &all, &mut mask);
 
     while let Some(component) = queue.pop() {
         if component.len() < 2 {
             continue;
         }
-        let sub = subgraph(&remaining, n, &component);
-        let mixing = spectral::mixing_time_estimate(&sub, &component);
-        if mixing.is_finite() && mixing <= mixing_limit {
-            accept_cluster(
-                &component,
-                &sub,
-                &mut em,
-                &mut clusters,
-                &mut cluster_of,
-                &mut remaining,
-            );
-            continue;
-        }
-
-        // Try to find a sparse cut.
-        let cut = sweep_cut(&sub, &component);
-        let cut_edges: Vec<Edge> = match &cut {
-            Some((side, _)) => {
-                let side_set: BTreeSet<u32> = side.iter().copied().collect();
-                sub.edges()
-                    .filter(|&(u, v)| side_set.contains(&u) != side_set.contains(&v))
-                    .map(|(u, v)| Edge::new(u, v))
-                    .collect()
-            }
-            None => Vec::new(),
+        let sub = subgraph(&remaining, n, &component, &mut mask);
+        // One eigenpair per component: the mixing test and the sweep cut
+        // share it.
+        let eigenpair = spectral::second_eigenpair(&sub, &component);
+        let mixing = spectral::mixing_time(component.len(), eigenpair.as_ref().map(|e| e.0));
+        let mixes = mixing.is_finite() && mixing <= mixing_limit;
+        let cut_edges = match &eigenpair {
+            Some((_, vector)) if !mixes => sweep_cut(&sub, &component, vector, &mut mask),
+            _ => Vec::new(),
         };
 
         if cut_edges.is_empty() || er.len() + cut_edges.len() > er_budget {
-            // Accept the component as a (possibly slow-mixing) cluster; the
-            // E_r budget takes precedence so the |E_r| <= |E|/6 guarantee
-            // always holds.
+            // Accept the component as a cluster: it mixes fast enough, or no
+            // cut was found, or the cut would break the E_r budget, which
+            // takes precedence so the |E_r| <= |E|/6 guarantee always holds.
             accept_cluster(
                 &component,
                 &sub,
@@ -361,88 +344,103 @@ pub fn decompose(
         // Apply the cut: the crossing edges go to E_r.
         for e in &cut_edges {
             er.insert(*e);
-            remaining[e.u() as usize].remove(&e.v());
-            remaining[e.v() as usize].remove(&e.u());
+            remove_from_row(&mut remaining[e.u() as usize], e.v());
+            remove_from_row(&mut remaining[e.v() as usize], e.u());
         }
         // Degrees dropped: re-peel within the component, then re-split it into
         // connected components and keep refining.
-        peel(&mut remaining, &component, threshold, &mut es, &mut es_out);
-        for part in components(&remaining, &component) {
-            queue.push(part);
-        }
+        peel(
+            &mut remaining,
+            &component,
+            threshold,
+            &mut es_out,
+            &mut mask,
+        );
+        queue.extend(components(&remaining, &component, &mut mask));
     }
 
+    let es_orientation = Orientation::from_out_lists(es_out);
+    let es = es_orientation
+        .edges()
+        .map(|(u, v)| Edge::new(u, v))
+        .collect();
     Decomposition {
         delta,
         degree_threshold: threshold,
         em,
         es,
         er,
-        es_orientation: Orientation::from_out_lists(es_out),
+        es_orientation,
         clusters,
         cluster_of,
         config: *config,
     }
 }
 
-/// Repeatedly removes vertices (restricted to `scope`) whose remaining degree
-/// is below `threshold`, assigning their remaining incident edges to `E_s`
-/// oriented away from the removed vertex.
-fn peel(
-    remaining: &mut [BTreeSet<u32>],
-    scope: &[u32],
-    threshold: usize,
-    es: &mut EdgeSet,
-    es_out: &mut [Vec<u32>],
-) {
-    let mut stack: Vec<u32> = scope
-        .iter()
-        .copied()
-        .filter(|&v| !remaining[v as usize].is_empty() && remaining[v as usize].len() < threshold)
-        .collect();
-    let mut queued: BTreeSet<u32> = stack.iter().copied().collect();
-    while let Some(v) = stack.pop() {
-        queued.remove(&v);
-        if remaining[v as usize].is_empty() || remaining[v as usize].len() >= threshold {
-            continue;
-        }
-        let nbrs: Vec<u32> = remaining[v as usize].iter().copied().collect();
-        for w in nbrs {
-            es.insert(Edge::new(v, w));
-            es_out[v as usize].push(w);
-            remaining[v as usize].remove(&w);
-            remaining[w as usize].remove(&v);
-            if !remaining[w as usize].is_empty()
-                && remaining[w as usize].len() < threshold
-                && queued.insert(w)
-            {
-                stack.push(w);
-            }
-        }
+/// Removes `w` from the sorted row, where it is present.
+fn remove_from_row(row: &mut Vec<u32>, w: u32) {
+    if let Ok(position) = row.binary_search(&w) {
+        row.remove(position);
     }
 }
 
-/// Connected components of the remaining graph restricted to `scope`
-/// (only vertices with at least one remaining edge are reported).
-fn components(remaining: &[BTreeSet<u32>], scope: &[u32]) -> Vec<Vec<u32>> {
-    let scope_set: BTreeSet<u32> = scope
+/// Repeatedly removes vertices (restricted to `scope`) whose remaining degree
+/// is below `threshold`, assigning their remaining incident edges to `E_s`
+/// oriented away from the removed vertex (appended to its `es_out` list).
+/// `queued` marks the stack.
+fn peel(
+    remaining: &mut [Vec<u32>],
+    scope: &[u32],
+    threshold: usize,
+    es_out: &mut [Vec<u32>],
+    queued: &mut [bool],
+) {
+    let peelable = |row: &Vec<u32>| !row.is_empty() && row.len() < threshold;
+    let mut stack: Vec<u32> = scope
         .iter()
         .copied()
-        .filter(|&v| !remaining[v as usize].is_empty())
+        .filter(|&v| peelable(&remaining[v as usize]))
         .collect();
-    let mut seen: BTreeSet<u32> = BTreeSet::new();
+    for &v in &stack {
+        queued[v as usize] = true;
+    }
+    while let Some(v) = stack.pop() {
+        queued[v as usize] = false;
+        if !peelable(&remaining[v as usize]) {
+            continue;
+        }
+        let nbrs = std::mem::take(&mut remaining[v as usize]);
+        for &w in &nbrs {
+            remove_from_row(&mut remaining[w as usize], v);
+            if peelable(&remaining[w as usize]) && !queued[w as usize] {
+                queued[w as usize] = true;
+                stack.push(w);
+            }
+        }
+        es_out[v as usize].extend_from_slice(&nbrs);
+    }
+}
+
+/// Connected components of the remaining graph restricted to `scope`, which
+/// is sorted (only vertices with at least one remaining edge are reported).
+/// `unseen` marks the in-scope vertices not yet reached.
+fn components(remaining: &[Vec<u32>], scope: &[u32], unseen: &mut [bool]) -> Vec<Vec<u32>> {
+    for &v in scope {
+        unseen[v as usize] = !remaining[v as usize].is_empty();
+    }
     let mut out = Vec::new();
-    for &start in &scope_set {
-        if seen.contains(&start) {
+    for &start in scope {
+        if !unseen[start as usize] {
             continue;
         }
         let mut stack = vec![start];
-        seen.insert(start);
+        unseen[start as usize] = false;
         let mut comp = Vec::new();
         while let Some(v) = stack.pop() {
             comp.push(v);
             for &w in &remaining[v as usize] {
-                if scope_set.contains(&w) && seen.insert(w) {
+                if unseen[w as usize] {
+                    unseen[w as usize] = false;
                     stack.push(w);
                 }
             }
@@ -454,16 +452,21 @@ fn components(remaining: &[BTreeSet<u32>], scope: &[u32]) -> Vec<Vec<u32>> {
 }
 
 /// Materialises the remaining edges among `component` as a graph (keeping the
-/// original vertex identifiers).
-fn subgraph(remaining: &[BTreeSet<u32>], n: usize, component: &[u32]) -> Graph {
-    let comp_set: BTreeSet<u32> = component.iter().copied().collect();
+/// original vertex identifiers). `member` marks the component meanwhile.
+fn subgraph(remaining: &[Vec<u32>], n: usize, component: &[u32], member: &mut [bool]) -> Graph {
+    for &v in component {
+        member[v as usize] = true;
+    }
     let mut edges = Vec::new();
     for &v in component {
         for &w in &remaining[v as usize] {
-            if v < w && comp_set.contains(&w) {
+            if v < w && member[w as usize] {
                 edges.push((v, w));
             }
         }
+    }
+    for &v in component {
+        member[v as usize] = false;
     }
     Graph::from_edges(n, &edges).expect("remaining edges are in range")
 }
@@ -474,26 +477,22 @@ fn accept_cluster(
     em: &mut EdgeSet,
     clusters: &mut Vec<Cluster>,
     cluster_of: &mut [Option<usize>],
-    remaining: &mut [BTreeSet<u32>],
+    remaining: &mut [Vec<u32>],
 ) {
     let id = clusters.len();
-    for (u, v) in sub.edges() {
-        em.insert(Edge::new(u, v));
-    }
+    em.extend(sub.edges().map(|(u, v)| Edge::new(u, v)));
     for &v in component {
         cluster_of[v as usize] = Some(id);
         remaining[v as usize].clear();
     }
-    // Clear reverse entries pointing into the component from outside (there
-    // should be none, since components are maximal, but stay defensive).
     clusters.push(Cluster::new(id, component.to_vec()));
 }
 
-/// Finds the prefix of the second-eigenvector ordering with minimum
-/// conductance. Returns the chosen side and its conductance, or `None` if no
-/// eigenvector is available (e.g. the component is disconnected).
-fn sweep_cut(sub: &Graph, component: &[u32]) -> Option<(Vec<u32>, f64)> {
-    let (_, vector) = spectral::second_eigenpair(sub, component)?;
+/// Finds the prefix of the ordering of `component` by its entry of the
+/// second eigenvector `vector` with minimum conductance, and returns the
+/// edges of `sub` crossing it (empty if no prefix has a non-degenerate
+/// conductance). `in_prefix` marks the prefix meanwhile.
+fn sweep_cut(sub: &Graph, component: &[u32], vector: &[f64], in_prefix: &mut [bool]) -> Vec<Edge> {
     let mut order: Vec<usize> = (0..component.len()).collect();
     order.sort_by(|&a, &b| {
         vector[a]
@@ -502,20 +501,20 @@ fn sweep_cut(sub: &Graph, component: &[u32]) -> Option<(Vec<u32>, f64)> {
     });
 
     let total_volume: usize = component.iter().map(|&v| sub.degree(v)).sum();
-    let mut in_prefix: BTreeSet<u32> = BTreeSet::new();
+    let scanned = &order[..component.len() - 1];
     let mut volume = 0usize;
     let mut cut = 0usize;
     let mut best: Option<(usize, f64)> = None;
-    for (i, &idx) in order.iter().enumerate().take(component.len() - 1) {
+    for (i, &idx) in scanned.iter().enumerate() {
         let v = component[idx];
         let internal = sub
             .neighbors(v)
             .iter()
-            .filter(|&&w| in_prefix.contains(&w))
+            .filter(|&&w| in_prefix[w as usize])
             .count();
         volume += sub.degree(v);
         cut = cut + sub.degree(v) - 2 * internal;
-        in_prefix.insert(v);
+        in_prefix[v as usize] = true;
         let denom = volume.min(total_volume - volume);
         if denom == 0 {
             continue;
@@ -525,15 +524,116 @@ fn sweep_cut(sub: &Graph, component: &[u32]) -> Option<(Vec<u32>, f64)> {
             best = Some((i, conductance));
         }
     }
-    let (prefix_len, conductance) = best?;
-    let side: Vec<u32> = order[..=prefix_len].iter().map(|&i| component[i]).collect();
-    Some((side, conductance))
+    // Shrink the marked prefix to the best one, read the crossing edges off
+    // it, then clear it.
+    let side_len = best.map_or(0, |(i, _)| i + 1);
+    for &idx in &scanned[side_len..] {
+        in_prefix[component[idx] as usize] = false;
+    }
+    let mut crossing = Vec::new();
+    if side_len > 0 {
+        for &u in component {
+            for &w in sub.neighbors(u) {
+                if u < w && in_prefix[u as usize] != in_prefix[w as usize] {
+                    crossing.push(Edge::new(u, w));
+                }
+            }
+        }
+    }
+    for &idx in &scanned[..side_len] {
+        in_prefix[component[idx] as usize] = false;
+    }
+    crossing
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use graphcore::gen;
+
+    /// Two `er(120, 0.35)` blocks joined by eight edges. The joined graph
+    /// mixes too slowly, so the sweep cut fires and the bridges go to `E_r`.
+    fn two_blocks() -> Graph {
+        let mut edges: Vec<(u32, u32)> = gen::erdos_renyi(120, 0.35, 3).edges().collect();
+        edges.extend(
+            gen::erdos_renyi(120, 0.35, 4)
+                .edges()
+                .map(|(u, v)| (u + 120, v + 120)),
+        );
+        edges.extend((0..8u32).map(|i| (7 * i, 120 + 11 * i)));
+        Graph::from_edges(240, &edges).unwrap()
+    }
+
+    /// FNV-1a over the clusters' sorted vertex lists, in cluster order.
+    fn cluster_digest(d: &Decomposition) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for cluster in &d.clusters {
+            for word in cluster
+                .vertices
+                .iter()
+                .map(|&v| u64::from(v))
+                .chain([u64::MAX])
+            {
+                for byte in word.to_le_bytes() {
+                    hash ^= u64::from(byte);
+                    hash = hash.wrapping_mul(0x100_0000_01b3);
+                }
+            }
+        }
+        hash
+    }
+
+    /// The decompositions of the `experiments e4` workloads and of
+    /// [`two_blocks`], pinned: cluster count, `|E_m|`, `|E_s|`, `|E_r|` and
+    /// [`cluster_digest`], per δ.
+    #[test]
+    fn pinned_decompositions_of_the_experiment_workloads() {
+        let pins: [(&str, f64, usize, usize, usize, usize, u64); 18] = [
+            ("er(300,0.15)", 0.4, 1, 6779, 0, 0, 0xeff0e6aef67ada49),
+            ("er(300,0.15)", 0.5, 1, 6779, 0, 0, 0xeff0e6aef67ada49),
+            ("er(300,0.15)", 0.6, 1, 6779, 0, 0, 0xeff0e6aef67ada49),
+            ("er(300,0.35)", 0.4, 1, 15754, 0, 0, 0xeff0e6aef67ada49),
+            ("er(300,0.35)", 0.5, 1, 15754, 0, 0, 0xeff0e6aef67ada49),
+            ("er(300,0.35)", 0.6, 1, 15754, 0, 0, 0xeff0e6aef67ada49),
+            ("ba(350,6)", 0.4, 1, 2079, 0, 0, 0x97703e711e34e63c),
+            ("ba(350,6)", 0.5, 0, 0, 2079, 0, 0xcbf29ce484222325),
+            ("ba(350,6)", 0.6, 0, 0, 2079, 0, 0xcbf29ce484222325),
+            ("rmat(9,8)", 0.4, 1, 2163, 678, 0, 0xc92f13ee9101adfb),
+            ("rmat(9,8)", 0.5, 1, 1704, 1137, 0, 0xeb2486557b13beff),
+            ("rmat(9,8)", 0.6, 0, 0, 2841, 0, 0xcbf29ce484222325),
+            ("turan(300,3,0.8)", 0.4, 1, 24050, 0, 0, 0xeff0e6aef67ada49),
+            ("turan(300,3,0.8)", 0.5, 1, 24050, 0, 0, 0xeff0e6aef67ada49),
+            ("turan(300,3,0.8)", 0.6, 1, 24050, 0, 0, 0xeff0e6aef67ada49),
+            ("two_blocks", 0.4, 2, 5000, 0, 8, 0x38c4d63cb4335155),
+            ("two_blocks", 0.5, 2, 5000, 0, 8, 0x38c4d63cb4335155),
+            ("two_blocks", 0.6, 2, 5000, 0, 8, 0x38c4d63cb4335155),
+        ];
+        let workloads: Vec<(&str, Graph)> = vec![
+            ("er(300,0.15)", gen::erdos_renyi(300, 0.15, 3)),
+            ("er(300,0.35)", gen::erdos_renyi(300, 0.35, 3)),
+            ("ba(350,6)", gen::barabasi_albert(350, 6, 3)),
+            ("rmat(9,8)", gen::rmat(9, 8, (0.57, 0.19, 0.19, 0.05), 3)),
+            ("turan(300,3,0.8)", gen::multipartite(300, 3, 0.8, 3)),
+            ("two_blocks", two_blocks()),
+        ];
+        let mut cells = pins.iter();
+        for (label, graph) in &workloads {
+            for delta in [0.4, 0.5, 0.6] {
+                let &(pin_label, pin_delta, clusters, em, es, er, digest) =
+                    cells.next().expect("one pin per cell");
+                assert_eq!((pin_label, pin_delta), (*label, delta));
+                let d = decompose(graph, delta, &DecompositionConfig::default(), 1);
+                assert_eq!(
+                    (d.clusters.len(), d.em.len(), d.es.len(), d.er.len()),
+                    (clusters, em, es, er),
+                    "{label} at δ = {delta}"
+                );
+                assert_eq!(cluster_digest(&d), digest, "{label} at δ = {delta}");
+                d.verify(graph).expect("valid decomposition");
+            }
+        }
+        assert!(cells.next().is_none());
+    }
 
     #[test]
     fn dense_random_graph_forms_one_cluster() {
