@@ -244,12 +244,11 @@ pub fn perf_sweep() -> Sweep {
         }
     }
 
-    // Churn sweep (PR 9): incremental vs from-scratch snapshot derivation
-    // over growing batch sizes on the cluster-scaling workload. The two
-    // small batches stay under the rebuild threshold (the incremental
-    // index-patching path); the large one crosses it (the rebuild path) —
-    // the strategy decision, applied-change counts and delta-listing sizes
-    // are deterministic in `(graph, batch_target)` and gated byte-exactly.
+    // Churn sweep (PR 9): snapshot derivation through `apply_batch` next to
+    // a cold build of the derived graph, over growing batch sizes on the
+    // cluster-scaling workload. The applied-change counts and delta-listing
+    // sizes are deterministic in `(graph, batch_target)` and gated
+    // byte-exactly.
     for &batch_target in &[32usize, 256, 4096] {
         let mut config = base("churn-sweep");
         config.extend([
@@ -680,15 +679,14 @@ pub fn execute_perf_cell(spec: &CellSpec) -> Result<Json, Interrupted> {
             let old = query::GraphSnapshot::build(graph);
             let batch = churn_batch(old.graph(), batch_target, spec.seed);
             // The measured quantity: deriving a snapshot through
-            // `apply_batch` (strategy chosen by the churn fraction) …
-            let mut applied = None;
+            // `apply_batch` …
+            let mut result = None;
             let (best, mean) = time_reps(REPS, || {
-                applied = Some(old.apply_batch(&batch).expect("batch is in range"));
+                result = Some(old.apply_batch(&batch).expect("batch is in range"));
             });
-            let (derived, report) = applied.expect("at least one rep ran");
-            // … against the from-scratch baseline it must equal byte for
-            // byte — the churn battery's contract (a), re-asserted at
-            // measurement time.
+            let (derived, applied) = result.expect("at least one rep ran");
+            // … against the cold build it must equal byte for byte — the
+            // churn battery's contract (a), re-asserted at measurement time.
             let mut scratch = None;
             let (rebuild_best, rebuild_mean) = time_reps(REPS, || {
                 scratch = Some(query::GraphSnapshot::build(derived.graph().clone()));
@@ -696,7 +694,7 @@ pub fn execute_perf_cell(spec: &CellSpec) -> Result<Json, Interrupted> {
             assert_eq!(
                 derived,
                 scratch.expect("at least one rep ran"),
-                "incremental churn must equal a from-scratch build"
+                "a derived snapshot must equal a cold build"
             );
             // The delta listing accounts for the census change exactly.
             let delta = query::delta_cliques(&old, &derived, p, cliquelist::Parallelism::Auto)
@@ -709,13 +707,8 @@ pub fn execute_perf_cell(spec: &CellSpec) -> Result<Json, Interrupted> {
                 "delta must account for the census change exactly"
             );
             metrics.extend([
-                (
-                    "strategy".to_string(),
-                    Json::Str(report.strategy.as_str().to_string()),
-                ),
-                ("inserted".to_string(), num(report.inserted.len())),
-                ("deleted".to_string(), num(report.deleted.len())),
-                ("churn_ppm".to_string(), Json::Num(report.churn_ppm as f64)),
+                ("inserted".to_string(), num(applied.inserted.len())),
+                ("deleted".to_string(), num(applied.deleted.len())),
                 ("cliques".to_string(), num(after)),
                 ("created_cliques".to_string(), num(delta.created.len())),
                 ("destroyed_cliques".to_string(), num(delta.destroyed.len())),
@@ -791,8 +784,7 @@ mod tests {
                 .count(),
             3
         );
-        // The churn sweep covers two incremental batch sizes and one past
-        // the rebuild threshold.
+        // The churn sweep covers three batch sizes.
         assert_eq!(
             sweep
                 .cells
@@ -945,26 +937,20 @@ mod tests {
             ]),
             seed: 7,
         };
-        // A small batch stays under the rebuild threshold (incremental);
-        // a batch larger than the edge count crosses it (rebuild). The
-        // executor itself asserts derived == from-scratch either way.
+        // A small batch applies every requested change; a batch larger than
+        // the edge count deletes every edge. The executor itself asserts
+        // derived == cold build either way.
         let small = execute_perf_cell(&cell(8)).expect("executor never interrupts");
-        assert_eq!(
-            small.get("strategy").and_then(Json::as_str).unwrap(),
-            "incremental"
-        );
+        assert_eq!(small.get("inserted").and_then(Json::as_f64), Some(4.0));
+        assert_eq!(small.get("deleted").and_then(Json::as_f64), Some(4.0));
         let large = execute_perf_cell(&cell(1024)).expect("executor never interrupts");
-        assert_eq!(
-            large.get("strategy").and_then(Json::as_str).unwrap(),
-            "rebuild"
-        );
+        let m = gen::erdos_renyi(60, 0.2, 7).num_edges();
+        assert_eq!(large.get("deleted").and_then(Json::as_f64), Some(m as f64));
         // The deterministic metrics replay byte for byte.
         let again = execute_perf_cell(&cell(8)).expect("executor never interrupts");
         for metric in [
-            "strategy",
             "inserted",
             "deleted",
-            "churn_ppm",
             "cliques",
             "created_cliques",
             "destroyed_cliques",

@@ -52,13 +52,12 @@ const HOST_KEYS: &[&str] = &["threads", "auto_threads"];
 /// the query-service batch payloads (which exclude their execution reports,
 /// so they too are thread- and cache-independent), the fault-sweep
 /// retransmit-overhead counters (deterministic in `(graph, p, fault plan)`
-/// by the fault replay contract), and the churn-sweep strategy decisions,
-/// applied-change counts and delta-listing sizes (deterministic in
-/// `(graph, batch_target)` by the churn differential contract). Metrics
-/// absent from a baseline cell are skipped, so growing this list never
-/// fails the gate against an older trajectory.
+/// by the fault replay contract), and the churn-sweep applied-change counts
+/// and delta-listing sizes (deterministic in `(graph, batch_target)` by the
+/// churn differential contract). Metrics absent from a baseline cell are
+/// skipped, so growing this list never fails the gate against an older
+/// trajectory.
 const DETERMINISTIC_METRICS: &[&str] = &[
-    "churn_ppm",
     "cliques",
     "created_cliques",
     "deleted",
@@ -69,7 +68,6 @@ const DETERMINISTIC_METRICS: &[&str] = &[
     "responses",
     "retransmits",
     "simulated_rounds",
-    "strategy",
 ];
 
 /// The historical ad-hoc artifacts consolidated into the trajectory.
@@ -277,8 +275,8 @@ pub fn consolidate(sweep: &Sweep, records: &[CellRecord], history: &[Json], git_
                     "deterministic",
                     Json::Str(
                         "exact: cliques, engine reports, query-batch payloads, fault-sweep \
-                         retransmit counters, and churn-sweep strategy decisions and delta \
-                         counts must match baseline"
+                         retransmit counters, and churn-sweep change and delta counts must \
+                         match baseline"
                             .into(),
                     ),
                 ),

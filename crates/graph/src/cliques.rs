@@ -64,7 +64,7 @@ const MIN_BITSET_DEGREE_THRESHOLD: usize = 8;
 /// historical 64-degree bar); on graphs where even degree-64 rows overflow
 /// the budget the ceiling is returned and [`NeighborBitsets::build`]'s
 /// highest-degree-first truncation takes over, exactly as before. Pure in
-/// the graph's degree sequence, so cold and incremental builds agree.
+/// the graph's degree sequence, so equal graphs get equal tables.
 fn bitset_threshold(graph: &Graph) -> usize {
     let n = graph.num_vertices();
     let stride = n.div_ceil(64);
@@ -147,59 +147,6 @@ impl NeighborBitsets {
             Some(&self.words[start..start + self.stride])
         }
     }
-
-    /// Rebuilds the table for a mutated graph, reusing `old` rows verbatim.
-    ///
-    /// The heavy-vertex selection (degree threshold, budget truncation by
-    /// `(Reverse(degree), v)`) is recomputed from scratch against the new
-    /// degrees — it is the same code path as [`NeighborBitsets::build`], so
-    /// the selection is identical to a cold build. Only the *row contents*
-    /// are patched: a vertex whose adjacency is untouched by the batch and
-    /// that already owned a row in `old` has its words copied verbatim; every
-    /// other heavy vertex gets its row rebuilt from the CSR. Returns the
-    /// table plus `(rows reused, rows rebuilt)`.
-    fn patched(
-        graph: &Graph,
-        threshold: usize,
-        old: &NeighborBitsets,
-        touched: &[bool],
-    ) -> (Self, usize, usize) {
-        let n = graph.num_vertices();
-        let stride = n.div_ceil(64);
-        let mut row_of = vec![u32::MAX; n];
-        let mut heavy: Vec<u32> = (0..n as u32)
-            .filter(|&v| graph.degree(v) >= threshold.max(1))
-            .collect();
-        heavy.sort_unstable_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v));
-        heavy.truncate(BITSET_WORD_BUDGET / stride.max(1));
-        let mut words = vec![0u64; heavy.len() * stride];
-        let (mut reused, mut rebuilt) = (0usize, 0usize);
-        for (row, &v) in heavy.iter().enumerate() {
-            row_of[v as usize] = row as u32;
-            let base = row * stride;
-            match old.row(v) {
-                Some(old_row) if !touched[v as usize] && old.stride == stride => {
-                    words[base..base + stride].copy_from_slice(old_row);
-                    reused += 1;
-                }
-                _ => {
-                    for &w in graph.neighbors(v) {
-                        words[base + (w as usize >> 6)] |= 1u64 << (w & 63);
-                    }
-                    rebuilt += 1;
-                }
-            }
-        }
-        (
-            NeighborBitsets {
-                stride,
-                words,
-                row_of,
-            },
-            reused,
-            rebuilt,
-        )
-    }
 }
 
 /// Writes `{w ∈ cand : w adjacent to u}` into `out` (cleared first),
@@ -244,25 +191,14 @@ fn intersect_candidates(
 ///
 /// `PartialEq` compares the *entire* built state — ordering, DAG, bitset
 /// table, out-degree bound — which is what lets the churn differential
-/// battery assert that an incrementally patched index is structurally
-/// identical to one built from scratch.
+/// battery assert that the index under a derived snapshot is structurally
+/// identical to one built from the independently mutated edge list.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CliqueIndex {
     ordering: DegeneracyOrdering,
     dag: OrientedDag,
     bitsets: NeighborBitsets,
     max_out: usize,
-}
-
-/// What [`CliqueIndex::build_incremental`] managed to reuse: the adjacency
-/// bitset rows copied verbatim from the previous index versus those rebuilt
-/// from the mutated CSR. Surfaced through the `query` crate's `ChurnReport`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IndexPatchStats {
-    /// Heavy-vertex bitset rows copied from the previous index unchanged.
-    pub bitset_rows_reused: usize,
-    /// Heavy-vertex bitset rows rebuilt from the new adjacency.
-    pub bitset_rows_rebuilt: usize,
 }
 
 impl CliqueIndex {
@@ -279,47 +215,6 @@ impl CliqueIndex {
             bitsets,
             max_out,
         }
-    }
-
-    /// Rebuilds the index for a mutated graph, reusing what the mutation
-    /// provably did not change.
-    ///
-    /// `previous` must be the index of the pre-mutation graph and
-    /// `touched[v]` must be `true` for every vertex whose adjacency row
-    /// changed (both endpoints of every effectively inserted or deleted
-    /// edge). The adjacency bitset rows of untouched heavy vertices are
-    /// copied verbatim; the degeneracy ordering and oriented DAG are
-    /// recomputed with the standard `O(n + m)` bucket pass, because the
-    /// bucket algorithm's tie-breaking depends on its global push/pop history
-    /// — a locally patched ordering would be a *valid* degeneracy ordering
-    /// but not byte-identical to the from-scratch one, and byte-identity is
-    /// the determinism contract (`DESIGN.md` §13).
-    ///
-    /// The returned index is guaranteed equal (`==`) to
-    /// `CliqueIndex::build(graph)`.
-    pub fn build_incremental(
-        graph: &Graph,
-        previous: &CliqueIndex,
-        touched: &[bool],
-    ) -> (CliqueIndex, IndexPatchStats) {
-        debug_assert_eq!(touched.len(), graph.num_vertices());
-        let ordering = degeneracy_ordering(graph);
-        let dag = OrientedDag::from_ordering(graph, &ordering);
-        let (bitsets, reused, rebuilt) =
-            NeighborBitsets::patched(graph, bitset_threshold(graph), &previous.bitsets, touched);
-        let max_out = dag.max_out_degree();
-        (
-            CliqueIndex {
-                ordering,
-                dag,
-                bitsets,
-                max_out,
-            },
-            IndexPatchStats {
-                bitset_rows_reused: reused,
-                bitset_rows_rebuilt: rebuilt,
-            },
-        )
     }
 
     /// The degeneracy ordering the search roots follow.
@@ -342,6 +237,15 @@ impl CliqueIndex {
     /// The degeneracy of the indexed graph (bounds every candidate set).
     pub fn degeneracy(&self) -> usize {
         self.ordering.degeneracy
+    }
+
+    /// Whether the indexed graph can hold a `p`-clique at all. The first
+    /// vertex of a `K_p` in the degeneracy ordering has the other `p - 1` as
+    /// later neighbours, so no `K_p` exists once `p > degeneracy + 1`. The
+    /// `p ≥ 3` entry points answer empty past that bound before they size
+    /// anything by `p`.
+    fn admits(&self, p: usize) -> bool {
+        p <= self.degeneracy() + 1
     }
 
     /// A fresh per-call candidate arena: one pre-sized buffer per recursion
@@ -397,6 +301,9 @@ impl CliqueIndex {
     ) -> bool {
         if p < 3 {
             return small_p_while(graph, p, visit);
+        }
+        if !self.admits(p) {
+            return true;
         }
         let mut stack: Vec<u32> = Vec::with_capacity(p);
         let mut scratch: Vec<u32> = Vec::with_capacity(p);
@@ -465,6 +372,9 @@ impl CliqueIndex {
         kernel: KernelChoice,
         roots: &[u32],
     ) -> Option<u64> {
+        if !self.admits(p) {
+            return Some(0);
+        }
         match kernel {
             KernelChoice::Trie => {
                 trie::TrieKernel::new().count_roots(graph, &self.bitsets, &self.dag, p, roots)
@@ -518,6 +428,9 @@ impl CliqueIndex {
             }
             return true;
         }
+        if !self.admits(p) {
+            return true;
+        }
         // Candidates: the whole (sorted) neighbourhood of v. Each clique
         // containing v is its other p-1 vertices chosen from N(v) in
         // increasing id order, so it is visited exactly once.
@@ -557,6 +470,9 @@ impl CliqueIndex {
         }
         if p == 2 {
             return visit(&[a.min(b), a.max(b)]);
+        }
+        if !self.admits(p) {
+            return true;
         }
         let mut arena = self.arena(p);
         graph.common_neighbors_into(a, b, &mut arena[0]);
@@ -998,6 +914,9 @@ impl<'g> ShardedEnumerator<'g> {
         mut visit: impl FnMut(&[u32]) -> bool,
     ) -> bool {
         let index = self.index();
+        if !index.admits(self.p) {
+            return true;
+        }
         let mut stack: Vec<u32> = Vec::with_capacity(self.p);
         let mut scratch: Vec<u32> = Vec::with_capacity(self.p);
         let roots = &index.ordering.order[self.plan.range(shard)];
@@ -1661,76 +1580,6 @@ mod tests {
         assert_eq!(first, second);
     }
 
-    /// Applies a batch and returns the mutated graph plus the touched mask
-    /// the incremental index build expects.
-    fn mutate(g: &Graph, inserts: &[(u32, u32)], deletes: &[(u32, u32)]) -> (Graph, Vec<bool>) {
-        let batch = crate::churn::EdgeBatch::new(inserts, deletes).unwrap();
-        let (next, applied) = g.apply_edge_batch(&batch).unwrap();
-        let mut touched = vec![false; g.num_vertices()];
-        for &(u, v) in applied.inserted.iter().chain(&applied.deleted) {
-            touched[u as usize] = true;
-            touched[v as usize] = true;
-        }
-        (next, touched)
-    }
-
-    #[test]
-    fn incremental_index_equals_scratch_build() {
-        for seed in 0..4u64 {
-            let g = gen::erdos_renyi(60, 0.25, seed);
-            let index = CliqueIndex::build(&g);
-            let edges: Vec<(u32, u32)> = g.edges().collect();
-            let deletes: Vec<(u32, u32)> = edges.iter().copied().step_by(7).take(10).collect();
-            let inserts: Vec<(u32, u32)> = gen::erdos_renyi(60, 0.05, seed + 50)
-                .edges()
-                .filter(|&(u, v)| !g.has_edge(u, v))
-                .take(10)
-                .collect();
-            let (next, touched) = mutate(&g, &inserts, &deletes);
-            let (patched, stats) = CliqueIndex::build_incremental(&next, &index, &touched);
-            assert_eq!(patched, CliqueIndex::build(&next), "seed {seed}");
-            assert_eq!(
-                stats.bitset_rows_reused + stats.bitset_rows_rebuilt,
-                patched
-                    .bitsets
-                    .row_of
-                    .iter()
-                    .filter(|&&r| r != u32::MAX)
-                    .count(),
-                "seed {seed}"
-            );
-        }
-    }
-
-    #[test]
-    fn incremental_index_patches_rows_straddling_the_bitset_threshold() {
-        // A star centre sits far above the threshold; pull its degree below
-        // it via deletions and push a light vertex above it via insertions —
-        // both sides of the membership change must match a scratch build.
-        // On a graph this small the adaptive threshold always bottoms out at
-        // the floor, so the floor is the membership bar.
-        let threshold = MIN_BITSET_DEGREE_THRESHOLD;
-        let n = threshold * 3;
-        let star = gen::star_graph(n);
-        assert_eq!(bitset_threshold(&star), threshold);
-        let index = CliqueIndex::build(&star);
-        assert!(index.bitset_row(0).is_some());
-        // Delete enough spokes to drop the centre below the threshold, and
-        // ring a previously-light vertex with enough new edges to cross it.
-        let deletes: Vec<(u32, u32)> = (1..=(n - threshold + 1) as u32).map(|v| (0, v)).collect();
-        let hub = (n - 1) as u32;
-        let inserts: Vec<(u32, u32)> = (1..=threshold as u32).map(|v| (v, hub)).collect();
-        let (next, touched) = mutate(&star, &inserts, &deletes);
-        let (patched, stats) = CliqueIndex::build_incremental(&next, &index, &touched);
-        let scratch = CliqueIndex::build(&next);
-        assert_eq!(patched, scratch);
-        assert!(patched.bitset_row(0).is_none());
-        assert!(patched.bitset_row(hub).is_some());
-        // Every surviving row here was touched, so nothing could be reused.
-        assert_eq!(stats.bitset_rows_reused, 0);
-        assert!(stats.bitset_rows_rebuilt >= 1);
-    }
-
     #[test]
     fn explicit_kernel_strategies_agree_everywhere() {
         // Trie and recursive kernels must emit identical bytes through every
@@ -1895,28 +1744,5 @@ mod tests {
             variance(&sizes(&new_plan)) < variance(&sizes(&old_plan)),
             "new plan must also spread the roots more evenly"
         );
-    }
-
-    #[test]
-    fn incremental_index_reuses_untouched_heavy_rows() {
-        // Two disjoint dense blobs; churn only the second one. The first
-        // blob's heavy rows must be reused verbatim.
-        let block = BITSET_DEGREE_THRESHOLD + 8;
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        for base in [0u32, block as u32] {
-            for i in 0..block as u32 {
-                for j in (i + 1)..block as u32 {
-                    edges.push((base + i, base + j));
-                }
-            }
-        }
-        let g = Graph::from_edges(2 * block, &edges).unwrap();
-        let index = CliqueIndex::build(&g);
-        let b = block as u32;
-        let (next, touched) = mutate(&g, &[], &[(b, b + 1), (b + 2, b + 3)]);
-        let (patched, stats) = CliqueIndex::build_incremental(&next, &index, &touched);
-        assert_eq!(patched, CliqueIndex::build(&next));
-        assert!(stats.bitset_rows_reused >= block - 4, "{stats:?}");
-        assert!(stats.bitset_rows_rebuilt >= 2, "{stats:?}");
     }
 }

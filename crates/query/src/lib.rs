@@ -15,11 +15,11 @@
 //!    replayed in request order) with an in-memory content-addressed result
 //!    cache keyed by the canonical `(snapshot id, query)` identity.
 //! 4. [`GraphSnapshot::apply_batch`] / [`delta_cliques`]: dynamic snapshots.
-//!    An `EdgeBatch` derives a *new* content-addressed snapshot (incremental
-//!    index patch below the churn threshold, cold rebuild above it — the
-//!    decision lands in a [`ChurnReport`]), and the delta API lists exactly
-//!    the cliques the batch created and destroyed, byte-identical at any
-//!    thread grant (see `DESIGN.md` §13).
+//!    An `EdgeBatch` derives a *new* content-addressed snapshot, built cold
+//!    from the mutated graph (a batch that changes nothing keeps the old
+//!    identity), and the delta API lists exactly the cliques the batch
+//!    created and destroyed, byte-identical at any thread grant (see
+//!    `DESIGN.md` §13).
 //!
 //! Determinism contract: a response's payload ([`QueryResponse::to_json`])
 //! depends only on the snapshot contents and the query — never on thread
@@ -68,6 +68,5 @@ pub use delta::{delta_cliques, CliqueDelta, DeltaError};
 pub use model::{Query, QueryBuilder, QueryError, QueryKind};
 pub use service::{QueryOutcome, QueryReport, QueryResponse, QueryService};
 pub use snapshot::{
-    ChurnReport, ChurnStrategy, GraphSnapshot, SnapshotBuilder, SnapshotError, DEFAULT_PREPARED_PS,
-    DEFAULT_TARGET_SHARDS, REBUILD_CHURN_PPM,
+    GraphSnapshot, SnapshotBuilder, SnapshotError, DEFAULT_PREPARED_PS, DEFAULT_TARGET_SHARDS,
 };

@@ -16,7 +16,7 @@
 
 use crate::cache::Fnv1a;
 use graphcore::cliques::{CliqueIndex, ShardPlan};
-use graphcore::{BatchError, EdgeBatch, Graph, KernelChoice, KernelStrategy};
+use graphcore::{AppliedBatch, BatchError, EdgeBatch, Graph, KernelChoice, KernelStrategy};
 use std::fmt;
 use std::sync::Arc;
 
@@ -28,15 +28,6 @@ pub const DEFAULT_PREPARED_PS: &[usize] = &[3, 4, 5];
 /// (rather than one derived from the thread count) keeps the plans — and
 /// everything downstream of them — independent of the host's parallelism.
 pub const DEFAULT_TARGET_SHARDS: usize = 64;
-
-/// Churn fraction (parts per million of the old edge count) at or above
-/// which [`GraphSnapshot::apply_batch`] abandons the incremental index patch
-/// and rebuilds from scratch. At 25% churn the per-row merges and bitset
-/// copies save little over a cold build, and the cold build has better
-/// constants; below it the incremental path wins. Either strategy produces a
-/// byte-identical snapshot — the threshold is purely a performance choice,
-/// which is why it can be a fixed integer rather than a tunable.
-pub const REBUILD_CHURN_PPM: u64 = 250_000;
 
 /// Why a [`SnapshotBuilder`] refused to build.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -72,68 +63,6 @@ impl std::error::Error for SnapshotError {}
 impl From<BatchError> for SnapshotError {
     fn from(err: BatchError) -> SnapshotError {
         SnapshotError::Batch(err)
-    }
-}
-
-/// How [`GraphSnapshot::apply_batch`] produced the new snapshot.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChurnStrategy {
-    /// The batch changed nothing effective: the new snapshot is a clone with
-    /// the *same* content identity, so every cached result stays valid.
-    Noop,
-    /// Below [`REBUILD_CHURN_PPM`]: CSR rows merged in place, untouched
-    /// bitset rows copied verbatim, ordering and DAG recomputed.
-    Incremental,
-    /// At or above [`REBUILD_CHURN_PPM`]: full from-scratch index build.
-    Rebuild,
-}
-
-impl ChurnStrategy {
-    /// Stable lower-case name (used in bench metrics and logs).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ChurnStrategy::Noop => "noop",
-            ChurnStrategy::Incremental => "incremental",
-            ChurnStrategy::Rebuild => "rebuild",
-        }
-    }
-}
-
-impl fmt::Display for ChurnStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// What one [`GraphSnapshot::apply_batch`] call did: the strategy chosen,
-/// the *effective* churn (requested inserts already present and deletes
-/// already absent are excluded), and how much of the index was reused.
-///
-/// Every field is a deterministic function of (old graph, batch), so the
-/// report is itself gated byte-exactly by the bench trajectory check.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChurnReport {
-    /// How the new snapshot was produced.
-    pub strategy: ChurnStrategy,
-    /// Effectively inserted edges (`u < v`, sorted).
-    pub inserted: Vec<(u32, u32)>,
-    /// Effectively deleted edges (`u < v`, sorted).
-    pub deleted: Vec<(u32, u32)>,
-    /// Effective churn in parts per million of the old edge count:
-    /// `(inserted + deleted) · 10⁶ / max(old m, 1)`.
-    pub churn_ppm: u64,
-    /// Adjacency bitset rows copied verbatim from the old index
-    /// (incremental strategy only; zero otherwise).
-    pub bitset_rows_reused: usize,
-    /// Adjacency bitset rows rebuilt from the mutated CSR (incremental
-    /// strategy only; zero otherwise).
-    pub bitset_rows_rebuilt: usize,
-}
-
-impl ChurnReport {
-    /// Total number of effective edge changes.
-    pub fn num_changes(&self) -> usize {
-        self.inserted.len() + self.deleted.len()
     }
 }
 
@@ -196,25 +125,12 @@ impl SnapshotBuilder {
         }
         ps.sort_unstable();
         ps.dedup();
-        let id = content_id(&self.graph);
-        let index = CliqueIndex::build(&self.graph);
-        let plans = ps
-            .iter()
-            .map(|&p| {
-                (
-                    p,
-                    ShardPlan::balanced(index.dag(), index.ordering(), p, self.target_shards),
-                )
-            })
-            .collect();
-        Ok(GraphSnapshot {
-            graph: self.graph,
-            index,
-            plans,
-            id,
-            target_shards: self.target_shards,
-            kernel: self.kernel,
-        })
+        Ok(GraphSnapshot::assemble(
+            self.graph,
+            ps,
+            self.target_shards,
+            self.kernel,
+        ))
     }
 }
 
@@ -228,8 +144,8 @@ impl SnapshotBuilder {
 /// untouched and returns a *new* snapshot with a new content identity.
 ///
 /// `PartialEq` compares the full built state — graph bytes, index, plans,
-/// identity, shard target — so `incremental == from-scratch` assertions in
-/// the churn battery mean structural byte-identity, not just equal ids.
+/// identity, shard target — so the churn battery's `derived == reference`
+/// assertions mean structural byte-identity, not just equal ids.
 #[derive(Clone, PartialEq, Eq)]
 pub struct GraphSnapshot {
     graph: Graph,
@@ -278,6 +194,37 @@ impl GraphSnapshot {
         GraphSnapshot::builder(graph)
             .build()
             .expect("default snapshot configuration is valid")
+    }
+
+    /// Builds every artifact of `graph`: the content identity, the clique
+    /// index and one shard plan per size in `ps` (sorted, deduplicated). The
+    /// one constructor behind [`SnapshotBuilder::build`] and
+    /// [`GraphSnapshot::apply_batch`].
+    fn assemble(
+        graph: Graph,
+        ps: Vec<usize>,
+        target_shards: usize,
+        kernel: KernelStrategy,
+    ) -> GraphSnapshot {
+        let id = content_id(&graph);
+        let index = CliqueIndex::build(&graph);
+        let plans = ps
+            .into_iter()
+            .map(|p| {
+                (
+                    p,
+                    ShardPlan::balanced(index.dag(), index.ordering(), p, target_shards),
+                )
+            })
+            .collect();
+        GraphSnapshot {
+            graph,
+            index,
+            plans,
+            id,
+            target_shards,
+            kernel,
+        }
     }
 
     /// Wraps the snapshot for sharing across threads and services.
@@ -333,18 +280,16 @@ impl GraphSnapshot {
     }
 
     /// Applies an edge churn batch, deriving a **new** snapshot (same
-    /// prepared sizes and shard target) and a [`ChurnReport`] describing what
-    /// happened. `self` is untouched — existing queries and caches against it
-    /// remain valid.
+    /// prepared sizes, shard target and kernel) together with the batch's
+    /// effective changes. `self` is untouched — existing queries and caches
+    /// against it remain valid.
     ///
-    /// Strategy selection is by effective churn fraction: a batch that
-    /// changes nothing returns a clone with the *same* content identity
-    /// ([`ChurnStrategy::Noop`] — the cache-reuse guarantee); below
-    /// [`REBUILD_CHURN_PPM`] the CSR and bitset table are patched
-    /// incrementally ([`ChurnStrategy::Incremental`]); at or above it the
-    /// index is rebuilt cold ([`ChurnStrategy::Rebuild`]). All three produce
-    /// byte-identical results — the churn differential battery holds every
-    /// strategy to `SnapshotBuilder::build` over the mutated edge list.
+    /// A batch that changes nothing returns a clone with the *same* content
+    /// identity, so every cached result stays valid. Any other batch builds
+    /// the new snapshot cold from the mutated graph, exactly as
+    /// [`SnapshotBuilder::build`] would: the index under a snapshot is an
+    /// `O(n + m)` build, and the per-update work that matters is
+    /// [`delta_cliques`](crate::delta_cliques).
     ///
     /// # Errors
     ///
@@ -353,67 +298,14 @@ impl GraphSnapshot {
     pub fn apply_batch(
         &self,
         batch: &EdgeBatch,
-    ) -> Result<(GraphSnapshot, ChurnReport), SnapshotError> {
+    ) -> Result<(GraphSnapshot, AppliedBatch), SnapshotError> {
         let (graph, applied) = self.graph.apply_edge_batch(batch)?;
-        let old_m = self.graph.num_edges();
-        let churn_ppm = (applied.len() as u64) * 1_000_000 / (old_m as u64).max(1);
         if applied.is_noop() {
-            return Ok((
-                self.clone(),
-                ChurnReport {
-                    strategy: ChurnStrategy::Noop,
-                    inserted: applied.inserted,
-                    deleted: applied.deleted,
-                    churn_ppm,
-                    bitset_rows_reused: 0,
-                    bitset_rows_rebuilt: 0,
-                },
-            ));
+            return Ok((self.clone(), applied));
         }
-        let (strategy, index, reused, rebuilt) = if churn_ppm >= REBUILD_CHURN_PPM {
-            (ChurnStrategy::Rebuild, CliqueIndex::build(&graph), 0, 0)
-        } else {
-            let mut touched = vec![false; graph.num_vertices()];
-            for &(u, v) in applied.inserted.iter().chain(&applied.deleted) {
-                touched[u as usize] = true;
-                touched[v as usize] = true;
-            }
-            let (index, stats) = CliqueIndex::build_incremental(&graph, &self.index, &touched);
-            (
-                ChurnStrategy::Incremental,
-                index,
-                stats.bitset_rows_reused,
-                stats.bitset_rows_rebuilt,
-            )
-        };
-        let id = content_id(&graph);
-        let plans = self
-            .plans
-            .iter()
-            .map(|&(p, _)| {
-                (
-                    p,
-                    ShardPlan::balanced(index.dag(), index.ordering(), p, self.target_shards),
-                )
-            })
-            .collect();
-        let snapshot = GraphSnapshot {
-            graph,
-            index,
-            plans,
-            id,
-            target_shards: self.target_shards,
-            kernel: self.kernel,
-        };
-        let report = ChurnReport {
-            strategy,
-            inserted: applied.inserted,
-            deleted: applied.deleted,
-            churn_ppm,
-            bitset_rows_reused: reused,
-            bitset_rows_rebuilt: rebuilt,
-        };
-        Ok((snapshot, report))
+        let snapshot =
+            GraphSnapshot::assemble(graph, self.prepared_ps(), self.target_shards, self.kernel);
+        Ok((snapshot, applied))
     }
 }
 
@@ -526,12 +418,15 @@ mod tests {
             .take(6)
             .collect();
         let batch = EdgeBatch::new(&inserts, &deletes).unwrap();
-        let (next, report) = snapshot.apply_batch(&batch).unwrap();
-        assert_eq!(report.strategy, ChurnStrategy::Incremental);
-        assert_eq!(report.inserted, inserts);
-        assert_eq!(report.deleted, deletes);
-        assert_eq!(report.num_changes(), 12);
-        let scratch = GraphSnapshot::builder(next.graph().clone())
+        let (next, applied) = snapshot.apply_batch(&batch).unwrap();
+        assert_eq!(applied.inserted, inserts);
+        assert_eq!(applied.deleted, deletes);
+        assert_eq!(applied.len(), 12);
+        // The reference is built from the mutated edge list, not from the
+        // derived snapshot's own graph.
+        let mut edges: Vec<(u32, u32)> = g.edges().filter(|e| !deletes.contains(e)).collect();
+        edges.extend(&inserts);
+        let scratch = GraphSnapshot::builder(Graph::from_edges(50, &edges).unwrap())
             .prepare_p(3)
             .prepare_p(4)
             .target_shards(16)
@@ -543,25 +438,12 @@ mod tests {
     }
 
     #[test]
-    fn apply_batch_rebuilds_past_the_churn_threshold() {
-        let g = gen::path_graph(10); // 9 edges
-        let snapshot = GraphSnapshot::build(g);
-        // 3 effective changes over 9 edges = 333 333 ppm ≥ threshold.
-        let batch = EdgeBatch::new(&[(0, 5)], &[(0, 1), (1, 2)]).unwrap();
-        let (next, report) = snapshot.apply_batch(&batch).unwrap();
-        assert_eq!(report.strategy, ChurnStrategy::Rebuild);
-        assert!(report.churn_ppm >= REBUILD_CHURN_PPM);
-        assert_eq!(report.bitset_rows_reused + report.bitset_rows_rebuilt, 0);
-        assert_eq!(next, GraphSnapshot::build(next.graph().clone()));
-    }
-
-    #[test]
     fn noop_batches_preserve_the_content_identity() {
         let g = gen::erdos_renyi(30, 0.2, 3);
         let snapshot = GraphSnapshot::build(g.clone());
         // The empty batch.
-        let (same, report) = snapshot.apply_batch(&EdgeBatch::empty()).unwrap();
-        assert_eq!(report.strategy, ChurnStrategy::Noop);
+        let (same, applied) = snapshot.apply_batch(&EdgeBatch::empty()).unwrap();
+        assert!(applied.is_noop());
         assert_eq!(same.id(), snapshot.id());
         assert_eq!(same, snapshot);
         // Inserts that all exist + deletes that all miss: still a no-op.
@@ -573,10 +455,8 @@ mod tests {
             .collect();
         let batch = EdgeBatch::new(&existing, &missing).unwrap();
         assert!(!batch.is_empty(), "the *batch* is non-empty");
-        let (same, report) = snapshot.apply_batch(&batch).unwrap();
-        assert_eq!(report.strategy, ChurnStrategy::Noop);
-        assert_eq!(report.num_changes(), 0);
-        assert_eq!(report.churn_ppm, 0);
+        let (same, applied) = snapshot.apply_batch(&batch).unwrap();
+        assert!(applied.is_noop());
         assert_eq!(
             same.id(),
             snapshot.id(),

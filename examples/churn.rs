@@ -1,13 +1,15 @@
-//! Dynamic snapshots under edge churn: apply batches, watch the strategy
-//! selection, and list exactly the cliques each batch created and destroyed.
+//! Dynamic snapshots under edge churn: apply batches, watch which ones keep
+//! the content identity, and list exactly the cliques each batch created and
+//! destroyed.
 //!
 //! A stream of edge updates against a monitored graph rarely wants a full
 //! re-listing per tick — it wants the *delta*. This example builds a
-//! [`GraphSnapshot`], applies three batches (a light one that patches the
-//! index incrementally, an ineffective one that is a structural no-op, and a
-//! heavy one that crosses the rebuild threshold), prints each
-//! [`ChurnReport`], and diffs consecutive snapshots with [`delta_cliques`] —
-//! verifying the delta against the full listings as it goes.
+//! [`GraphSnapshot`], applies three batches (a light one, an ineffective one
+//! that is a structural no-op, and a heavy one that deletes a third of the
+//! edges), prints each batch's effective changes and whether the derived
+//! snapshot kept the old identity, and diffs consecutive snapshots with
+//! [`delta_cliques`] — verifying the delta against the full listings as it
+//! goes.
 //!
 //! ```text
 //! cargo run --release --example churn
@@ -18,10 +20,22 @@
 //! determinism is the whole point.
 
 use distributed_clique_listing::cliquelist::Parallelism;
-use distributed_clique_listing::graphcore::{cliques, gen, EdgeBatch};
+use distributed_clique_listing::graphcore::{cliques, gen, AppliedBatch, EdgeBatch};
 use distributed_clique_listing::query::{
     delta_cliques, GraphSnapshot, QueryBuilder, QueryOutcome, QueryService,
 };
+
+/// Prints one batch's effective changes and whether the derived snapshot
+/// kept the old content identity.
+fn describe(label: &str, applied: &AppliedBatch, old: &GraphSnapshot, new: &GraphSnapshot) {
+    println!(
+        "{label} batch: {} effective changes ({} inserted, {} deleted), identity kept = {}",
+        applied.len(),
+        applied.inserted.len(),
+        applied.deleted.len(),
+        new.id() == old.id()
+    );
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let graph = gen::erdos_renyi(260, 0.12, 5);
@@ -33,8 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let old = GraphSnapshot::build(graph);
     println!("snapshot {:016x}\n", old.id());
 
-    // 1. Light churn: a handful of changes stays far below the rebuild
-    //    threshold, so the index is patched incrementally.
+    // 1. Light churn: a handful of changes derives a new snapshot with a
+    //    new identity.
     let deletes: Vec<(u32, u32)> = old.graph().edges().step_by(97).take(8).collect();
     let inserts: Vec<(u32, u32)> = gen::erdos_renyi(260, 0.01, 77)
         .edges()
@@ -42,18 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .take(8)
         .collect();
     let light = EdgeBatch::new(&inserts, &deletes)?;
-    let (mid, report) = old.apply_batch(&light)?;
-    println!(
-        "light batch: strategy = {}, {} inserted, {} deleted, churn = {} ppm",
-        report.strategy,
-        report.inserted.len(),
-        report.deleted.len(),
-        report.churn_ppm
-    );
-    println!(
-        "  bitset rows: {} reused verbatim, {} rebuilt",
-        report.bitset_rows_reused, report.bitset_rows_rebuilt
-    );
+    let (mid, applied) = old.apply_batch(&light)?;
+    describe("light", &applied, &old, &mid);
     println!("  {:016x} -> {:016x}\n", old.id(), mid.id());
 
     // The delta: exactly the triangles the batch created and destroyed,
@@ -80,12 +84,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let service = QueryService::new(mid.clone().into_shared());
     let census = QueryBuilder::new().p(3).count().build(&mid)?;
     service.execute(&census)?; // warm the cache against mid's identity
-    let (same, report) = mid.apply_batch(&noop)?;
-    println!(
-        "\nno-op batch: strategy = {}, identity kept = {}",
-        report.strategy,
-        same.id() == mid.id()
-    );
+    let (same, applied) = mid.apply_batch(&noop)?;
+    println!();
+    describe("no-op", &applied, &mid, &same);
     let requery = QueryBuilder::new().p(3).count().build(&same)?;
     let replay = service.execute(&requery)?;
     println!(
@@ -97,17 +98,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "no-op churn must not evict the cache"
     );
 
-    // 3. Heavy churn: deleting a third of the edges crosses the 25%
-    //    threshold, so apply_batch rebuilds from scratch — byte-identical
-    //    to the incremental path, just cheaper at this churn fraction.
+    // 3. Heavy churn: deleting a third of the edges. Every effective batch,
+    //    light or heavy, derives its snapshot the same way: one cold build of
+    //    the mutated graph.
     let purge: Vec<(u32, u32)> = mid.graph().edges().step_by(3).collect();
-    let (new, report) = mid.apply_batch(&EdgeBatch::new(&[], &purge)?)?;
-    println!(
-        "\nheavy batch: strategy = {}, {} deleted, churn = {} ppm",
-        report.strategy,
-        report.deleted.len(),
-        report.churn_ppm
-    );
+    let (new, applied) = mid.apply_batch(&EdgeBatch::new(&[], &purge)?)?;
+    println!();
+    describe("heavy", &applied, &mid, &new);
     let delta = delta_cliques(&mid, &new, 4, Parallelism::Auto)?;
     println!(
         "K_4 delta: +{} created, -{} destroyed",

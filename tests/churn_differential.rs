@@ -1,23 +1,23 @@
-//! The churn differential battery: "incremental must equal recompute",
-//! enforced end to end.
+//! The churn differential battery: a derived snapshot must equal a snapshot
+//! of the independently mutated edge list, enforced end to end.
 //!
 //! Each chain takes a workload graph (Erdős–Rényi / planted cliques / R-MAT),
-//! applies a small batch (chosen to stay under the rebuild threshold — the
-//! incremental strategy) and then a large one (over the threshold — the
-//! rebuild strategy), and holds every derived snapshot to three differential
-//! contracts, for every clique size `p ∈ {3,4,5}` and every thread grant
-//! `{Off, 1, 2, 8}`:
+//! applies a small batch (a dozen changes) and then a large one (a third of
+//! the edges deleted) on the result, and holds every derived snapshot to three
+//! differential contracts, for every clique size `p ∈ {3,4,5}` and every
+//! thread grant `{Off, 1, 2, 8}`:
 //!
 //! (a) **snapshot bytes**: the derived snapshot — CSR graph, degeneracy
 //!     ordering, oriented DAG, adjacency bitsets, shard plans, content
-//!     identity — equals a from-scratch `GraphSnapshot` build of the mutated
-//!     edge list (`PartialEq` over the full state), and its index passes the
-//!     shared structural audit (`common::assert_index_invariants`);
+//!     identity — equals a `GraphSnapshot` build of the reference edge list
+//!     (old edges ∪ inserts ∖ deletes, by plain set operations, then
+//!     `Graph::from_edges`; `PartialEq` over the full state), and its index
+//!     passes the shared structural audit (`common::assert_index_invariants`);
 //! (b) **delta**: `delta_cliques` equals the set difference of the full
 //!     listings on the two snapshots, byte-identical at every thread grant;
 //! (c) **queries**: `QueryService` payloads on the derived snapshot are
-//!     byte-identical to a service over a cold rebuild, at every grant, with
-//!     the cache keyed by the new content identity.
+//!     byte-identical to a service over the reference snapshot, at every
+//!     grant, with the cache keyed by the new content identity.
 //!
 //! A final regression pins the no-op guarantee: ineffective churn preserves
 //! the content identity, so previously cached results keep hitting.
@@ -26,9 +26,8 @@ mod common;
 
 use distributed_clique_listing::cliquelist::Parallelism;
 use distributed_clique_listing::graphcore::{cliques, gen, Clique, EdgeBatch, Graph};
-use distributed_clique_listing::query::{
-    delta_cliques, ChurnStrategy, GraphSnapshot, QueryBuilder, QueryService,
-};
+use distributed_clique_listing::query::{delta_cliques, GraphSnapshot, QueryBuilder, QueryService};
+use std::collections::BTreeSet;
 
 const RMAT_PROBS: (f64, f64, f64, f64) = (0.57, 0.19, 0.19, 0.05);
 const PS: [usize; 3] = [3, 4, 5];
@@ -56,7 +55,6 @@ fn workloads(seed: u64) -> Vec<(&'static str, Graph)> {
 
 /// A small, deterministic batch: a handful of deletions spread over the edge
 /// list plus a handful of insertions drawn from a perturbation generator.
-/// Sized to stay well under `REBUILD_CHURN_PPM` on every workload.
 fn small_batch(graph: &Graph, seed: u64) -> EdgeBatch {
     let deletes: Vec<(u32, u32)> = graph.edges().step_by(17).take(6).collect();
     let inserts: Vec<(u32, u32)> = gen::erdos_renyi(graph.num_vertices(), 0.1, seed ^ 0xABC)
@@ -67,11 +65,23 @@ fn small_batch(graph: &Graph, seed: u64) -> EdgeBatch {
     EdgeBatch::new(&inserts, &deletes).expect("disjoint by construction")
 }
 
-/// A large batch: every third edge deleted (≈ 333 333 ppm churn, over the
-/// rebuild threshold on any graph).
+/// A large batch: every third edge deleted.
 fn large_batch(graph: &Graph) -> EdgeBatch {
     let deletes: Vec<(u32, u32)> = graph.edges().step_by(3).collect();
     EdgeBatch::new(&[], &deletes).expect("deletes only")
+}
+
+/// Contract (a)'s reference graph: old edges ∪ inserts ∖ deletes by plain set
+/// operations, then `Graph::from_edges` — independent of
+/// `Graph::apply_edge_batch` and of `GraphSnapshot::apply_batch`.
+fn mutated(graph: &Graph, batch: &EdgeBatch) -> Graph {
+    let mut edges: BTreeSet<(u32, u32)> = graph.edges().collect();
+    edges.extend(batch.inserts());
+    for edge in batch.deletes() {
+        edges.remove(edge);
+    }
+    let edges: Vec<(u32, u32)> = edges.into_iter().collect();
+    Graph::from_edges(graph.num_vertices(), &edges).expect("endpoints in range")
 }
 
 /// Contract (b)'s reference: the set difference of the full listings.
@@ -111,45 +121,34 @@ fn probe_queries(
 #[test]
 fn churn_differential_battery() {
     let mut cells = 0usize;
-    let mut strategies_seen = Vec::new();
     for seed in SEEDS {
         for (name, graph) in workloads(seed) {
             for p in PS {
                 let context = format!("{name} seed {seed} p {p}");
                 let old = GraphSnapshot::build(graph.clone());
 
-                // Two-step chain: small batch (incremental), then a large
-                // one on the result (rebuild).
+                // Two-step chain: a small batch, then a large one on the
+                // result. The references follow the same chain by set
+                // operations alone.
                 let batch1 = small_batch(&graph, seed);
-                let (mid, report1) = old.apply_batch(&batch1).expect("in range");
-                assert_eq!(
-                    report1.strategy,
-                    ChurnStrategy::Incremental,
-                    "{context}: small batch must take the incremental path \
-                     (churn {} ppm)",
-                    report1.churn_ppm
-                );
+                let (mid, _) = old.apply_batch(&batch1).expect("in range");
                 let batch2 = large_batch(mid.graph());
-                let (new, report2) = mid.apply_batch(&batch2).expect("in range");
-                assert_eq!(
-                    report2.strategy,
-                    ChurnStrategy::Rebuild,
-                    "{context}: large batch must take the rebuild path \
-                     (churn {} ppm)",
-                    report2.churn_ppm
-                );
-                strategies_seen.push(report1.strategy);
-                strategies_seen.push(report2.strategy);
+                let (new, _) = mid.apply_batch(&batch2).expect("in range");
+                let reference_mid = mutated(&graph, &batch1);
+                let reference_new = GraphSnapshot::build(mutated(&reference_mid, &batch2));
+                let reference_mid = GraphSnapshot::build(reference_mid);
 
-                // (a) Snapshot bytes equal a from-scratch build, and the
-                // patched index passes the shared structural audit.
-                for (label, derived) in [("incremental", &mid), ("rebuild", &new)] {
-                    let scratch = GraphSnapshot::build(derived.graph().clone());
+                // (a) Snapshot bytes equal the reference build, and the
+                // derived index passes the shared structural audit.
+                for (label, derived, reference) in [
+                    ("small", &mid, &reference_mid),
+                    ("large", &new, &reference_new),
+                ] {
                     assert_eq!(
-                        derived, &scratch,
-                        "{context}: {label} snapshot diverged from scratch"
+                        derived, reference,
+                        "{context}: {label} batch diverged from the reference"
                     );
-                    assert_eq!(derived.id(), scratch.id(), "{context}: {label} id");
+                    assert_eq!(derived.id(), reference.id(), "{context}: {label} id");
                     common::assert_index_invariants(
                         derived.graph(),
                         derived.index(),
@@ -165,11 +164,10 @@ fn churn_differential_battery() {
                 let (created1, destroyed1) = reference_delta(old.graph(), mid.graph(), p);
                 let (created2, destroyed2) = reference_delta(mid.graph(), new.graph(), p);
                 let queries = probe_queries(&new, p);
-                let cold =
-                    QueryService::new(GraphSnapshot::build(new.graph().clone()).into_shared());
-                let cold_payloads: Vec<String> = queries
+                let reference = QueryService::new(reference_new.into_shared());
+                let reference_payloads: Vec<String> = queries
                     .iter()
-                    .map(|q| cold.execute(q).expect("valid").to_json())
+                    .map(|q| reference.execute(q).expect("valid").to_json())
                     .collect();
                 for grant in grants() {
                     cells += 1;
@@ -187,33 +185,28 @@ fn churn_differential_battery() {
                     assert_eq!(delta2, baseline_delta2, "{cell}: grant changed the delta");
 
                     // (c) query payloads on the derived snapshot match the
-                    // cold-rebuild service, and the cache keys on the new id.
+                    // reference service, and the cache keys on the new id.
                     let service = QueryService::with_parallelism(new.clone().into_shared(), grant);
-                    for (query, cold_payload) in queries.iter().zip(&cold_payloads) {
+                    for (query, expected) in queries.iter().zip(&reference_payloads) {
                         let first = service.execute(query).expect("valid");
                         assert!(!first.report.cache_hit, "{cell}: cache must start cold");
                         assert_eq!(
                             first.to_json(),
-                            *cold_payload,
-                            "{cell}: payload diverged from cold rebuild"
+                            *expected,
+                            "{cell}: payload diverged from the reference"
                         );
                         let second = service.execute(query).expect("valid");
                         assert!(
                             second.report.cache_hit,
                             "{cell}: repeat must hit the cache keyed by the new id"
                         );
-                        assert_eq!(second.to_json(), *cold_payload, "{cell}: cached payload");
+                        assert_eq!(second.to_json(), *expected, "{cell}: cached payload");
                     }
                 }
             }
         }
     }
     assert!(cells >= 30, "battery must cover ≥ 30 cells, got {cells}");
-    assert!(
-        strategies_seen.contains(&ChurnStrategy::Incremental)
-            && strategies_seen.contains(&ChurnStrategy::Rebuild),
-        "battery must exercise both non-trivial strategies"
-    );
 }
 
 #[test]
@@ -226,8 +219,8 @@ fn noop_churn_preserves_identity_and_cache() {
 
     // An empty batch and a fully ineffective batch both derive snapshots
     // with the *same* content identity…
-    let (same_empty, report) = old.apply_batch(&EdgeBatch::empty()).unwrap();
-    assert_eq!(report.strategy, ChurnStrategy::Noop);
+    let (same_empty, applied) = old.apply_batch(&EdgeBatch::empty()).unwrap();
+    assert!(applied.is_noop());
     assert_eq!(same_empty.id(), old.id());
     let existing: Vec<(u32, u32)> = graph.edges().take(3).collect();
     let missing: Vec<(u32, u32)> = (0..40u32)
@@ -237,9 +230,8 @@ fn noop_churn_preserves_identity_and_cache() {
         .collect();
     let ineffective = EdgeBatch::new(&existing, &missing).unwrap();
     assert!(!ineffective.is_empty());
-    let (same, report) = old.apply_batch(&ineffective).unwrap();
-    assert_eq!(report.strategy, ChurnStrategy::Noop);
-    assert_eq!(report.num_changes(), 0);
+    let (same, applied) = old.apply_batch(&ineffective).unwrap();
+    assert!(applied.is_noop());
     assert_eq!(same.id(), old.id(), "ineffective churn must keep the id");
     assert_eq!(&same, &*old);
 

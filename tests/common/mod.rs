@@ -1,10 +1,11 @@
 //! Shared property-test helpers for the integration batteries.
 //!
 //! One helper, used by both `properties.rs` (index construction) and
-//! `churn_differential.rs` (incrementally patched indices): a full structural
-//! audit of a [`CliqueIndex`] against the graph it claims to index. Keeping
-//! it here means the churn battery asserts the *same* invariants on a patched
-//! index that the construction tests assert on a cold build.
+//! `churn_differential.rs` (the indices under derived snapshots): a full
+//! structural audit of a [`CliqueIndex`] against the graph it claims to
+//! index. Keeping it here means the churn battery asserts the *same*
+//! invariants on a derived snapshot's index that the construction tests
+//! assert on a fresh build.
 
 use distributed_clique_listing::graphcore::cliques::CliqueIndex;
 use distributed_clique_listing::graphcore::Graph;

@@ -4,7 +4,9 @@
 //! * orientations cover their graphs with out-degree bounded by the degeneracy;
 //! * the expander decomposition is an exact partition with `|E_r| ≤ |E|/6`;
 //! * radix part tuples cover every multiset of parts;
-//! * random vertex partitions preserve the edge count.
+//! * random vertex partitions preserve the edge count;
+//! * a clique size past the degeneracy bound answers empty at every entry
+//!   point instead of panicking.
 //!
 //! The cases are drawn from a deterministic in-tree generator (the build
 //! environment has no proptest), so failures reproduce exactly; each property
@@ -14,11 +16,14 @@
 mod common;
 
 use distributed_clique_listing::cliquelist::parts::TupleAssignment;
-use distributed_clique_listing::cliquelist::{verify_cliques, Engine};
+use distributed_clique_listing::cliquelist::{verify_cliques, Engine, Parallelism};
 use distributed_clique_listing::expander::{decompose, DecompositionConfig};
 use distributed_clique_listing::graphcore::orientation::{degeneracy_ordering, Orientation};
 use distributed_clique_listing::graphcore::partition::VertexPartition;
-use distributed_clique_listing::graphcore::{cliques, gen, Edge, EdgeSet, Graph};
+use distributed_clique_listing::graphcore::{cliques, gen, Edge, EdgeBatch, EdgeSet, Graph};
+use distributed_clique_listing::query::{
+    delta_cliques, GraphSnapshot, QueryBuilder, QueryOutcome, QueryService,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -293,5 +298,68 @@ fn vertex_partitions_preserve_edge_counts() {
         let counts = partition.pairwise_edge_counts(&graph);
         let total: usize = counts.iter().flat_map(|row| row.iter()).sum();
         assert_eq!(total, graph.num_edges(), "case {case}");
+    }
+}
+
+/// No `K_p` exists once `p > degeneracy + 1`, so every entry point answers
+/// empty there, before it sizes anything by `p`. With `p = usize::MAX` a
+/// `(p - 1)`-deep candidate arena or a `p`-capacity stack cannot even be
+/// requested.
+#[test]
+fn oversized_p_answers_empty_instead_of_panicking() {
+    let graph = gen::erdos_renyi(30, 0.3, 4);
+    let index = cliques::CliqueIndex::build(&graph);
+    let (a, b) = graph.edges().next().expect("graph has edges");
+    let derived = graph
+        .apply_edge_batch(&EdgeBatch::new(&[], &[(a, b)]).unwrap())
+        .unwrap()
+        .0;
+    for p in [index.degeneracy() + 2, usize::MAX] {
+        assert!(index.for_each_clique_while(&graph, p, |_| false), "p={p}");
+        assert_eq!(cliques::count_cliques(&graph, p), 0, "p={p}");
+        let old = GraphSnapshot::builder(graph.clone())
+            .prepare_p(p)
+            .build()
+            .unwrap()
+            .into_shared();
+        let new = GraphSnapshot::builder(derived.clone())
+            .prepare_p(p)
+            .build()
+            .unwrap();
+        let queries = [
+            (QueryBuilder::new().count(), QueryOutcome::Count(0)),
+            (
+                QueryBuilder::new().count().budget(5),
+                QueryOutcome::Count(0),
+            ),
+            (QueryBuilder::new().first(5), QueryOutcome::Cliques(vec![])),
+            (
+                QueryBuilder::new().containing_vertex(a),
+                QueryOutcome::Cliques(vec![]),
+            ),
+            (
+                QueryBuilder::new().containing_edge(a, b),
+                QueryOutcome::Cliques(vec![]),
+            ),
+            (QueryBuilder::new().exists(), QueryOutcome::Exists(false)),
+        ];
+        for grant in [Parallelism::Off, Parallelism::Threads(2)] {
+            let cell = format!("p={p} {grant:?}");
+            let service = QueryService::with_parallelism(old.clone(), grant);
+            for (builder, want) in &queries {
+                let query = builder.clone().p(p).build(&old).unwrap();
+                let response = service.execute(&query).expect("answered");
+                assert_eq!(&response.outcome, want, "{cell}: {:?}", query.kind());
+            }
+            let delta = delta_cliques(&old, &new, p, grant).unwrap();
+            assert!(delta.is_empty(), "{cell}: delta");
+            let engine = Engine::builder()
+                .p(p)
+                .algorithm("naive-broadcast")
+                .parallelism(grant)
+                .build()
+                .unwrap();
+            assert_eq!(engine.count(&graph).1, 0, "{cell}: naive-broadcast");
+        }
     }
 }
