@@ -201,12 +201,19 @@ pub fn perf_sweep() -> Sweep {
     // criterion cell — the extremal K4-free graph, pure intersection work
     // with zero emissions, where the trie's pivot shortcut dominates;
     // `er(400,0.25)` is the recursive kernel's low-degeneracy home turf.
-    // The clique count and the resolved kernel are deterministic and gated
-    // byte-exactly; consolidation derives `speedup_vs_recursive` per
-    // workload from the timing cells.
+    // `er(1000,0.15)` is serve-churn's graph, whose p = 4 count runs inline
+    // in that workload's cold read batch; the p = 3 cells time the level
+    // where the trie's materialisation weighs most. Every cell
+    // times the visiting search (`best_ms`) and the count-only search
+    // (`count_only_best_ms`). The clique count and the resolved kernel are
+    // deterministic and gated byte-exactly; consolidation derives
+    // `speedup_vs_recursive` per workload and p from the timing cells.
     let kernel_cells: &[(&str, &str, usize, f64, usize, u64)] = &[
         ("turan(450,3)", "turan", 450, 1.0, 4, 7),
         ("er(400,0.25)", "er", 400, 0.25, 4, 7),
+        ("er(1000,0.15)", "er", 1000, 0.15, 3, 3),
+        ("er(1000,0.15)", "er", 1000, 0.15, 4, 3),
+        ("er(400,0.25)", "er", 400, 0.25, 3, 7),
     ];
     for &(label, generator, n, param, p, graph_seed) in kernel_cells {
         for kernel in ["recursive", "trie", "auto"] {
@@ -499,6 +506,11 @@ pub fn execute_perf_cell(spec: &CellSpec) -> Result<Json, Interrupted> {
                 });
             });
             assert_eq!(count, truth, "kernel diverged from the ground truth");
+            let mut counted = None;
+            let (count_only_best, _) = time_reps(REPS, || {
+                counted = index.count_cliques(&graph, p, strategy);
+            });
+            assert_eq!(counted, Some(truth as u64), "count-only search diverged");
             metrics.extend([
                 ("cliques".to_string(), num(count)),
                 (
@@ -507,6 +519,7 @@ pub fn execute_perf_cell(spec: &CellSpec) -> Result<Json, Interrupted> {
                 ),
                 ("best_ms".to_string(), Json::Num(best)),
                 ("mean_ms".to_string(), Json::Num(mean)),
+                ("count_only_best_ms".to_string(), Json::Num(count_only_best)),
             ]);
         }
         "thread-scaling" | "scaling-sweep" => {
@@ -747,14 +760,14 @@ mod tests {
             ]
         );
         // The kernel sweep covers all three strategies on the dense
-        // criterion workload and the sparse control.
+        // criterion workload, the sparse control and serve-churn's graph.
         assert_eq!(
             sweep
                 .cells
                 .iter()
                 .filter(|c| c.experiment == "kernel-sweep")
                 .count(),
-            6
+            15
         );
         assert!(sweep
             .cells
@@ -987,6 +1000,13 @@ mod tests {
                 metrics.get("cliques").and_then(Json::as_f64).unwrap() as usize,
                 truth,
                 "{kernel}: count diverged"
+            );
+            assert!(
+                metrics
+                    .get("count_only_best_ms")
+                    .and_then(Json::as_f64)
+                    .unwrap()
+                    >= 0.0
             );
             // The resolved kernel is pure in (strategy, graph): it replays
             // byte-identically — that is what lets the trajectory gate it.

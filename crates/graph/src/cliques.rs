@@ -994,15 +994,17 @@ pub struct EdgeCliqueEnumerator<'g> {
 impl<'g> EdgeCliqueEnumerator<'g> {
     /// Prepares an enumerator for `p`-cliques of `graph`. Builds the
     /// high-degree adjacency bitsets once; worth it from a handful of edge
-    /// queries onward.
+    /// queries onward. Nothing is sized by `p` here: the candidate arena
+    /// grows to its `p - 1` levels on the first query whose edge has the
+    /// `p - 2` common candidates a `K_p` needs.
     pub fn new(graph: &'g Graph, p: usize) -> Self {
         EdgeCliqueEnumerator {
             graph,
             p,
             bitsets: NeighborBitsets::build(graph, bitset_threshold(graph)),
-            arena: (0..p.saturating_sub(1)).map(|_| Vec::new()).collect(),
-            stack: Vec::with_capacity(p),
-            scratch: Vec::with_capacity(p),
+            arena: vec![Vec::new()],
+            stack: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -1054,6 +1056,10 @@ impl<'g> EdgeCliqueEnumerator<'g> {
         stack.push(a.min(b));
         stack.push(a.max(b));
         intersect_candidates(graph, bitsets, b, among, &mut arena[0]);
+        if arena[0].len() + 2 < *p {
+            return true;
+        }
+        arena.resize_with(*p - 1, Vec::new);
         extend_clique(graph, bitsets, *p, arena, stack, scratch, &mut visit)
     }
 }
@@ -1073,12 +1079,16 @@ pub fn cliques_containing_edge(graph: &Graph, p: usize, a: u32, b: u32) -> Vec<C
     // One-shot path: skip the bitset table (its build cost would dominate a
     // single query) and rely on the merges.
     let bitsets = NeighborBitsets::none(graph.num_vertices());
-    let mut arena: Vec<Vec<u32>> = (0..p - 1).map(|_| Vec::new()).collect();
-    graph.common_neighbors_into(a, b, &mut arena[0]);
-    let capacity = arena[0].len();
-    for level in arena.iter_mut().skip(1) {
-        level.reserve(capacity);
+    let mut common = Vec::new();
+    graph.common_neighbors_into(a, b, &mut common);
+    // A `K_p` through the edge needs `p - 2` common neighbours; only then is
+    // the arena sized by `p`.
+    if common.len() + 2 < p {
+        return Vec::new();
     }
+    let capacity = common.len();
+    let mut arena = vec![common];
+    arena.resize_with(p - 1, || Vec::with_capacity(capacity));
     let mut out = Vec::new();
     let mut stack = vec![a.min(b), a.max(b)];
     let mut scratch = Vec::with_capacity(p);

@@ -6,14 +6,14 @@
 //! against global CSR rows (or global adjacency bitsets): each node of the
 //! search tree pays `O(|C|)` probes into an `n`-bit row. The trie kernel
 //! instead *materialises* the induced subgraph of a root's candidate set
-//! once — a dense local re-labelling `0..k` with one `⌈k/64⌉`-word adjacency
-//! row per candidate — and represents every deeper candidate set as a word
-//! mask over those local ids. The whole subtree below the root (the trie of
-//! clique prefixes starting at that root) then reuses the one
-//! materialisation: a child candidate set is three word-ops per word
-//! (`current & row(u) & above(u)`) instead of `O(|C|)` probes. Since `k` is
-//! bounded by the degeneracy, the masks are a handful of words on real
-//! graphs.
+//! once — a dense local re-labelling `0..k` with one `⌈k/64⌉`-word
+//! upper-triangular adjacency row per candidate (row `u` holds only the
+//! neighbours above `u`) — and represents every deeper candidate set as a
+//! word mask over those local ids. The whole subtree below the root (the
+//! trie of clique prefixes starting at that root) then reuses the one
+//! materialisation: a child candidate set is one AND per word
+//! (`current & row(u)`) instead of `O(|C|)` probes. Since `k` is bounded by
+//! the degeneracy, the masks are a handful of words on real graphs.
 //!
 //! On top of the masks sits a pivot rule in the Bron–Kerbosch spirit,
 //! restricted to the only case where skipping recursion cannot perturb the
@@ -23,8 +23,8 @@
 //! `C(|C|, needed)` combinations directly in lexicographic order — exactly
 //! the order the recursion would have produced — without building any child
 //! masks. The check scans masked row popcounts and exits at the first
-//! witness vertex missing a neighbour, so failed checks cost one row scan,
-//! not `|C|`.
+//! witness vertex missing a later neighbour, so failed checks cost one row
+//! scan, not `|C|`.
 //!
 //! Byte-identity is the contract: local ids are assigned in ascending global
 //! order and masks are iterated in ascending bit order, so the emission
@@ -78,8 +78,9 @@ pub enum KernelChoice {
 /// Degeneracy at or above which [`KernelStrategy::Auto`] picks the trie
 /// kernel.
 ///
-/// The materialisation of one root costs `O(k²)` adjacency probes for a
-/// candidate set of size `k`; the subtree below it has up to `k^{p-2}` nodes
+/// The materialisation of one root costs `k²/2` adjacency probes for a
+/// candidate set of size `k` (folded 64 to a stored word when the members
+/// have global bitset rows); the subtree below it has up to `k^{p-2}` nodes
 /// that each save `Ω(k)` probe work. Below ~32 candidates the saved probes
 /// fit in a couple of cache lines anyway and the re-labelling overhead wins;
 /// from a few dozen candidates onward the masks win clearly (see the
@@ -158,15 +159,17 @@ impl std::fmt::Display for KernelChoice {
 
 /// One materialised trie node: the induced subgraph of a candidate set,
 /// re-labelled to dense local ids `0..k` (ascending global order, so local
-/// bit order equals global emission order) with one packed adjacency row per
-/// member. Reused across roots — `materialize` only grows the buffers.
+/// bit order equals global emission order) with one packed upper-triangular
+/// row per member. Reused across roots — `materialize` only grows the
+/// buffers.
 pub(crate) struct InducedNode {
     /// Members of the candidate set, ascending global ids.
     verts: Vec<u32>,
     /// Words per local adjacency row: `⌈verts.len()/64⌉`.
     stride: usize,
     /// `verts.len()` packed rows of `stride` words each; bit `j` of row `i`
-    /// is set iff `verts[i]` and `verts[j]` are adjacent in the host graph.
+    /// is set iff `j > i` and `verts[i]` and `verts[j]` are adjacent in the
+    /// host graph. Every pair is stored once, in the row of its lower id.
     rows: Vec<u64>,
 }
 
@@ -180,9 +183,9 @@ impl InducedNode {
     }
 
     /// Builds the induced subgraph of `verts` (sorted ascending, no
-    /// duplicates). Upper-triangle probes mirrored into both rows; each pair
-    /// is tested once, against the global bitset row when the vertex has one
-    /// and by sorted merge with its CSR row otherwise.
+    /// duplicates), one row at a time. A member with a global bitset row
+    /// folds up to 64 probes into each word without branching and stores the
+    /// word once; a member without one walks its CSR row in a sorted merge.
     pub(crate) fn materialize(&mut self, graph: &Graph, bitsets: &NeighborBitsets, verts: &[u32]) {
         let k = verts.len();
         self.verts.clear();
@@ -190,24 +193,26 @@ impl InducedNode {
         self.stride = k.div_ceil(64);
         self.rows.clear();
         self.rows.resize(k * self.stride, 0);
-        for i in 0..k {
-            let u = self.verts[i];
+        for (i, &u) in verts.iter().enumerate() {
+            let out = &mut self.rows[i * self.stride..(i + 1) * self.stride];
             if let Some(row) = bitsets.row(u) {
-                for j in (i + 1)..k {
-                    let w = self.verts[j];
-                    if row[w as usize >> 6] >> (w & 63) & 1 == 1 {
-                        self.link(i, j);
+                for (wi, slot) in out.iter_mut().enumerate().skip((i + 1) >> 6) {
+                    let lo = (wi << 6).max(i + 1);
+                    let mut word = 0u64;
+                    for (j, &w) in (lo..).zip(&verts[lo..k.min((wi + 1) << 6)]) {
+                        word |= (row[w as usize >> 6] >> (w & 63) & 1) << (j & 63);
                     }
+                    *slot = word;
                 }
             } else {
                 let nbrs = graph.neighbors(u);
                 let (mut a, mut b) = (i + 1, 0usize);
                 while a < k && b < nbrs.len() {
-                    match self.verts[a].cmp(&nbrs[b]) {
+                    match verts[a].cmp(&nbrs[b]) {
                         std::cmp::Ordering::Less => a += 1,
                         std::cmp::Ordering::Greater => b += 1,
                         std::cmp::Ordering::Equal => {
-                            self.link(i, a);
+                            out[a >> 6] |= 1u64 << (a & 63);
                             a += 1;
                             b += 1;
                         }
@@ -215,12 +220,6 @@ impl InducedNode {
                 }
             }
         }
-    }
-
-    #[inline]
-    fn link(&mut self, i: usize, j: usize) {
-        self.rows[i * self.stride + (j >> 6)] |= 1u64 << (j & 63);
-        self.rows[j * self.stride + (i >> 6)] |= 1u64 << (i & 63);
     }
 
     #[inline]
@@ -403,7 +402,7 @@ fn descend(
                 scratch.sort_unstable();
                 visit(scratch)
             } else {
-                child_mask(current, node.row(i), i, &mut deeper[..stride]);
+                child_mask(current, node.row(i), &mut deeper[..stride]);
                 descend(node, p, deeper, stack, bits, combo, scratch, visit)
             };
             stack.pop();
@@ -418,8 +417,9 @@ fn descend(
 /// Count-only counterpart of [`descend`]: the number of `needed`-cliques
 /// inside the masked candidate set, or `None` when it overflows `u64`.
 /// Nothing is visited: the last level is the mask's popcount, the level
-/// above it is the number of edges inside the set (each counted from both
-/// endpoints, hence the halving), and a complete set contributes
+/// above it is the number of edges inside the set (`Σ popcount(C & row(i))`
+/// over the members `i`, each edge counted once from its lower endpoint's
+/// upper-triangular row), and a complete set contributes
 /// `C(|C|, needed)` directly — the count the combination shortcut of
 /// [`descend`] would have emitted one by one.
 fn count_descend(node: &InducedNode, needed: usize, masks: &mut [u64]) -> Option<u64> {
@@ -432,18 +432,18 @@ fn count_descend(node: &InducedNode, needed: usize, masks: &mut [u64]) -> Option
     match needed {
         1 => return Some(k as u64),
         2 => {
-            let mut degrees = 0u64;
+            let mut edges = 0u64;
             for (wi, &mword) in current.iter().enumerate() {
                 let mut word = mword;
                 while word != 0 {
                     let row = node.row((wi << 6) + word.trailing_zeros() as usize);
                     word &= word - 1;
                     for (&r, &m) in row.iter().zip(current.iter()) {
-                        degrees += u64::from((r & m).count_ones());
+                        edges += u64::from((r & m).count_ones());
                     }
                 }
             }
-            return Some(degrees / 2);
+            return Some(edges);
         }
         _ => {}
     }
@@ -462,7 +462,7 @@ fn count_descend(node: &InducedNode, needed: usize, masks: &mut [u64]) -> Option
             let i = (wi << 6) + word.trailing_zeros() as usize;
             word &= word - 1;
             remaining -= 1;
-            child_mask(current, node.row(i), i, &mut deeper[..stride]);
+            child_mask(current, node.row(i), &mut deeper[..stride]);
             total = total.checked_add(count_descend(node, needed - 1, deeper)?)?;
         }
     }
@@ -485,35 +485,35 @@ fn binomial(n: usize, r: usize) -> Option<u64> {
     Some(acc)
 }
 
-/// Writes `current ∩ row ∩ {j : j > i}` into `out` — the deeper candidate
-/// set after committing to local vertex `i`.
+/// Writes `current ∩ row` into `out` — the deeper candidate set after
+/// committing to the local vertex that owns `row`. The row already holds
+/// only the ids above its owner.
 #[inline]
-fn child_mask(current: &[u64], row: &[u64], i: usize, out: &mut [u64]) {
-    let wi = i >> 6;
-    for w in 0..out.len() {
-        out[w] = if w < wi { 0 } else { current[w] & row[w] };
+fn child_mask(current: &[u64], row: &[u64], out: &mut [u64]) {
+    for ((o, &c), &r) in out.iter_mut().zip(current).zip(row) {
+        *o = c & r;
     }
-    // Clear bit `i` and everything below it in its word (`i & 63 == 63`
-    // would shift by 64, hence the checked variant).
-    out[wi] &= u64::MAX.checked_shl((i & 63) as u32 + 1).unwrap_or(0);
 }
 
 /// Whether the masked candidate set (of popcount `k`) induces a complete
-/// subgraph: every member's masked row has popcount `k - 1`. The scan order
-/// doubles as the pivot rule — the first member missing a neighbour is the
-/// witness and aborts the scan, so failures cost one row.
+/// subgraph: every member's masked row holds every mask bit above it, so the
+/// `m`-th member in ascending order sees `k - 1 - m` of them. The scan order
+/// doubles as the pivot rule — the first member missing a later neighbour is
+/// the witness and aborts the scan, so failures cost one row.
 fn is_complete(node: &InducedNode, mask: &[u64], k: usize) -> bool {
+    let mut above = k;
     for (wi, &mword) in mask.iter().enumerate() {
         let mut word = mword;
         while word != 0 {
             let i = (wi << 6) + word.trailing_zeros() as usize;
             word &= word - 1;
+            above -= 1;
             let row = node.row(i);
-            let mut deg = 0usize;
-            for (w, &m) in mask.iter().enumerate() {
-                deg += (row[w] & m).count_ones() as usize;
+            let mut seen = 0usize;
+            for (&r, &m) in row.iter().zip(mask).skip(wi) {
+                seen += (r & m).count_ones() as usize;
             }
-            if deg + 1 != k {
+            if seen != above {
                 return false;
             }
         }
@@ -624,8 +624,109 @@ mod tests {
         for (i, &u) in verts.iter().enumerate() {
             for (j, &w) in verts.iter().enumerate() {
                 let bit = node.row(i)[j >> 6] >> (j & 63) & 1 == 1;
-                assert_eq!(bit, g.has_edge(u, w), "{u}-{w}");
+                assert_eq!(bit, j > i && g.has_edge(u, w), "{u}-{w}");
             }
+        }
+    }
+
+    /// The three row sources a member can meet: a global bitset row for
+    /// every vertex, for about half of them (the rest merge), and for none.
+    fn row_sources(g: &Graph) -> [(&'static str, NeighborBitsets); 3] {
+        let mean_degree = g.num_edges() * 2 / g.num_vertices();
+        [
+            ("bitset rows", NeighborBitsets::build(g, 1)),
+            ("mixed", NeighborBitsets::build(g, mean_degree)),
+            ("merges", NeighborBitsets::none(g.num_vertices())),
+        ]
+    }
+
+    /// `k` members spread over the whole id range, so one local word draws
+    /// its probes from several global bitset words.
+    fn spread_members(g: &Graph, k: usize) -> Vec<u32> {
+        let n = g.num_vertices();
+        (0..k).map(|i| (i * n / k) as u32).collect()
+    }
+
+    #[test]
+    fn node_rows_are_upper_triangular_from_every_row_source() {
+        let g = gen::erdos_renyi(300, 0.3, 11);
+        for (source, bitsets) in row_sources(&g) {
+            for k in [1usize, 63, 64, 65, 128, 129] {
+                let verts = spread_members(&g, k);
+                let mut node = InducedNode::new();
+                node.materialize(&g, &bitsets, &verts);
+                assert_eq!(node.len(), k);
+                assert_eq!(node.row(0).len(), k.div_ceil(64), "{source}, k={k}");
+                for (i, &u) in verts.iter().enumerate() {
+                    // Every bit of the row, padding past `k` included.
+                    for j in 0..node.stride * 64 {
+                        let bit = node.row(i)[j >> 6] >> (j & 63) & 1 == 1;
+                        let want = verts.get(j).is_some_and(|&w| j > i && g.has_edge(u, w));
+                        assert_eq!(bit, want, "{source}, k={k}: row {i}, bit {j}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn completeness_agrees_with_a_pairwise_check_on_random_masks() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(7);
+        // A sparse and a near-complete host: greedy cliques in the second
+        // span all three words of a 129-member node.
+        for g in [
+            gen::erdos_renyi(300, 0.3, 3),
+            gen::erdos_renyi(200, 0.97, 4),
+        ] {
+            let (mut complete, mut incomplete) = (0, 0);
+            for (source, bitsets) in row_sources(&g) {
+                for k in [1usize, 63, 64, 65, 128, 129] {
+                    let verts = spread_members(&g, k);
+                    let mut node = InducedNode::new();
+                    node.materialize(&g, &bitsets, &verts);
+                    for trial in 0..40 {
+                        let mut members: Vec<usize> =
+                            (0..k).filter(|_| rng.gen_bool(0.5)).collect();
+                        if trial % 2 == 0 {
+                            // Greedy clique, then at most one intruder.
+                            let mut clique: Vec<usize> = Vec::new();
+                            for &j in &members {
+                                if clique.iter().all(|&i| g.has_edge(verts[i], verts[j])) {
+                                    clique.push(j);
+                                }
+                            }
+                            if trial % 4 == 0 {
+                                clique.push(rng.gen_range(0..k));
+                                clique.sort_unstable();
+                                clique.dedup();
+                            }
+                            members = clique;
+                        }
+                        let mut mask = vec![0u64; node.stride];
+                        for &j in &members {
+                            mask[j >> 6] |= 1u64 << (j & 63);
+                        }
+                        let pairwise = members.iter().enumerate().all(|(a, &i)| {
+                            members[a + 1..]
+                                .iter()
+                                .all(|&j| g.has_edge(verts[i], verts[j]))
+                        });
+                        if pairwise {
+                            complete += 1;
+                        } else {
+                            incomplete += 1;
+                        }
+                        assert_eq!(
+                            is_complete(&node, &mask, members.len()),
+                            pairwise,
+                            "{source}, k={k}, trial {trial}: {members:?}"
+                        );
+                    }
+                }
+            }
+            assert!(complete > 20 && incomplete > 20, "{complete}/{incomplete}");
         }
     }
 

@@ -19,12 +19,17 @@
 //! reference* (plain backtracking, structurally independent of both
 //! kernels), the count-only counts (`CliqueIndex::count_cliques` and the sum
 //! of `ShardedEnumerator::count_in_shard` over a multi-shard plan), `FirstK`
-//! early-stop prefixes, and `RunReport::to_json` bytes. A final cell pins the `Auto` resolution itself: a pure, replayable
-//! function of (strategy, degeneracy) — never of the host.
+//! early-stop prefixes, and `RunReport::to_json` bytes. The brute-force
+//! cells keep every candidate set under 64 vertices, so a second set of
+//! cells runs graphs whose DAG out-degrees pass 64 and 128 (two- and
+//! three-word trie nodes) and checks the same contract against the
+//! recursive kernel by trace digest. A final cell pins the `Auto`
+//! resolution itself: a pure, replayable function of (strategy,
+//! degeneracy) — never of the host.
 
 use distributed_clique_listing::cliquelist::{algorithms, CliqueSink, Engine, FirstK, Parallelism};
 use distributed_clique_listing::graphcore::cliques::{
-    for_each_clique_while_with, CliqueIndex, KernelChoice, KernelStrategy, ShardedEnumerator,
+    self, for_each_clique_while_with, CliqueIndex, KernelChoice, KernelStrategy, ShardedEnumerator,
 };
 use distributed_clique_listing::graphcore::{gen, Clique, Graph};
 
@@ -281,6 +286,116 @@ fn engine_first_k_prefixes_are_kernel_independent() {
                     first.cliques, reference.cliques,
                     "{kernel}, {grant:?}, k={k}: FirstK prefix diverged"
                 );
+            }
+        }
+    }
+}
+
+/// An order-sensitive digest of a visit trace: the clique count, an
+/// FNV-style hash over every id with a separator after each clique, and the
+/// first [`PREFIX_KEPT`] cliques verbatim. The multi-word cells visit up to
+/// ~10^6 cliques, too many to store.
+#[derive(Default, PartialEq, Eq, Debug)]
+struct TraceDigest {
+    count: u64,
+    hash: u64,
+    prefix: Vec<Clique>,
+}
+
+const PREFIX_KEPT: usize = 50;
+
+impl CliqueSink for TraceDigest {
+    fn accept(&mut self, clique: &[u32]) {
+        const PRIME: u64 = 0x0100_0000_01b3;
+        self.count += 1;
+        for &v in clique {
+            self.hash = (self.hash ^ u64::from(v)).wrapping_mul(PRIME);
+        }
+        self.hash = (self.hash ^ u64::from(u32::MAX)).wrapping_mul(PRIME);
+        if self.prefix.len() < PREFIX_KEPT {
+            self.prefix.push(clique.to_vec());
+        }
+    }
+}
+
+#[test]
+fn multi_word_candidate_sets_match_across_kernels_and_grants() {
+    // DAG out-degrees past 64 and 128 give the trie two- and three-word
+    // nodes, masks and rows; the brute-force cells above stay under 64.
+    // None of these graphs is complete, so the masked descent does the work
+    // rather than the combination shortcut.
+    for (label, graph, words) in [
+        ("er(600,0.15)", gen::erdos_renyi(600, 0.15, 1), 2),
+        ("er(1100,0.15)", gen::erdos_renyi(1100, 0.15, 1), 3),
+        (
+            "multipartite(240,3,0.9)",
+            gen::multipartite(240, 3, 0.9, 1),
+            3,
+        ),
+    ] {
+        let index = CliqueIndex::build(&graph);
+        let max_out = (0..graph.num_vertices() as u32)
+            .map(|v| index.dag().out_neighbors(v).len())
+            .max()
+            .unwrap_or(0);
+        assert_eq!(max_out.div_ceil(64), words, "{label}: out-degree {max_out}");
+        // `Auto` runs the trie here, so the cells below check the two
+        // kernels and leave `Auto` to this line.
+        assert_eq!(
+            index.resolve_kernel(KernelStrategy::Auto),
+            KernelChoice::Trie
+        );
+        for p in 3usize..=5 {
+            let mut reference = TraceDigest::default();
+            for_each_clique_while_with(&graph, p, KernelStrategy::Recursive, |c| {
+                reference.accept(c);
+                true
+            });
+            let want = cliques::count_cliques(&graph, p) as u64;
+            assert_eq!(reference.count, want, "{label}, p={p}: visiting count");
+            for strategy in [KernelStrategy::Recursive, KernelStrategy::Trie] {
+                let cell = format!("{label}, p={p}, {strategy}");
+                let mut trace = TraceDigest::default();
+                for_each_clique_while_with(&graph, p, strategy, |c| {
+                    trace.accept(c);
+                    true
+                });
+                assert_eq!(trace, reference, "{cell}: visit trace diverged");
+                assert_eq!(
+                    index.count_cliques(&graph, p, strategy),
+                    Some(want),
+                    "{cell}: count-only count diverged"
+                );
+                let sharded =
+                    ShardedEnumerator::with_index(&graph, &index, p, 4).with_kernel(strategy);
+                let summed = (0..sharded.num_shards())
+                    .map(|shard| sharded.count_in_shard(shard))
+                    .sum::<Option<u64>>();
+                assert_eq!(summed, Some(want), "{cell}: shard counts diverged");
+            }
+            // The sharded trie enumeration behind the engine, replayed in
+            // order at both grants.
+            for grant in [Parallelism::Off, Parallelism::Threads(2)] {
+                let cell = format!("{label}, p={p}, {grant:?}");
+                let engine = Engine::builder()
+                    .p(p)
+                    .algorithm("naive-broadcast")
+                    .kernel(KernelStrategy::Trie)
+                    .parallelism(grant)
+                    .build()
+                    .expect("valid engine");
+                let mut run = TraceDigest::default();
+                engine.run(&graph, &mut run);
+                assert_eq!(run, reference, "{cell}: engine trace diverged");
+                for k in [1usize, PREFIX_KEPT] {
+                    let mut first = FirstK::new(k);
+                    engine.run(&graph, &mut first);
+                    assert_eq!(
+                        first.cliques,
+                        reference.prefix[..k.min(reference.prefix.len())],
+                        "{cell}, k={k}: FirstK prefix diverged"
+                    );
+                }
             }
         }
     }

@@ -317,6 +317,17 @@ fn oversized_p_answers_empty_instead_of_panicking() {
     for p in [index.degeneracy() + 2, usize::MAX] {
         assert!(index.for_each_clique_while(&graph, p, |_| false), "p={p}");
         assert_eq!(cliques::count_cliques(&graph, p), 0, "p={p}");
+        assert!(
+            cliques::cliques_containing_edge(&graph, p, a, b).is_empty(),
+            "p={p}"
+        );
+        let mut enumerator = cliques::EdgeCliqueEnumerator::new(&graph, p);
+        for (u, w) in graph.edges() {
+            assert!(
+                enumerator.for_each_containing_edge_while(u, w, graph.neighbors(u), |_| false),
+                "p={p}: enumerator visited a clique through {u}-{w}"
+            );
+        }
         let old = GraphSnapshot::builder(graph.clone())
             .prepare_p(p)
             .build()
@@ -360,6 +371,13 @@ fn oversized_p_answers_empty_instead_of_panicking() {
                 .build()
                 .unwrap();
             assert_eq!(engine.count(&graph).1, 0, "{cell}: naive-broadcast");
+            let general = Engine::builder()
+                .p(p)
+                .algorithm("general")
+                .parallelism(grant)
+                .build()
+                .unwrap();
+            assert_eq!(general.count(&graph).1, 0, "{cell}: general");
         }
     }
 }
