@@ -38,11 +38,11 @@
 //! in-cluster listing and the fast-`K_4` light listing, all emitting into a
 //! private [`ShardBuffer`]), and the mutation of the invocation outcome plus
 //! the replay into the real sink is a *consume* step executed **only on the
-//! calling thread, in ascending cluster order**. Under a
-//! [`Parallelism`](crate::Parallelism) grant above one thread, contiguous
+//! calling thread, in ascending cluster order**. When the fan-out rule
+//! ([`fanout`]) of the [`Parallelism`](crate::Parallelism) grant, the
+//! cluster count and the host's cores is above one thread, contiguous
 //! cluster ranges (size-balanced by goal-edge count through
-//! [`balanced_ranges`](graphcore::ordered_merge::balanced_ranges)) fan out
-//! over the same
+//! [`balanced_ranges`]) fan out over the same
 //! [`ordered_merge`](graphcore::ordered_merge) orchestrator that drives the
 //! sharded dense enumeration; the sequential path runs the identical
 //! produce/consume code inline, so the emitted clique sequence, the round
@@ -57,10 +57,11 @@ use crate::result::{phase, Diagnostics, Rounds};
 use crate::sink::{CliqueSink, Dedup, ShardBuffer};
 use crate::sparse_listing::{cluster_listing, SparseListingInput};
 use expander::{decompose, Cluster, Decomposition};
+use graphcore::ordered_merge::{balanced_ranges, fanout, ordered_merge};
 use graphcore::{EdgeSet, Graph, Orientation};
 use std::collections::BTreeMap;
 
-/// Cluster-range tasks planned per worker thread by the cluster fan-out:
+/// Cluster-range tasks planned per granted thread by the cluster fan-out:
 /// oversubscription lets fast workers steal the tail instead of idling
 /// behind one expensive cluster, while each task stays large enough to
 /// amortise its buffer.
@@ -82,10 +83,11 @@ pub struct ArbListOutcome {
     pub rounds: Rounds,
     /// Diagnostics of this invocation.
     pub diagnostics: Diagnostics,
-    /// Worker threads the cluster fan-out actually used (1 = the clusters ran
-    /// inline on the calling thread). Never exceeds the number of cluster
-    /// tasks, so a large grant over few clusters is not misreported as real
-    /// fan-out.
+    /// Threads the cluster fan-out actually ran on, the calling thread
+    /// included (1 = the clusters ran inline on the calling thread):
+    /// [`fanout`] of the grant and the
+    /// cluster tasks, so a large grant over few clusters or few cores is not
+    /// misreported as real fan-out.
     pub threads_used: usize,
 }
 
@@ -316,15 +318,12 @@ pub fn arb_list(
     // orchestrator; consumption is strictly ascending and never stops early
     // (every cluster's rounds count), so the merged outcome is byte-identical
     // to the inline loop at any thread count. `threads_used` records the
-    // worker count the fan-out actually reached (1 = the inline loop ran).
+    // fan-out the merge actually ran on (1 = the inline loop ran).
     let threads = config.effective_threads(true);
-    let threads_used = if threads > 1 && clusters.len() > 1 {
+    let threads_used = if fanout(threads, clusters.len()) > 1 {
         let weights: Vec<u64> = cluster_ems.iter().map(|em| 1 + em.len() as u64).collect();
-        let tasks = graphcore::ordered_merge::balanced_ranges(
-            &weights,
-            threads.saturating_mul(CLUSTER_TASKS_PER_THREAD),
-        );
-        graphcore::ordered_merge::ordered_merge(
+        let tasks = balanced_ranges(&weights, threads.saturating_mul(CLUSTER_TASKS_PER_THREAD));
+        ordered_merge(
             tasks.len(),
             threads,
             |task| {
@@ -340,7 +339,7 @@ pub fn arb_list(
                 true
             },
         );
-        threads.min(tasks.len())
+        fanout(threads, tasks.len())
     } else {
         for index in 0..clusters.len() {
             consume(run_cluster(index));

@@ -42,7 +42,9 @@ pub enum Parallelism {
     /// Strictly sequential local enumeration (the default).
     #[default]
     Off,
-    /// Exactly this many worker threads; `Threads(0)` is rejected by
+    /// At most this many threads, the calling thread included, capped at
+    /// the host's cores and at the work items of each fan-out
+    /// (`graphcore::ordered_merge::fanout`); `Threads(0)` is rejected by
     /// [`ListingConfig::validate`].
     Threads(usize),
     /// Resolve the thread count at run time: the [`THREADS_ENV_VAR`]

@@ -5,12 +5,12 @@
 //! run's [`CliqueSink`] — and the CONGEST drivers (`general`/`fast-k4`'s
 //! final broadcast, `eden-k4`'s naive finish) end in the same step over
 //! their surviving graph. This module is that step's single implementation —
-//! sequential by default, sharded across [`std::thread::scope`] workers when
+//! sequential by default, sharded through `graphcore::ordered_merge` when
 //! the validated [`Parallelism`](crate::Parallelism) knob resolves above one
-//! thread.
+//! thread and the host has more than one core.
 //!
 //! The parallel path keeps the engine's exactly-once deterministic emission
-//! contract by construction: workers claim contiguous shards of the
+//! contract by construction: producers claim contiguous shards of the
 //! degeneracy ordering from a [`ShardedEnumerator`] and fill one
 //! [`ShardBuffer`] per shard; only the orchestrating thread touches the real
 //! sink, replaying buffers in ascending shard order. Shard boundaries vary
@@ -29,11 +29,12 @@ use graphcore::{cliques, Graph};
 /// the sharded parallel path; callers are algorithms that opted into sharded
 /// local enumeration.
 ///
-/// Returns the worker count the enumeration **actually** fanned out to
+/// Returns the thread count the enumeration **actually** fanned out to
 /// (1 = sequential). This is what `RunReport.parallelism.threads_used`
 /// records: a grant can exceed it on degenerate inputs (single-shard plans,
-/// already-saturated sinks), and scaling reports must not attribute such runs
-/// to the granted thread count.
+/// already-saturated sinks) and on hosts with fewer cores than the grant,
+/// and scaling reports must not attribute such runs to the granted thread
+/// count.
 pub(crate) fn stream_cliques(
     graph: &Graph,
     config: &ListingConfig,
@@ -57,14 +58,15 @@ pub(crate) fn stream_cliques(
     1
 }
 
-/// The sharded path: fan shards out over scoped worker threads through
+/// The sharded path: fan shards out through
 /// [`graphcore::ordered_merge::ordered_merge`] (the single orchestration
 /// shared with the cluster fan-out of `arb_list` and the query crate's batch
-/// and delta fan-outs — stop flag, ordered replay and backpressure live
-/// there), with one [`ShardBuffer`] per shard bridging the enumeration to
-/// the `dyn CliqueSink`. Only this thread ever touches `sink`. Returns the worker
-/// count actually spawned (`threads` capped by the shard count; 1 when the
-/// plan degenerates to a single shard and the enumeration runs inline).
+/// and delta fan-outs — fan-out rule, stop flag, ordered replay and
+/// backpressure live there), with one [`ShardBuffer`] per shard bridging the
+/// enumeration to the `dyn CliqueSink`. Only this thread ever touches
+/// `sink`. Returns the fan-out the merge ran on
+/// ([`graphcore::ordered_merge::fanout`] of the grant and the shard count);
+/// a fan-out of 1 enumerates inline, without buffering.
 fn parallel_stream(
     graph: &Graph,
     index: &cliques::CliqueIndex,
@@ -74,14 +76,15 @@ fn parallel_stream(
 ) -> usize {
     use crate::sink::ShardBuffer;
     use graphcore::cliques::{ShardedEnumerator, SHARDS_PER_THREAD};
-    use graphcore::ordered_merge::ordered_merge;
+    use graphcore::ordered_merge::{fanout, ordered_merge};
 
     let p = config.p;
     let enumerator =
         ShardedEnumerator::with_index(graph, index, p, threads.saturating_mul(SHARDS_PER_THREAD))
             .with_kernel(config.kernel);
     let shards = enumerator.num_shards();
-    if shards <= 1 {
+    let threads_used = fanout(threads, shards);
+    if threads_used <= 1 {
         index.for_each_clique_while_with(graph, p, config.kernel, |c| {
             sink.accept(c);
             !sink.is_saturated()
@@ -98,7 +101,7 @@ fn parallel_stream(
         },
         |buffer| buffer.replay_into(sink),
     );
-    threads.min(shards)
+    threads_used
 }
 
 #[cfg(test)]

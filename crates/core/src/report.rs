@@ -68,14 +68,15 @@ pub struct ParallelismSummary {
     /// Worker threads the engine granted to the local enumeration (1 =
     /// sequential). An upper bound on what the enumeration actually fans out
     /// to: degenerate inputs (single-shard plans, saturated sinks) still run
-    /// sequentially under a grant. Execution detail, excluded from
-    /// [`RunReport::to_json`].
+    /// sequentially under a grant, and no fan-out exceeds the host's cores.
+    /// Execution detail, excluded from [`RunReport::to_json`].
     pub threads_granted: usize,
-    /// The largest worker fan-out any stage of the run actually reached
-    /// (1 = every stage ran sequentially). Unlike `threads_granted` this is
-    /// never an over-statement: a grant of 8 threads on a single-shard plan
-    /// records 1 here, so scaling reports can attribute speedups (or their
-    /// absence) to real fan-out rather than to the requested setting.
+    /// The largest fan-out any stage of the run actually reached, the
+    /// calling thread included (1 = every stage ran sequentially). Unlike
+    /// `threads_granted` this is never an over-statement: a grant of 8
+    /// threads on a single-shard plan or a 2-core host records at most 1 or
+    /// 2 here, so scaling reports can attribute speedups (or their absence)
+    /// to real fan-out rather than to the requested setting.
     /// Execution detail, excluded from [`RunReport::to_json`].
     pub threads_used: usize,
 }

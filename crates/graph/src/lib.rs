@@ -21,8 +21,8 @@
 //!   sequential order at any thread count;
 //! * [`ordered_merge`]: the generic work-item orchestrator behind every
 //!   deterministic parallel fan-out (root shards, cluster tasks, query
-//!   batches, changed edges): balanced contiguous planning, claim-window
-//!   backpressure and ascending-index replay;
+//!   batches, changed edges): balanced contiguous planning, the host-capped
+//!   fan-out rule, claim-window backpressure and ascending-index replay;
 //! * [`spectral`]: conductance and lazy-random-walk mixing-time estimates used
 //!   to validate the clusters produced by the expander decomposition;
 //! * [`partition`]: random vertex partitions and the edge-count bound of

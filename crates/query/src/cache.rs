@@ -1,77 +1,24 @@
-//! The in-memory content-addressed result cache of a
-//! [`QueryService`](crate::QueryService).
+//! The in-memory result cache of a [`QueryService`](crate::QueryService).
 //!
-//! Cache keys are FNV-1a hashes of the canonical `(snapshot id, query)`
-//! identity string — the same canonical-identity idiom the bench harness uses
-//! for its on-disk result store (`bench::store::CellSpec::key`), kept
-//! dependency-free here because `bench` sits *above* this crate in the
-//! dependency order. A hit is only served when the stored identity string
-//! matches exactly, so a 64-bit key collision degrades to a miss-and-replace,
-//! never to a wrong answer. Hit/miss counters are atomics, so concurrent
-//! batch workers update them without taking the map lock twice.
+//! Entries are keyed by the [`Query`] value itself. Its derived `Hash` and
+//! `Eq` cover exactly the fields [`Query::canonical_identity`] renders —
+//! kind and its parameters, `p`, seed, budget and snapshot id — so two
+//! queries share an entry exactly when their identities, and with them
+//! their response payloads, are equal. A lookup builds no string and hashes
+//! a few words; a hit clones the stored outcome. Hit/miss counters are
+//! atomics, so they are read without taking the map lock.
 
+use crate::model::Query;
 use crate::service::QueryOutcome;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// FNV-1a offset basis (64-bit).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime (64-bit).
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-/// Incremental 64-bit FNV-1a hasher over byte streams.
-pub(crate) struct Fnv1a(u64);
-
-impl Fnv1a {
-    /// Starts a hash at the FNV offset basis.
-    pub(crate) fn new() -> Fnv1a {
-        Fnv1a(FNV_OFFSET)
-    }
-
-    /// Folds `bytes` into the hash.
-    pub(crate) fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Folds a `u32` (little-endian bytes) into the hash.
-    pub(crate) fn write_u32(&mut self, v: u32) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Folds a `u64` (little-endian bytes) into the hash.
-    pub(crate) fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// The hash of everything written so far.
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Hashes one byte slice with 64-bit FNV-1a.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write(bytes);
-    h.finish()
-}
-
-/// One cached result: the full identity string (collision guard) plus the
-/// outcome to replay.
-struct CacheEntry {
-    identity: String,
-    outcome: QueryOutcome,
-}
-
-/// The service-owned result cache: a keyed map behind a [`Mutex`] (held only
-/// for lookups and inserts, never while enumerating) plus lock-free hit/miss
+/// The service-owned result cache: a map behind a [`Mutex`] (held only for
+/// lookups and inserts, never while enumerating) plus lock-free hit/miss
 /// counters.
 pub(crate) struct QueryCache {
-    entries: Mutex<HashMap<u64, CacheEntry>>,
+    entries: Mutex<HashMap<Query, QueryOutcome>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -86,29 +33,25 @@ impl QueryCache {
         }
     }
 
-    /// Returns the cached outcome for `key` when its stored identity matches
-    /// `identity` exactly, counting a hit; otherwise counts a miss.
-    pub(crate) fn lookup(&self, key: u64, identity: &str) -> Option<QueryOutcome> {
+    /// Returns the cached outcome of `query`, counting a hit; otherwise
+    /// counts a miss.
+    pub(crate) fn lookup(&self, query: &Query) -> Option<QueryOutcome> {
         let entries = self.entries.lock().expect("query cache lock poisoned");
-        match entries.get(&key) {
-            Some(entry) if entry.identity == identity => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.outcome.clone())
-            }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let outcome = entries.get(query).cloned();
+        let counter = if outcome.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        outcome
     }
 
-    /// Stores `outcome` under `key`. An existing entry is replaced: either it
-    /// carries the same identity (a concurrent duplicate computed the same
-    /// deterministic outcome) or it was a 64-bit collision, which the
-    /// identity guard in [`QueryCache::lookup`] already demoted to a miss.
-    pub(crate) fn insert(&self, key: u64, identity: String, outcome: QueryOutcome) {
+    /// Stores `outcome` for `query`. An existing entry is replaced; it holds
+    /// the same deterministic outcome.
+    pub(crate) fn insert(&self, query: Query, outcome: QueryOutcome) {
         let mut entries = self.entries.lock().expect("query cache lock poisoned");
-        entries.insert(key, CacheEntry { identity, outcome });
+        entries.insert(query, outcome);
     }
 
     /// Point-in-time counters and entry count.
@@ -143,41 +86,4 @@ pub struct CacheStats {
     pub misses: u64,
     /// Distinct results currently stored.
     pub entries: usize,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fnv1a_matches_the_reference_vectors() {
-        // Classic FNV-1a test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
-    }
-
-    #[test]
-    fn incremental_writes_match_one_shot_hashing() {
-        let mut h = Fnv1a::new();
-        h.write_u32(7);
-        h.write_u64(11);
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&7u32.to_le_bytes());
-        bytes.extend_from_slice(&11u64.to_le_bytes());
-        assert_eq!(h.finish(), fnv1a(&bytes));
-    }
-
-    #[test]
-    fn lookup_guards_against_key_collisions() {
-        let cache = QueryCache::new();
-        cache.insert(42, "a".to_string(), QueryOutcome::Count(1));
-        assert_eq!(cache.lookup(42, "a"), Some(QueryOutcome::Count(1)));
-        // Same key, different identity: a collision must read as a miss.
-        assert_eq!(cache.lookup(42, "b"), None);
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
-        cache.clear();
-        assert_eq!(cache.stats(), CacheStats::default());
-    }
 }

@@ -138,8 +138,9 @@ fn cliques_on_edge(snapshot: &GraphSnapshot, p: usize, (u, v): (u32, u32)) -> Ve
 /// of their sorted edge streams), so the result is correct even when the
 /// caller's batch contained ineffective changes — and `delta_cliques(s, s, p,
 /// ..)` is always empty. Work is proportional to the churn: one per-edge
-/// containment enumeration per changed edge, fanned out over scoped workers
-/// under a thread grant. The output is canonical and identical at every
+/// containment enumeration per changed edge, fanned out through
+/// `graphcore::ordered_merge` under a thread grant (inline when the fan-out
+/// rule gives one thread). The output is canonical and identical at every
 /// thread grant (`&self`-concurrent: both snapshots are only read).
 ///
 /// `p < 2` deltas are empty by definition (vertices never churn); `p == 2`
@@ -173,39 +174,32 @@ pub fn delta_cliques(
             destroyed: deleted.iter().map(|&(u, v)| vec![u, v]).collect(),
         });
     }
-    let num_items = inserted.len() + deleted.len();
-    // Item i enumerates against the snapshot that owns the edge: inserted
-    // edges exist only in `new`, deleted ones only in `old`.
-    let produce = |i: usize| {
-        if i < inserted.len() {
-            cliques_on_edge(new, p, inserted[i])
-        } else {
-            cliques_on_edge(old, p, deleted[i - inserted.len()])
-        }
-    };
     let mut created: Vec<Clique> = Vec::new();
     let mut destroyed: Vec<Clique> = Vec::new();
     let mut consumed = 0usize;
-    let mut consume = |cliques: Vec<Clique>| {
-        let bucket = if consumed < inserted.len() {
-            &mut created
-        } else {
-            &mut destroyed
-        };
-        bucket.extend(cliques);
-        consumed += 1;
-    };
-    let threads = parallelism.threads().min(num_items);
-    if threads > 1 {
-        graphcore::ordered_merge::ordered_merge(num_items, threads, produce, |cliques| {
-            consume(cliques);
+    // Item i enumerates against the snapshot that owns the edge: inserted
+    // edges exist only in `new`, deleted ones only in `old`.
+    graphcore::ordered_merge::ordered_merge(
+        inserted.len() + deleted.len(),
+        parallelism.threads().max(1),
+        |i| {
+            if i < inserted.len() {
+                cliques_on_edge(new, p, inserted[i])
+            } else {
+                cliques_on_edge(old, p, deleted[i - inserted.len()])
+            }
+        },
+        |cliques| {
+            let bucket = if consumed < inserted.len() {
+                &mut created
+            } else {
+                &mut destroyed
+            };
+            bucket.extend(cliques);
+            consumed += 1;
             true
-        });
-    } else {
-        for i in 0..num_items {
-            consume(produce(i));
-        }
-    }
+        },
+    );
     // A clique containing several changed edges was enumerated once per
     // edge: canonicalise to exactly-once. The per-edge streams are already
     // internally sorted, but the concatenation across edges is not.

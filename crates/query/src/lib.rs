@@ -11,9 +11,10 @@
 //!    prefixes, per-vertex and per-edge listings, existence — validated up
 //!    front with typed [`QueryError`]s instead of panics.
 //! 3. [`QueryService`]: executes single queries and deterministic batches
-//!    (fan-out over scoped threads through `graphcore::ordered_merge`,
-//!    replayed in request order) with an in-memory content-addressed result
-//!    cache keyed by the canonical `(snapshot id, query)` identity.
+//!    (cache hits answered on the calling thread, misses fanned out through
+//!    `graphcore::ordered_merge`, responses in request order) with an
+//!    in-memory result cache keyed by the [`Query`] value, whose fields are
+//!    its canonical `(snapshot id, query)` identity.
 //! 4. [`GraphSnapshot::apply_batch`] / [`delta_cliques`]: dynamic snapshots.
 //!    An `EdgeBatch` derives a *new* content-addressed snapshot, built cold
 //!    from the mutated graph (a batch that changes nothing keeps the old

@@ -7,10 +7,10 @@
 //! [`QueryError`] instead of panicking (the validated-builder contract the
 //! engine's `EngineBuilder` established; see `DESIGN.md` §11). A built query
 //! carries the snapshot's content identity, so executing it against a
-//! different snapshot is itself a typed error, and the canonical
-//! `(snapshot id, query)` identity string doubles as the cache key preimage.
+//! different snapshot is itself a typed error. The query value itself is the
+//! cache key: its `Hash`/`Eq` cover exactly the fields of the canonical
+//! `(snapshot id, query)` identity string.
 
-use crate::cache::fnv1a;
 use crate::snapshot::GraphSnapshot;
 use std::fmt;
 
@@ -98,8 +98,9 @@ impl Query {
 
     /// The canonical `(snapshot id, query)` identity: a JSON object with a
     /// fixed field order, stable across runs and hosts. Equal queries render
-    /// identically; any parameter change (kind, `p`, seed, snapshot) changes
-    /// the string — this is the cache key preimage and part of
+    /// identically; any parameter change (kind, `p`, seed, budget, snapshot)
+    /// changes the string — it renders exactly the fields the cache keys on
+    /// and is part of
     /// [`QueryResponse::to_json`](crate::QueryResponse::to_json).
     pub fn canonical_identity(&self) -> String {
         let mut s = format!("{{\"kind\":\"{}\"", self.kind.name());
@@ -111,18 +112,13 @@ impl Query {
         }
         s.push_str(&format!(",\"p\":{},\"seed\":{}", self.p, self.seed));
         // The budget participates only when set, so every pre-budget
-        // identity (and thus every cache key and recorded response payload)
-        // is unchanged byte for byte.
+        // identity (and thus every recorded response payload) is unchanged
+        // byte for byte.
         if let Some(budget) = self.budget {
             s.push_str(&format!(",\"budget\":{budget}"));
         }
         s.push_str(&format!(",\"snapshot\":\"{:016x}\"}}", self.snapshot_id));
         s
-    }
-
-    /// The FNV-1a hash of [`Query::canonical_identity`] — the cache key.
-    pub fn cache_key(&self) -> u64 {
-        fnv1a(self.canonical_identity().as_bytes())
     }
 }
 
@@ -480,7 +476,7 @@ mod tests {
                 s.id()
             )
         );
-        // Every parameter participates in the identity (and thus the key).
+        // Every parameter participates in the identity.
         let variants = [
             QueryBuilder::new().p(3).count().build(&s).expect("valid"),
             QueryBuilder::new()
@@ -510,12 +506,10 @@ mod tests {
         ];
         for variant in &variants {
             assert_ne!(count.canonical_identity(), variant.canonical_identity());
-            assert_ne!(count.cache_key(), variant.cache_key());
         }
         // Rebuilding the same request reproduces the identity byte for byte.
         let again = QueryBuilder::new().p(4).count().build(&s).expect("valid");
         assert_eq!(count, again);
-        assert_eq!(count.cache_key(), again.cache_key());
         // A budget renders between the seed and the snapshot — and only when
         // one was set, so unbounded identities never change.
         let budgeted = QueryBuilder::new()

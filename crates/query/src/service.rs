@@ -7,10 +7,11 @@
 //! one service instance answers concurrent queries from many threads.
 //!
 //! Batches are deterministic by construction: [`QueryService::execute_batch`]
-//! fans the requests out over scoped workers through
-//! [`graphcore::ordered_merge`] (the same orchestrator behind the sharded
-//! enumeration and the cluster pipeline) and replays the responses on the
-//! calling thread in request order. Each response's deterministic payload
+//! answers cache hits and repeats on the calling thread, fans the remaining
+//! misses out through [`graphcore::ordered_merge`] (the same orchestrator
+//! behind the sharded enumeration and the cluster pipeline) and assembles
+//! the responses on the calling thread in request order. Each response's
+//! deterministic payload
 //! ([`QueryResponse::to_json`]) is byte-identical at any thread count and
 //! whether or not the cache was warm; the execution-shape fields live in
 //! [`QueryReport`], which is deliberately excluded from that payload — the
@@ -21,6 +22,7 @@ use crate::model::{Query, QueryError, QueryKind};
 use crate::snapshot::GraphSnapshot;
 use cliquelist::Parallelism;
 use graphcore::Clique;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// How one query was executed: the cache/fan-out facts that vary with the
@@ -34,11 +36,18 @@ pub struct QueryReport {
     /// Shards enumerated (1 for unsharded sequential paths, 0 on a cache
     /// hit).
     pub shards: usize,
-    /// Worker threads this query's own enumeration fanned out to (1 for
-    /// sequential paths and cache hits; batch-level fan-out is reported by
-    /// [`QueryService::threads`], not here).
+    /// Threads this query's own enumeration fanned out to, the calling
+    /// thread included (1 for sequential paths and cache hits; the batch
+    /// fan-out is bounded by [`QueryService::threads`], not reported here).
     pub threads_used: usize,
 }
+
+/// The report of a query answered from the cache.
+const CACHE_HIT: QueryReport = QueryReport {
+    cache_hit: true,
+    shards: 0,
+    threads_used: 1,
+};
 
 /// What a query produced.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -143,7 +152,9 @@ impl QueryService {
         &self.snapshot
     }
 
-    /// The resolved thread grant (batch fan-out width; 1 = sequential).
+    /// The resolved thread grant (1 = sequential): an upper bound on every
+    /// fan-out this service runs, each of which the host's cores and its
+    /// work items cap further (`graphcore::ordered_merge::fanout`).
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -176,56 +187,76 @@ impl QueryService {
 
     /// Executes a batch, returning responses in request order.
     ///
-    /// With more than one granted thread, the requests fan out over scoped
-    /// workers through [`graphcore::ordered_merge`]; the replay happens on
-    /// the calling thread in ascending request order, so the response
-    /// sequence — and every [`QueryResponse::to_json`] payload in it — is
-    /// byte-identical at any thread count. Duplicate queries within one batch
-    /// may race to the same cache entry; both compute the same deterministic
-    /// outcome, so only the hit/miss counters (never the payloads) depend on
-    /// timing.
+    /// The calling thread probes the cache for every query, in request
+    /// order, and answers each hit itself. The first occurrence of each miss
+    /// is computed — fanned out through [`graphcore::ordered_merge`], each
+    /// query's own enumeration single-threaded — and cached on the calling
+    /// thread in request order; a repeat of it later in the batch is then a
+    /// cache hit. So a warm batch never leaves the calling thread, the
+    /// response sequence — and every [`QueryResponse::to_json`] payload in
+    /// it — is byte-identical at any thread count, and so are every
+    /// [`QueryReport`] and the cache counters after the batch.
     ///
     /// # Errors
     ///
     /// Validates every query up front (see [`QueryService::execute`]) and
     /// returns the first error before executing anything. A
     /// [`QueryError::BudgetExceeded`] or [`QueryError::CountOverflow`]
-    /// surfaces at execution time instead; the replay stops at the first
-    /// failed query in *request* order, so
-    /// which error a mixed batch reports is deterministic at any thread
-    /// count (earlier queries may already have been computed and cached).
+    /// surfaces at execution time instead; the batch stops at the first
+    /// failed query in *request* order, so which error a mixed batch reports
+    /// is deterministic at any thread count (the misses before it are
+    /// computed and cached, those after it are not).
     pub fn execute_batch(&self, queries: &[Query]) -> Result<Vec<QueryResponse>, QueryError> {
         for query in queries {
             self.check(query)?;
         }
-        let mut responses = Vec::with_capacity(queries.len());
-        let fanout = self.threads.min(queries.len());
-        if fanout > 1 {
-            let mut first_error = None;
-            graphcore::ordered_merge::ordered_merge(
-                queries.len(),
-                fanout,
-                |i| self.run(&queries[i], 1),
-                |result| match result {
-                    Ok(response) => {
-                        responses.push(response);
-                        true
-                    }
-                    Err(error) => {
-                        first_error = Some(error);
-                        false
-                    }
-                },
-            );
-            return match first_error {
-                Some(error) => Err(error),
-                None => Ok(responses),
+        // Probe in request order: a hit is answered now, the first
+        // occurrence of a miss is queued for the fan-out, and a repeat of a
+        // queued miss waits until that miss is cached.
+        let mut answers: Vec<Option<QueryResponse>> = Vec::with_capacity(queries.len());
+        let mut misses: Vec<usize> = Vec::new();
+        let mut queued: HashSet<&Query> = HashSet::new();
+        for (i, query) in queries.iter().enumerate() {
+            let answer = if queued.contains(query) {
+                None
+            } else if let Some(outcome) = self.cache.lookup(query) {
+                Some(QueryResponse {
+                    query: query.clone(),
+                    outcome,
+                    report: CACHE_HIT,
+                })
+            } else {
+                queued.insert(query);
+                misses.push(i);
+                None
             };
+            answers.push(answer);
         }
-        for query in queries {
-            responses.push(self.run(query, 1)?);
+        let mut first_error = None;
+        graphcore::ordered_merge::ordered_merge(
+            misses.len(),
+            self.threads,
+            |m| (misses[m], self.compute(&queries[misses[m]], 1)),
+            |(i, result)| match result {
+                Ok((outcome, shards, threads_used)) => {
+                    answers[i] = Some(self.store(&queries[i], outcome, shards, threads_used));
+                    true
+                }
+                Err(error) => {
+                    first_error = Some(error);
+                    false
+                }
+            },
+        );
+        if let Some(error) = first_error {
+            return Err(error);
         }
-        Ok(responses)
+        // Every unanswered query now repeats a cached miss: a hit.
+        queries
+            .iter()
+            .zip(answers)
+            .map(|(query, answer)| answer.map_or_else(|| self.run(query, 1), Ok))
+            .collect()
     }
 
     /// The execution-time validation: the query must target this service's
@@ -254,22 +285,27 @@ impl QueryService {
     /// parallelism is the fan-out across queries). Budget-exceeded failures
     /// are never cached — only completed outcomes enter the cache.
     fn run(&self, query: &Query, inner_threads: usize) -> Result<QueryResponse, QueryError> {
-        let key = query.cache_key();
-        let identity = query.canonical_identity();
-        if let Some(outcome) = self.cache.lookup(key, &identity) {
+        if let Some(outcome) = self.cache.lookup(query) {
             return Ok(QueryResponse {
                 query: query.clone(),
                 outcome,
-                report: QueryReport {
-                    cache_hit: true,
-                    shards: 0,
-                    threads_used: 1,
-                },
+                report: CACHE_HIT,
             });
         }
         let (outcome, shards, threads_used) = self.compute(query, inner_threads)?;
-        self.cache.insert(key, identity, outcome.clone());
-        Ok(QueryResponse {
+        Ok(self.store(query, outcome, shards, threads_used))
+    }
+
+    /// Caches a computed outcome and wraps it in its (cache-miss) response.
+    fn store(
+        &self,
+        query: &Query,
+        outcome: QueryOutcome,
+        shards: usize,
+        threads_used: usize,
+    ) -> QueryResponse {
+        self.cache.insert(query.clone(), outcome.clone());
+        QueryResponse {
             query: query.clone(),
             outcome,
             report: QueryReport {
@@ -277,7 +313,7 @@ impl QueryService {
                 shards,
                 threads_used,
             },
-        })
+        }
     }
 
     /// Runs the enumeration for one query against the snapshot artifacts.
@@ -364,10 +400,12 @@ impl QueryService {
     }
 
     /// Answers an unbudgeted `CountKp` with the count-only kernels: summed
-    /// over the snapshot's shard plan with `inner_threads > 1` workers, or in
-    /// one inline call otherwise. Returns `(outcome, shards, threads_used)`,
-    /// or [`QueryError::CountOverflow`] when the count does not fit in a
-    /// `u64`.
+    /// shard by shard over the snapshot's plan under a grant above one
+    /// thread, or in one inline call otherwise. The grant, not the host,
+    /// picks the per-shard path, so `shards` reads the same on every host;
+    /// the merge's fan-out rule picks, and reports, the threads. Returns
+    /// `(outcome, shards, threads_used)`, or [`QueryError::CountOverflow`]
+    /// when the count does not fit in a `u64`.
     fn count(
         &self,
         p: usize,
@@ -394,7 +432,11 @@ impl QueryService {
                     total.is_some()
                 },
             );
-            (total, shards, inner_threads.min(shards))
+            (
+                total,
+                shards,
+                graphcore::ordered_merge::fanout(inner_threads, shards),
+            )
         } else {
             (index.count_cliques(graph, p, kernel), 1, 1)
         };

@@ -14,7 +14,6 @@
 //! graphs share cached results and any structural change produces a fresh
 //! identity (see `DESIGN.md` §11).
 
-use crate::cache::Fnv1a;
 use graphcore::cliques::{CliqueIndex, ShardPlan};
 use graphcore::{AppliedBatch, BatchError, EdgeBatch, Graph, KernelChoice, KernelStrategy};
 use std::fmt;
@@ -320,6 +319,48 @@ impl fmt::Debug for GraphSnapshot {
     }
 }
 
+/// Incremental 64-bit FNV-1a hasher over byte streams — the same hash the
+/// bench harness keys its result store with (`bench::store::fnv1a`),
+/// re-implemented here because `bench` depends on this crate. Snapshot ids
+/// appear in every query payload, so its output is pinned by reference
+/// vectors.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// FNV-1a offset basis (64-bit).
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    /// FNV-1a prime (64-bit).
+    const PRIME: u64 = 0x100_0000_01b3;
+
+    /// Starts a hash at the FNV offset basis.
+    fn new() -> Fnv1a {
+        Fnv1a(Fnv1a::OFFSET)
+    }
+
+    /// Folds `bytes` into the hash.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(Fnv1a::PRIME);
+        }
+    }
+
+    /// Folds a `u32` (little-endian bytes) into the hash.
+    fn write_u32(&mut self, v: u32) {
+        self.write(&v.to_le_bytes());
+    }
+
+    /// Folds a `u64` (little-endian bytes) into the hash.
+    fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    /// The hash of everything written so far.
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The content identity of a graph: vertex count, edge count, then every
 /// edge in the (deterministic, sorted) CSR traversal order.
 fn content_id(graph: &Graph) -> u64 {
@@ -337,6 +378,33 @@ fn content_id(graph: &Graph) -> u64 {
 mod tests {
     use super::*;
     use graphcore::gen;
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        // Classic FNV-1a test vectors.
+        for (bytes, want) in [
+            (&b""[..], 0xcbf2_9ce4_8422_2325),
+            (b"a", 0xaf63_dc4c_8601_ec8c),
+            (b"foobar", 0x8594_4171_f739_67e8),
+        ] {
+            let mut h = Fnv1a::new();
+            h.write(bytes);
+            assert_eq!(h.finish(), want, "{bytes:?}");
+        }
+    }
+
+    #[test]
+    fn incremental_writes_match_one_shot_hashing() {
+        let mut words = Fnv1a::new();
+        words.write_u32(7);
+        words.write_u64(11);
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&7u32.to_le_bytes());
+        bytes.extend_from_slice(&11u64.to_le_bytes());
+        let mut one_shot = Fnv1a::new();
+        one_shot.write(&bytes);
+        assert_eq!(words.finish(), one_shot.finish());
+    }
 
     #[test]
     fn builder_validates_sizes_and_shards() {

@@ -15,9 +15,9 @@
 //! cargo run --release --example churn
 //! ```
 //!
-//! The per-edge delta enumeration fans out over worker threads; a
-//! sequential run (`Parallelism::Off`) yields an identical delta —
-//! determinism is the whole point.
+//! The per-edge delta enumeration fans out over up to the granted threads,
+//! capped at the host's cores; a sequential run (`Parallelism::Off`) yields
+//! an identical delta — determinism is the whole point.
 
 use distributed_clique_listing::cliquelist::Parallelism;
 use distributed_clique_listing::graphcore::{cliques, gen, AppliedBatch, EdgeBatch};

@@ -13,9 +13,10 @@
 //! cargo run --release --example query_service
 //! ```
 //!
-//! The batch fans out over worker threads; a sequential service
-//! (`Parallelism::Off`) returns identical payloads — determinism is the whole
-//! point.
+//! The batch's cache misses fan out over up to the granted threads, capped
+//! at the host's cores; its hits are answered on the calling thread. A
+//! sequential service (`Parallelism::Off`) returns identical payloads —
+//! determinism is the whole point.
 
 use distributed_clique_listing::graphcore::gen;
 use distributed_clique_listing::query::{GraphSnapshot, QueryBuilder, QueryOutcome, QueryService};
@@ -63,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let service = QueryService::new(snapshot.clone());
     println!(
-        "service: {} fan-out thread(s), cold cache\n",
+        "service: a grant of {} thread(s), cold cache\n",
         service.threads()
     );
 

@@ -9,8 +9,10 @@
 //! * the cache state (a cold service and a warm replay of the same batch).
 //!
 //! This file checks that promise differentially across workload families and
-//! mixed query batches, which fan out over scoped workers through
-//! `ordered_merge` under every grant above one thread. It also pins the cache-identity contract at the
+//! mixed query batches, whose cache misses fan out through `ordered_merge`
+//! under every grant above one thread. It pins the cache counters and
+//! reports of a batch that repeats queries, which are the same at every
+//! grant too. It also pins the cache-identity contract at the
 //! workspace surface: any change to the snapshot, the query parameters or
 //! the seed must miss the cache, and only byte-identical requests may hit.
 //! Finally it holds the three sources of a count equal (the sharded and
@@ -27,7 +29,8 @@ use std::sync::Arc;
 
 /// Thread grants of the matrix. `Off` is the reference; `Threads(n)` models
 /// an explicit `CLIQUELIST_THREADS=n` grant (the env knob resolves to the
-/// same setting through `Parallelism::Auto`); 8 oversubscribes this machine.
+/// same setting through `Parallelism::Auto`); 8 exceeds the cores of most
+/// hosts, where the fan-out rule caps it at the host.
 const GRANTS: [Parallelism; 5] = [
     Parallelism::Off,
     Parallelism::Threads(1),
@@ -148,6 +151,84 @@ fn single_and_batch_execution_agree() {
             response.to_json(),
             "single/batch divergence for {}",
             query.canonical_identity()
+        );
+    }
+}
+
+/// A query repeated within one batch is computed once, at its first
+/// occurrence; every later occurrence, and every query of the batch run
+/// again, is a cache hit answered on the calling thread. That holds at every
+/// grant, so the reports (`cache_hit`, `shards`) and the cache counters are
+/// the same at any fan-out, not only the payloads.
+#[test]
+fn repeats_within_a_batch_are_computed_once_at_every_grant() {
+    let snapshot = GraphSnapshot::build(gen::erdos_renyi(60, 0.3, 9)).into_shared();
+    let (u, v) = snapshot.graph().edges().next().unwrap();
+    let count = QueryBuilder::new().p(4).count().build(&snapshot).unwrap();
+    let first = QueryBuilder::new().p(3).first(5).build(&snapshot).unwrap();
+    let edge = QueryBuilder::new()
+        .p(3)
+        .containing_edge(u, v)
+        .build(&snapshot)
+        .unwrap();
+    let batch = [
+        count.clone(),
+        first.clone(),
+        edge.clone(),
+        edge,
+        first,
+        count,
+    ];
+    let shape = |responses: &[QueryResponse]| -> Vec<(bool, usize)> {
+        responses
+            .iter()
+            .map(|r| (r.report.cache_hit, r.report.shards))
+            .collect()
+    };
+    let reference = payloads(
+        &QueryService::with_parallelism(snapshot.clone(), Parallelism::Off)
+            .execute_batch(&batch)
+            .unwrap(),
+    );
+    for grant in [
+        Parallelism::Off,
+        Parallelism::Threads(1),
+        Parallelism::Threads(2),
+        Parallelism::Threads(8),
+    ] {
+        let service = QueryService::with_parallelism(snapshot.clone(), grant);
+        let cold = service.execute_batch(&batch).unwrap();
+        assert_eq!(payloads(&cold), reference, "{grant:?}: cold payloads");
+        assert_eq!(
+            shape(&cold),
+            [
+                (false, 1),
+                (false, 1),
+                (false, 1),
+                (true, 0),
+                (true, 0),
+                (true, 0)
+            ],
+            "{grant:?}: each repeat must hit its first occurrence's entry"
+        );
+        let stats = service.cache_stats();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.entries),
+            (3, 3, 3),
+            "{grant:?}: cold counters"
+        );
+        let warm = service.execute_batch(&batch).unwrap();
+        assert_eq!(payloads(&warm), reference, "{grant:?}: warm payloads");
+        assert_eq!(
+            shape(&warm),
+            [(true, 0); 6],
+            "{grant:?}: warm repeat of the batch"
+        );
+        let stats = service.cache_stats();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.entries),
+            (9, 3, 3),
+            "{grant:?}: warm counters"
         );
     }
 }
