@@ -22,6 +22,7 @@ use crate::report::CongestedCliqueStats;
 use crate::result::{phase, Rounds};
 use crate::sink::CliqueSink;
 use congest::CongestedClique;
+use graphcore::orientation::degeneracy_ordering;
 use graphcore::partition::VertexPartition;
 use graphcore::{Graph, Orientation};
 
@@ -31,7 +32,8 @@ use graphcore::{Graph, Orientation};
 ///
 /// The caller is responsible for validating `config` (`p ≥ 3`); the
 /// [`Engine`](crate::Engine) builder does this. Graphs with fewer than two
-/// vertices have no edges and cost nothing.
+/// vertices have no edges and cost nothing, and so does a `p` past the
+/// degeneracy bound (`p > degeneracy + 1`), where no `K_p` exists.
 pub(crate) fn run_streaming(
     graph: &Graph,
     config: &ListingConfig,
@@ -53,11 +55,17 @@ pub(crate) fn run_streaming(
     if m == 0 || n < 2 {
         return (rounds, stats, 1);
     }
+    // No `K_p` exists past the degeneracy bound, so the run answers empty
+    // there, before the tuple assignment is sized by `p`.
+    let ordering = degeneracy_ordering(graph);
+    if p > ordering.degeneracy + 1 {
+        return (rounds, stats, 1);
+    }
     let clique = CongestedClique::new(n);
 
     // Orientation with out-degree O(arboricity): each node is responsible for
     // its outgoing edges.
-    let orientation = Orientation::from_degeneracy(graph);
+    let orientation = Orientation::from_positions(graph, &ordering.position);
 
     // Partition into ~n^{1/p} parts; announcing one part per owned vertex is a
     // single round (every node broadcasts its own part).

@@ -33,7 +33,7 @@
 //! share it across concurrent full, per-vertex and per-edge enumerations by
 //! `&self` (see `DESIGN.md` §11).
 
-use crate::orientation::{degeneracy_ordering, DegeneracyOrdering, OrientedDag};
+use crate::orientation::{degeneracy_dag, DegeneracyOrdering, OrientedDag};
 use crate::{Clique, Graph};
 
 #[path = "cliques_trie.rs"]
@@ -204,9 +204,10 @@ pub struct CliqueIndex {
 impl CliqueIndex {
     /// Builds the index of `graph`: degeneracy ordering, oriented DAG and
     /// adjacency bitsets, in `O(n + m)` time plus the bounded bitset table.
+    /// One peel yields both the ordering and the DAG (it writes each
+    /// vertex's row of later neighbours as it peels the vertex).
     pub fn build(graph: &Graph) -> CliqueIndex {
-        let ordering = degeneracy_ordering(graph);
-        let dag = OrientedDag::from_ordering(graph, &ordering);
+        let (ordering, dag) = degeneracy_dag(graph);
         let bitsets = NeighborBitsets::build(graph, bitset_threshold(graph));
         let max_out = dag.max_out_degree();
         CliqueIndex {
@@ -1126,6 +1127,7 @@ pub fn is_clique(graph: &Graph, candidate: &[u32]) -> bool {
 mod tests {
     use super::*;
     use crate::gen;
+    use crate::orientation::degeneracy_ordering;
 
     fn binomial(n: usize, k: usize) -> usize {
         if k > n {

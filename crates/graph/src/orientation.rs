@@ -25,114 +25,159 @@ pub struct DegeneracyOrdering {
 }
 
 /// Computes a degeneracy ordering in `O(n + m)` time with bucket queues.
+///
+/// The peel repeatedly removes a vertex of smallest remaining degree. Each
+/// bucket is a stack seeded in id order, so among vertices of equal degree
+/// the one whose degree reached that value last goes first; `DESIGN.md` §13
+/// treats this tie-breaking as a contract, because every listing order
+/// follows the ordering. This is the loop behind
+/// [`OrientedDag::from_degeneracy`] without the DAG rows.
 pub fn degeneracy_ordering(graph: &Graph) -> DegeneracyOrdering {
+    peel::<false>(graph).0
+}
+
+/// The degeneracy ordering of `graph` and its [`OrientedDag`], both from one
+/// peel: the neighbours still unpeeled when `v` is peeled are exactly its
+/// later neighbours, already sorted by id, so the peel writes `v`'s row as
+/// it goes. Equal to [`degeneracy_ordering`] followed by
+/// [`OrientedDag::from_ordering`].
+pub(crate) fn degeneracy_dag(graph: &Graph) -> (DegeneracyOrdering, OrientedDag) {
+    peel::<true>(graph)
+}
+
+/// Marks a peeled vertex in the peel's degree array.
+const PEELED: u32 = u32::MAX;
+
+/// The bucket-queue peel. With `ROWS` it writes each peeled vertex's DAG
+/// row; without, the returned DAG is empty and nothing is allocated for it.
+///
+/// Buckets hold stale entries: a vertex whose degree drops is pushed again
+/// one bucket lower and its old entry is skipped when popped. Every unpeeled
+/// vertex `v` has exactly one live entry, in bucket `degree[v]`, and
+/// `cursor` never exceeds the smallest remaining degree (it drops with every
+/// decrement below it), so scanning up from `cursor` finds the next vertex.
+fn peel<const ROWS: bool>(graph: &Graph) -> (DegeneracyOrdering, OrientedDag) {
     let n = graph.num_vertices();
-    let mut degree: Vec<usize> = (0..n as u32).map(|v| graph.degree(v)).collect();
-    let max_deg = degree.iter().copied().max().unwrap_or(0);
+    let mut degree: Vec<u32> = (0..n as u32).map(|v| graph.degree(v) as u32).collect();
+    let max_deg = degree.iter().copied().max().unwrap_or(0) as usize;
     let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); max_deg + 1];
     for v in 0..n as u32 {
-        buckets[degree[v as usize]].push(v);
+        buckets[degree[v as usize] as usize].push(v);
     }
-    let mut removed = vec![false; n];
     let mut order = Vec::with_capacity(n);
     let mut position = vec![0usize; n];
     let mut degeneracy = 0usize;
     let mut cursor = 0usize;
+    let mut dag = if ROWS {
+        OrientedDag::with_capacity(n, graph.num_edges())
+    } else {
+        OrientedDag::with_capacity(0, 0)
+    };
     for _ in 0..n {
-        // Find the lowest non-empty bucket. `cursor` can decrease by at most 1
-        // per removed edge, so the total work stays linear.
-        while cursor < buckets.len() && buckets[cursor].is_empty() {
-            cursor += 1;
-        }
-        // Buckets can contain stale entries for already removed vertices or
-        // for vertices whose degree has since dropped; skip them lazily.
         let v = loop {
-            if cursor >= buckets.len() {
-                // Only stale entries remained; rescan from zero.
-                cursor = 0;
-                while buckets[cursor].is_empty() {
-                    cursor += 1;
-                }
-            }
             match buckets[cursor].pop() {
-                Some(v) if !removed[v as usize] && degree[v as usize] == cursor => break v,
-                Some(_) => continue,
-                None => {
-                    cursor += 1;
-                    continue;
-                }
+                Some(v) if degree[v as usize] as usize == cursor => break v,
+                Some(_) => {}
+                None => cursor += 1,
             }
         };
-        removed[v as usize] = true;
+        degree[v as usize] = PEELED;
         degeneracy = degeneracy.max(cursor);
         position[v as usize] = order.len();
         order.push(v);
+        let start = dag.targets.len() as u32;
         for &w in graph.neighbors(v) {
-            if !removed[w as usize] {
-                let d = degree[w as usize];
+            let d = degree[w as usize];
+            if d != PEELED {
                 degree[w as usize] = d - 1;
-                buckets[d - 1].push(w);
-                if d - 1 < cursor {
-                    cursor = d - 1;
+                buckets[d as usize - 1].push(w);
+                cursor = cursor.min(d as usize - 1);
+                if ROWS {
+                    dag.targets.push(w);
                 }
             }
         }
+        if ROWS {
+            dag.close_row(v, start);
+        }
     }
-    DegeneracyOrdering {
+    let ordering = DegeneracyOrdering {
         order,
         position,
         degeneracy,
-    }
+    };
+    (ordering, dag)
 }
 
-/// The acyclic "later-neighbour" DAG of a degeneracy ordering, in CSR form.
+/// The acyclic "later-neighbour" DAG of a degeneracy ordering.
 ///
 /// For every vertex `v`, the structure stores the neighbours that appear
 /// *after* `v` in the peeling order, sorted by vertex id (the same order the
-/// underlying CSR rows use). Built once in `O(n + m)`, it is the substrate of
-/// the ordered clique enumeration in [`crate::cliques`]: the out-degree of
-/// every vertex is at most the degeneracy, so per-depth candidate buffers can
-/// be sized once up front, and candidate sets stay sorted so intersections
-/// are plain merges.
+/// underlying CSR rows use). The rows are laid out in peeling order, the
+/// order the ordered search visits its roots, and each vertex records the
+/// span of its row. Built in `O(n + m)`, by the peel itself
+/// ([`OrientedDag::from_degeneracy`]) or from any ordering
+/// ([`OrientedDag::from_ordering`]), it is the substrate of the ordered
+/// clique enumeration in [`crate::cliques`]: the out-degree of every vertex
+/// is at most the degeneracy, so per-depth candidate buffers can be sized
+/// once up front, and candidate sets stay sorted so intersections are plain
+/// merges.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OrientedDag {
-    /// CSR row offsets; `offsets.len() == n + 1`.
-    offsets: Vec<u32>,
-    /// Concatenated out-neighbour lists, each sorted by vertex id.
+    /// `spans[v]` is the `[start, end)` range of `v`'s row in `targets`.
+    spans: Vec<[u32; 2]>,
+    /// Concatenated out-neighbour rows in peeling order, each sorted by
+    /// vertex id.
     targets: Vec<u32>,
 }
 
 impl OrientedDag {
-    /// Builds the DAG of `ordering` over `graph` in one linear pass.
+    /// A DAG over `n` vertices with empty rows and room for `m` arcs.
+    fn with_capacity(n: usize, m: usize) -> Self {
+        OrientedDag {
+            spans: vec![[0, 0]; n],
+            targets: Vec::with_capacity(m),
+        }
+    }
+
+    /// Ends `v`'s row: the arcs appended since `start`.
+    fn close_row(&mut self, v: u32, start: u32) {
+        self.spans[v as usize] = [start, self.targets.len() as u32];
+    }
+
+    /// Builds the DAG of an arbitrary `ordering` over `graph` in one linear
+    /// pass over the ordering.
     ///
     /// # Panics
     ///
     /// Panics if `ordering` does not cover the vertices of `graph`.
     pub fn from_ordering(graph: &Graph, ordering: &DegeneracyOrdering) -> Self {
         let n = graph.num_vertices();
+        assert_eq!(ordering.order.len(), n, "ordering must cover every vertex");
         let position = &ordering.position;
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u32);
-        let mut targets = Vec::with_capacity(graph.num_edges());
-        for v in 0..n as u32 {
-            for &w in graph.neighbors(v) {
-                if position[w as usize] > position[v as usize] {
-                    targets.push(w);
-                }
-            }
-            offsets.push(targets.len() as u32);
+        let mut dag = OrientedDag::with_capacity(n, graph.num_edges());
+        for (i, &v) in ordering.order.iter().enumerate() {
+            let start = dag.targets.len() as u32;
+            dag.targets.extend(
+                graph
+                    .neighbors(v)
+                    .iter()
+                    .filter(|&&w| position[w as usize] > i),
+            );
+            dag.close_row(v, start);
         }
-        OrientedDag { offsets, targets }
+        dag
     }
 
-    /// Computes a degeneracy ordering of `graph` and builds its DAG.
+    /// Computes a degeneracy ordering of `graph` and builds its DAG, in one
+    /// peel.
     pub fn from_degeneracy(graph: &Graph) -> Self {
-        OrientedDag::from_ordering(graph, &degeneracy_ordering(graph))
+        degeneracy_dag(graph).1
     }
 
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
-        self.offsets.len() - 1
+        self.spans.len()
     }
 
     /// Number of directed edges (equals the number of undirected edges of the
@@ -143,20 +188,22 @@ impl OrientedDag {
 
     /// The out-neighbours of `v` (its later neighbours), sorted by vertex id.
     pub fn out_neighbors(&self, v: u32) -> &[u32] {
-        &self.targets[self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize]
+        let [start, end] = self.spans[v as usize];
+        &self.targets[start as usize..end as usize]
     }
 
     /// Out-degree of `v`.
     pub fn out_degree(&self, v: u32) -> usize {
-        (self.offsets[v as usize + 1] - self.offsets[v as usize]) as usize
+        let [start, end] = self.spans[v as usize];
+        (end - start) as usize
     }
 
     /// Maximum out-degree over all vertices (at most the degeneracy when the
     /// DAG comes from a degeneracy ordering).
     pub fn max_out_degree(&self) -> usize {
-        self.offsets
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as usize)
+        self.spans
+            .iter()
+            .map(|&[start, end]| (end - start) as usize)
             .max()
             .unwrap_or(0)
     }
@@ -416,6 +463,99 @@ mod tests {
             }
         }
         assert_eq!(OrientedDag::from_degeneracy(&g), dag);
+    }
+
+    /// The stale-entry bucket loop `degeneracy_ordering` ran before the peel
+    /// learned to write DAG rows, kept as the tie-breaking reference: a
+    /// different valid ordering would change every listing order.
+    fn reference_ordering(graph: &Graph) -> DegeneracyOrdering {
+        let n = graph.num_vertices();
+        let mut degree: Vec<usize> = (0..n as u32).map(|v| graph.degree(v)).collect();
+        let max_deg = degree.iter().copied().max().unwrap_or(0);
+        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); max_deg + 1];
+        for v in 0..n as u32 {
+            buckets[degree[v as usize]].push(v);
+        }
+        let mut removed = vec![false; n];
+        let mut order = Vec::with_capacity(n);
+        let mut position = vec![0usize; n];
+        let mut degeneracy = 0usize;
+        let mut cursor = 0usize;
+        for _ in 0..n {
+            while cursor < buckets.len() && buckets[cursor].is_empty() {
+                cursor += 1;
+            }
+            let v = loop {
+                if cursor >= buckets.len() {
+                    cursor = 0;
+                    while buckets[cursor].is_empty() {
+                        cursor += 1;
+                    }
+                }
+                match buckets[cursor].pop() {
+                    Some(v) if !removed[v as usize] && degree[v as usize] == cursor => break v,
+                    Some(_) => continue,
+                    None => {
+                        cursor += 1;
+                        continue;
+                    }
+                }
+            };
+            removed[v as usize] = true;
+            degeneracy = degeneracy.max(cursor);
+            position[v as usize] = order.len();
+            order.push(v);
+            for &w in graph.neighbors(v) {
+                if !removed[w as usize] {
+                    let d = degree[w as usize];
+                    degree[w as usize] = d - 1;
+                    buckets[d - 1].push(w);
+                    if d - 1 < cursor {
+                        cursor = d - 1;
+                    }
+                }
+            }
+        }
+        DegeneracyOrdering {
+            order,
+            position,
+            degeneracy,
+        }
+    }
+
+    #[test]
+    fn one_peel_matches_the_reference_ordering_and_dag() {
+        let graphs = [
+            ("empty", Graph::new(0)),
+            ("isolated", Graph::new(7)),
+            ("path", gen::path_graph(12)),
+            ("star", gen::star_graph(15)),
+            ("complete", gen::complete_graph(9)),
+            ("sparse er", gen::erdos_renyi(300, 0.02, 5)),
+            ("dense er", gen::erdos_renyi(120, 0.6, 8)),
+            ("rmat", gen::rmat(9, 8, (0.57, 0.19, 0.19, 0.05), 2)),
+            ("multipartite", gen::multipartite(220, 3, 0.8, 1)),
+        ];
+        for (name, g) in &graphs {
+            let want = reference_ordering(g);
+            assert_eq!(degeneracy_ordering(g), want, "{name}: ordering");
+            let (ordering, dag) = degeneracy_dag(g);
+            assert_eq!(ordering, want, "{name}: one-peel ordering");
+            assert_eq!(dag, OrientedDag::from_ordering(g, &want), "{name}: dag");
+            assert_eq!(OrientedDag::from_degeneracy(g), dag, "{name}: dag");
+            assert_eq!(dag.num_vertices(), g.num_vertices(), "{name}");
+            assert_eq!(dag.num_edges(), g.num_edges(), "{name}");
+            assert_eq!(dag.max_out_degree(), want.degeneracy, "{name}");
+            for v in 0..g.num_vertices() as u32 {
+                let later: Vec<u32> = g
+                    .neighbors(v)
+                    .iter()
+                    .copied()
+                    .filter(|&w| want.position[w as usize] > want.position[v as usize])
+                    .collect();
+                assert_eq!(dag.out_neighbors(v), later, "{name}: row of {v}");
+            }
+        }
     }
 
     #[test]

@@ -11,17 +11,24 @@
 //! compared to the full listings: the work scales with the churn, not with
 //! the graph.
 //!
-//! [`delta_cliques`] diffs the two snapshots' sorted edge streams directly
-//! (it never trusts a caller-supplied batch), fans the per-edge enumerations
-//! out through `graphcore::ordered_merge` under a thread grant, and
-//! canonicalises the result — sorted, duplicate-free, exactly-once — so the
-//! delta is byte-identical at any thread grant. The churn differential
-//! battery (`tests/churn_differential.rs`) pins `delta == set difference of
-//! the full listings` across workloads, clique sizes and thread grants.
+//! [`delta_cliques`] diffs the two snapshots' CSR rows directly (it never
+//! trusts a caller-supplied batch; rows equal as slices are skipped), fans
+//! the per-edge enumerations out through `graphcore::ordered_merge` under a
+//! thread grant, each returning its cliques as flat rows of width `p`, and
+//! canonicalises the result with one sort of the rows that drops adjacent
+//! repeats — sorted, duplicate-free, exactly-once — so the delta is
+//! byte-identical at any thread grant. Only then is each row turned into a
+//! public [`Clique`]. A clique holding several changed edges is enumerated
+//! once per such edge; the sort puts the copies side by side, so dropping
+//! them costs nothing, and no ownership rule decides which edge lists it
+//! (`DESIGN.md` §13). The churn differential battery
+//! (`tests/churn_differential.rs`) pins `delta == set difference of the full
+//! listings` across workloads, clique sizes and thread grants.
 
 use crate::snapshot::GraphSnapshot;
 use cliquelist::Parallelism;
-use graphcore::Clique;
+use graphcore::{Clique, Graph};
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Why [`delta_cliques`] refused to diff two snapshots.
@@ -82,66 +89,88 @@ impl CliqueDelta {
 /// A sorted list of canonical (`u < v`) edges.
 type EdgeList = Vec<(u32, u32)>;
 
-/// Diffs the sorted edge streams of two graphs: returns
-/// `(in new only, in old only)`, both sorted with `u < v`.
-fn edge_diff(old: &graphcore::Graph, new: &graphcore::Graph) -> (EdgeList, EdgeList) {
+/// Diffs two graphs on one vertex set row by row: returns
+/// `(in new only, in old only)`, both sorted with `u < v`. Rows equal as
+/// slices are skipped; a changed row merges the two rows' upper halves
+/// (`v > u`), so each edge is seen from its smaller endpoint only.
+fn edge_diff(old: &Graph, new: &Graph) -> (EdgeList, EdgeList) {
     let mut inserted = Vec::new();
     let mut deleted = Vec::new();
-    let mut old_edges = old.edges().peekable();
-    let mut new_edges = new.edges().peekable();
-    loop {
-        match (old_edges.peek(), new_edges.peek()) {
-            (Some(&a), Some(&b)) => match a.cmp(&b) {
-                std::cmp::Ordering::Less => {
-                    deleted.push(a);
-                    old_edges.next();
-                }
-                std::cmp::Ordering::Greater => {
-                    inserted.push(b);
-                    new_edges.next();
-                }
-                std::cmp::Ordering::Equal => {
-                    old_edges.next();
-                    new_edges.next();
-                }
-            },
-            (Some(&a), None) => {
-                deleted.push(a);
-                old_edges.next();
-            }
-            (None, Some(&b)) => {
-                inserted.push(b);
-                new_edges.next();
-            }
-            (None, None) => break,
+    for u in 0..old.num_vertices() as u32 {
+        let (a, b) = (old.neighbors(u), new.neighbors(u));
+        if a == b {
+            continue;
         }
+        let a = &a[a.partition_point(|&v| v < u)..];
+        let b = &b[b.partition_point(|&v| v < u)..];
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                Ordering::Less => {
+                    deleted.push((u, a[i]));
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    inserted.push((u, b[j]));
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        deleted.extend(a[i..].iter().map(|&v| (u, v)));
+        inserted.extend(b[j..].iter().map(|&v| (u, v)));
     }
     (inserted, deleted)
 }
 
-/// All `p`-cliques of `snapshot` containing the edge `{u, v}`, in the
-/// enumerator's deterministic order.
-fn cliques_on_edge(snapshot: &GraphSnapshot, p: usize, (u, v): (u32, u32)) -> Vec<Clique> {
-    let mut out = Vec::new();
+/// All `p`-cliques of `snapshot` containing the edge `{u, v}`, as flat rows
+/// of width `p` in the enumerator's deterministic order.
+fn cliques_on_edge(snapshot: &GraphSnapshot, p: usize, (u, v): (u32, u32)) -> Vec<u32> {
+    let mut rows = Vec::new();
     snapshot
         .index()
         .for_each_containing_edge_while(snapshot.graph(), p, u, v, |c| {
-            out.push(c.to_vec());
+            rows.extend_from_slice(c);
             true
         });
-    out
+    rows
+}
+
+/// The canonical clique list of flat rows of width `p`: the rows sorted
+/// lexicographically, adjacent repeats dropped, each row its own [`Clique`].
+/// A row sorts by its first four vertices packed into one `u128` (the whole
+/// row at `p ≤ 4`); only rows equal there compare the rest.
+fn canonical_cliques(rows: &[u32], p: usize) -> Vec<Clique> {
+    let mut sorted: Vec<(u128, &[u32])> = rows
+        .chunks_exact(p)
+        .map(|row| {
+            let key = row[..p.min(4)]
+                .iter()
+                .fold(0, |key, &v| key << 32 | u128::from(v));
+            (key, row)
+        })
+        .collect();
+    sorted.sort_unstable();
+    sorted.dedup();
+    sorted.into_iter().map(|(_, row)| row.to_vec()).collect()
 }
 
 /// Computes the [`CliqueDelta`] between two snapshots of one churned graph.
 ///
-/// The edge difference is taken from the snapshots themselves (a linear merge
-/// of their sorted edge streams), so the result is correct even when the
-/// caller's batch contained ineffective changes — and `delta_cliques(s, s, p,
-/// ..)` is always empty. Work is proportional to the churn: one per-edge
-/// containment enumeration per changed edge, fanned out through
-/// `graphcore::ordered_merge` under a thread grant (inline when the fan-out
-/// rule gives one thread). The output is canonical and identical at every
-/// thread grant (`&self`-concurrent: both snapshots are only read).
+/// The edge difference is taken from the snapshots themselves (a row-by-row
+/// merge of their CSR rows that skips equal rows), so the result is correct
+/// even when the caller's batch contained ineffective changes — and
+/// `delta_cliques(s, s, p, ..)` is always empty. Work is proportional to the
+/// churn: one per-edge containment enumeration per changed edge, fanned out
+/// through `graphcore::ordered_merge` under a thread grant (inline when the
+/// fan-out rule gives one thread), each returning flat rows of width `p`.
+/// One sort per side puts the rows in canonical order and drops the repeats
+/// of cliques that hold several changed edges; the public lists are built
+/// from the sorted rows at the end. The output is canonical and identical at
+/// every thread grant (`&self`-concurrent: both snapshots are only read).
 ///
 /// `p < 2` deltas are empty by definition (vertices never churn); `p == 2`
 /// deltas are the edge difference itself.
@@ -174,8 +203,8 @@ pub fn delta_cliques(
             destroyed: deleted.iter().map(|&(u, v)| vec![u, v]).collect(),
         });
     }
-    let mut created: Vec<Clique> = Vec::new();
-    let mut destroyed: Vec<Clique> = Vec::new();
+    let mut created = Vec::new();
+    let mut destroyed = Vec::new();
     let mut consumed = 0usize;
     // Item i enumerates against the snapshot that owns the edge: inserted
     // edges exist only in `new`, deleted ones only in `old`.
@@ -189,35 +218,32 @@ pub fn delta_cliques(
                 cliques_on_edge(old, p, deleted[i - inserted.len()])
             }
         },
-        |cliques| {
+        |rows| {
             let bucket = if consumed < inserted.len() {
                 &mut created
             } else {
                 &mut destroyed
             };
-            bucket.extend(cliques);
+            bucket.extend_from_slice(&rows);
             consumed += 1;
             true
         },
     );
-    // A clique containing several changed edges was enumerated once per
-    // edge: canonicalise to exactly-once. The per-edge streams are already
-    // internally sorted, but the concatenation across edges is not.
-    created.sort_unstable();
-    created.dedup();
-    destroyed.sort_unstable();
-    destroyed.dedup();
+    // A clique holding several changed edges was enumerated once per edge;
+    // sorting the rows puts its copies next to each other.
     Ok(CliqueDelta {
         p,
-        created,
-        destroyed,
+        created: canonical_cliques(&created, p),
+        destroyed: canonical_cliques(&destroyed, p),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphcore::{cliques, gen, EdgeBatch, Graph};
+    use graphcore::{cliques, gen, EdgeBatch};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     /// Reference implementation: the set difference of the full listings.
     fn reference_delta(old: &Graph, new: &Graph, p: usize) -> (Vec<Clique>, Vec<Clique>) {
@@ -304,6 +330,42 @@ mod tests {
         for threads in [1, 2, 8] {
             let delta = delta_cliques(&old, &new, 4, Parallelism::Threads(threads)).unwrap();
             assert_eq!(delta, baseline, "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn canonical_cliques_sort_and_drop_repeats() {
+        let n = 12u32;
+        let mut rng = SmallRng::seed_from_u64(5);
+        for p in [3usize, 4, 5] {
+            let mut rows: Vec<u32> = Vec::new();
+            for i in 0..300 {
+                if i % 4 == 3 {
+                    // A repeat of an earlier row.
+                    let k = rng.gen_range(0..rows.len() / p);
+                    rows.extend_from_within(k * p..(k + 1) * p);
+                    continue;
+                }
+                let mut row: Vec<u32> = Vec::with_capacity(p);
+                if i % 5 == 0 {
+                    row.push(n - 1);
+                }
+                while row.len() < p {
+                    let v = rng.gen_range(0..n);
+                    if !row.contains(&v) {
+                        row.push(v);
+                    }
+                }
+                row.sort_unstable();
+                rows.extend(row);
+            }
+            let mut want: Vec<Clique> = rows.chunks(p).map(<[u32]>::to_vec).collect();
+            want.sort_unstable();
+            want.dedup();
+            let canonical = canonical_cliques(&rows, p);
+            assert!(canonical.len() < rows.len() / p, "p {p}: repeats present");
+            assert!(canonical.iter().any(|c| c.contains(&(n - 1))), "p {p}");
+            assert_eq!(canonical, want, "p {p}");
         }
     }
 }

@@ -9,10 +9,11 @@
 //! by [`SnapshotBuilder::build`] and never mutated afterwards, so a snapshot
 //! behind an [`Arc`] serves any number of concurrent queries through `&self`.
 //!
-//! Snapshots are content-addressed: [`GraphSnapshot::id`] is the FNV-1a hash
-//! of the graph's vertex count and edge list, so two snapshots of identical
-//! graphs share cached results and any structural change produces a fresh
-//! identity (see `DESIGN.md` §11).
+//! Snapshots are content-addressed: [`GraphSnapshot::id`] is a word-at-a-time
+//! hash of the graph's vertex count, edge count and sorted edge list (one
+//! multiply and one rotate per edge), so two snapshots of identical graphs
+//! share cached results and any structural change produces a fresh identity
+//! (see `DESIGN.md` §11).
 
 use graphcore::cliques::{CliqueIndex, ShardPlan};
 use graphcore::{AppliedBatch, BatchError, EdgeBatch, Graph, KernelChoice, KernelStrategy};
@@ -231,9 +232,10 @@ impl GraphSnapshot {
         Arc::new(self)
     }
 
-    /// The content identity: FNV-1a over the vertex count and the sorted edge
-    /// list. Equal for structurally identical graphs, different after any
-    /// edge/vertex change — the first half of every cache key.
+    /// The content identity: a word-at-a-time hash of the vertex count, the
+    /// edge count and the sorted edge list, each edge one `u64` word. Equal
+    /// for structurally identical graphs, different after any edge/vertex
+    /// change — the first half of every cache key.
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -319,59 +321,35 @@ impl fmt::Debug for GraphSnapshot {
     }
 }
 
-/// Incremental 64-bit FNV-1a hasher over byte streams — the same hash the
-/// bench harness keys its result store with (`bench::store::fnv1a`),
-/// re-implemented here because `bench` depends on this crate. Snapshot ids
-/// appear in every query payload, so its output is pinned by reference
-/// vectors.
-struct Fnv1a(u64);
+/// Odd multiplier of the content hash (`2^64 / φ`).
+const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
 
-impl Fnv1a {
-    /// FNV-1a offset basis (64-bit).
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    /// FNV-1a prime (64-bit).
-    const PRIME: u64 = 0x100_0000_01b3;
-
-    /// Starts a hash at the FNV offset basis.
-    fn new() -> Fnv1a {
-        Fnv1a(Fnv1a::OFFSET)
-    }
-
-    /// Folds `bytes` into the hash.
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Fnv1a::PRIME);
-        }
-    }
-
-    /// Folds a `u32` (little-endian bytes) into the hash.
-    fn write_u32(&mut self, v: u32) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Folds a `u64` (little-endian bytes) into the hash.
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// The hash of everything written so far.
-    fn finish(&self) -> u64 {
-        self.0
-    }
+/// Folds one word into the content hash: one multiply and one rotate, which
+/// brings the product's well-mixed high bits down to where the next word
+/// lands.
+fn mix(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(MIX).rotate_left(31)
 }
 
-/// The content identity of a graph: vertex count, edge count, then every
-/// edge in the (deterministic, sorted) CSR traversal order.
+/// The content identity of a graph: a word-at-a-time hash of the vertex
+/// count, the edge count and every edge `(u, v)`, `u < v`, in lexicographic
+/// order, each edge folded in as the word `u << 32 | v`. A final avalanche
+/// (MurmurHash3's `fmix64`) spreads the last words over every bit.
 fn content_id(graph: &Graph) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write_u64(graph.num_vertices() as u64);
-    h.write_u64(graph.num_edges() as u64);
-    for (u, v) in graph.edges() {
-        h.write_u32(u);
-        h.write_u32(v);
+    let n = graph.num_vertices();
+    let mut h = mix(mix(MIX, n as u64), graph.num_edges() as u64);
+    for u in 0..n as u32 {
+        let row = graph.neighbors(u);
+        let high = u64::from(u) << 32;
+        for &v in &row[row.partition_point(|&v| v < u)..] {
+            h = mix(h, high | u64::from(v));
+        }
     }
-    h.finish()
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 #[cfg(test)]
@@ -380,30 +358,42 @@ mod tests {
     use graphcore::gen;
 
     #[test]
-    fn fnv1a_matches_the_reference_vectors() {
-        // Classic FNV-1a test vectors.
-        for (bytes, want) in [
-            (&b""[..], 0xcbf2_9ce4_8422_2325),
-            (b"a", 0xaf63_dc4c_8601_ec8c),
-            (b"foobar", 0x8594_4171_f739_67e8),
+    fn content_ids_match_the_reference_vectors() {
+        // Snapshot ids appear in every query payload, so the hash is pinned.
+        for (name, graph, want) in [
+            ("empty", Graph::new(0), 0x5201_1ba9_62de_7228_u64),
+            ("path(4)", gen::path_graph(4), 0x03b0_ff82_1da1_41ed),
+            ("complete(5)", gen::complete_graph(5), 0x5d04_6378_f7a9_99de),
+            (
+                "er(40,0.2,7)",
+                gen::erdos_renyi(40, 0.2, 7),
+                0x05db_c906_4fe3_d495,
+            ),
         ] {
-            let mut h = Fnv1a::new();
-            h.write(bytes);
-            assert_eq!(h.finish(), want, "{bytes:?}");
+            let id = GraphSnapshot::build(graph).id();
+            assert_eq!(id, want, "{name}: {id:#018x}");
         }
     }
 
     #[test]
-    fn incremental_writes_match_one_shot_hashing() {
-        let mut words = Fnv1a::new();
-        words.write_u32(7);
-        words.write_u64(11);
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&7u32.to_le_bytes());
-        bytes.extend_from_slice(&11u64.to_le_bytes());
-        let mut one_shot = Fnv1a::new();
-        one_shot.write(&bytes);
-        assert_eq!(words.finish(), one_shot.finish());
+    fn every_graph_on_six_vertices_has_its_own_id() {
+        let pairs: Vec<(u32, u32)> = (0..6u32)
+            .flat_map(|u| ((u + 1)..6).map(move |v| (u, v)))
+            .collect();
+        let mut ids: Vec<u64> = (0..1u32 << pairs.len())
+            .map(|mask| {
+                let edges: Vec<(u32, u32)> = (0..pairs.len())
+                    .filter(|&i| mask >> i & 1 == 1)
+                    .map(|i| pairs[i])
+                    .collect();
+                content_id(&Graph::from_edges(6, &edges).unwrap())
+            })
+            .collect();
+        ids.extend((0..6).map(|n| content_id(&Graph::new(n))));
+        let all = ids.len();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), all);
     }
 
     #[test]

@@ -378,6 +378,13 @@ fn oversized_p_answers_empty_instead_of_panicking() {
                 .build()
                 .unwrap();
             assert_eq!(general.count(&graph).1, 0, "{cell}: general");
+            let congested = Engine::builder()
+                .p(p)
+                .algorithm("congested-clique")
+                .parallelism(grant)
+                .build()
+                .unwrap();
+            assert_eq!(congested.count(&graph).1, 0, "{cell}: congested-clique");
         }
     }
 }
