@@ -209,8 +209,8 @@ pub struct ListingConfig {
     /// sequentially and says so in the [`RunReport`](crate::RunReport).
     pub parallelism: Parallelism,
     /// Enumeration kernel of the run's root-ordered clique searches (full
-    /// listings and shards; the in-cluster goal-edge listing always runs the
-    /// recursive kernel). Like [`Parallelism`] this knob controls only
+    /// listings and shards; the in-cluster goal-edge listing takes no kernel
+    /// and runs on bitset rows). Like [`Parallelism`] this knob controls only
     /// wall-clock behaviour: both kernels emit the same cliques in the same
     /// order, byte for byte (the kernel differential battery enforces it),
     /// so reports are identical at every setting. The default

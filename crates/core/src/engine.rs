@@ -365,15 +365,9 @@ impl Engine {
             saturated: counted.is_saturated(),
         };
         // Like the thread counts, the kernel summary is an execution detail
-        // kept out of `to_json`: the resolution is recomputed here as a pure
-        // function of the input graph's degeneracy so callers can see which
-        // kernel `Auto` picked without re-deriving the heuristic.
+        // kept out of `to_json`.
         report.kernel = KernelSummary {
             requested: self.config.kernel,
-            resolved: self
-                .config
-                .kernel
-                .resolve(graphcore::orientation::degeneracy_ordering(graph).degeneracy),
         };
         // Capability only — never the requested thread count — so the
         // serialised report stays byte-identical across parallelism settings.
@@ -580,8 +574,8 @@ impl EngineBuilder {
 
     /// Selects the enumeration kernel of every root-ordered local enumeration
     /// (defaults to [`KernelStrategy::Auto`], which resolves per graph by
-    /// degeneracy); the in-cluster goal-edge listing always runs the
-    /// recursive kernel.
+    /// degeneracy); the in-cluster goal-edge listing takes no kernel and
+    /// runs on bitset rows of the cluster's knowledge.
     /// Like [`EngineBuilder::parallelism`], this knob never changes a run's
     /// output — both kernels are held to byte-identical listings — only its
     /// wall-clock profile.

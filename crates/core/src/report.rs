@@ -13,7 +13,7 @@
 //! and switches to `serde_json` transparently once a real backend lands.
 
 use crate::result::{Diagnostics, Rounds};
-use graphcore::{KernelChoice, KernelStrategy};
+use graphcore::KernelStrategy;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -92,34 +92,20 @@ impl Default for ParallelismSummary {
     }
 }
 
-/// How a run's local enumerations selected their kernel with respect to the
-/// [`KernelStrategy`] knob.
+/// Which enumeration kernel a run's local enumerations were asked for, by
+/// the [`KernelStrategy`] knob.
 ///
 /// Like the thread counts of [`ParallelismSummary`], the whole summary is an
 /// execution detail deliberately excluded from [`RunReport::to_json`]: both
 /// kernels emit byte-identical listings (the kernel differential battery
 /// holds them to it), so two runs differing only in their kernel setting
-/// must produce byte-identical report artifacts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// must produce byte-identical report artifacts. Each enumeration resolves
+/// the strategy on its own graph; `CliqueIndex::resolve_kernel` answers what
+/// it picks on a given one.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KernelSummary {
     /// The strategy the run was configured with.
     pub requested: KernelStrategy,
-    /// What the strategy resolves to on the *input* graph (a pure function
-    /// of the graph's degeneracy and the strategy — host-independent).
-    /// Derived enumerations (cluster subgraphs, aggregate graphs) resolve
-    /// per their own subgraph and may differ; this field records the
-    /// top-level resolution so scaling reports can attribute wall-clock
-    /// differences to the kernel that actually ran on the dominant input.
-    pub resolved: KernelChoice,
-}
-
-impl Default for KernelSummary {
-    fn default() -> Self {
-        KernelSummary {
-            requested: KernelStrategy::Auto,
-            resolved: KernelChoice::Recursive,
-        }
-    }
 }
 
 /// CONGESTED CLIQUE load statistics (Theorem 1.3), present only on runs of
@@ -184,9 +170,9 @@ pub struct RunReport {
     /// How the local enumeration was executed (sharded or sequential, and
     /// why), filled by the engine.
     pub parallelism: ParallelismSummary,
-    /// Which enumeration kernel the run requested and resolved to, filled by
-    /// the engine. Execution detail, excluded from [`RunReport::to_json`]
-    /// (see [`KernelSummary`]).
+    /// Which enumeration kernel the run requested, filled by the engine.
+    /// Execution detail, excluded from [`RunReport::to_json`] (see
+    /// [`KernelSummary`]).
     pub kernel: KernelSummary,
     /// CONGESTED CLIQUE load statistics, when applicable.
     pub congested_clique: Option<CongestedCliqueStats>,
@@ -407,7 +393,6 @@ mod tests {
         let baseline = report.to_json();
         report.kernel = KernelSummary {
             requested: KernelStrategy::Trie,
-            resolved: KernelChoice::Trie,
         };
         let json = report.to_json();
         assert_eq!(json, baseline);

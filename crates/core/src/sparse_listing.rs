@@ -30,7 +30,16 @@
 //! once, applied to goal edges. Goal edges are visited in sorted order and
 //! each goal edge's cliques stream in ascending canonical order, so the
 //! emission is deterministic and equals the first occurrences of listing
-//! every clique through every goal edge. Duplicates remain only *across*
+//! every clique through every goal edge.
+//!
+//! The listing runs on word-parallel bitset rows (`KnowledgeRows`), DIST's
+//! induced-subgraph trade-off: the cluster's known and goal adjacency are
+//! built once, over dense local ids of the known vertices in ascending
+//! global id, so every candidate set is a word-wise AND of packed rows and
+//! the smallest-goal-edge rule is a mask on the goal rows. The rows share the
+//! trie node's ceiling, [`cliques::TRIE_NODE_WORD_BUDGET`]; knowledge past it
+//! (more than 8,192 known vertices) runs the same rule over CSR rows, with
+//! the same emission. Duplicates remain only *across*
 //! clusters (a clique can hold goal edges of two clusters); `arb_list`'s
 //! per-invocation [`Dedup`](crate::sink::Dedup) layer absorbs those for the
 //! general variant, and the run-level one does for fast-`K_4`, preserving
@@ -214,15 +223,251 @@ pub fn cluster_listing(
     // listed by the owner of the tuple of its vertex parts; since every tuple
     // is owned, this equals the set of K_p in the known-edge graph containing
     // a goal edge.
-    let undirected: Vec<(u32, u32)> = input
-        .known_edges
+    match KnowledgeRows::build(n, input.known_edges, input.goal_edges) {
+        Some(rows) => rows.list_at_first_goal_edge(p, sink),
+        None => list_over_csr(n, input.known_edges, input.goal_edges, p, sink),
+    }
+    outcome
+}
+
+/// A cluster's pooled knowledge as packed bitset rows over dense local ids:
+/// the known vertices, numbered in ascending global id (as [`ClusterIds`]
+/// numbers the cluster nodes). Row `x` of `known` holds `x`'s known
+/// neighbours and row `x` of `goal` its goal-edge partners, `stride` words
+/// each, both halves of each matrix.
+struct KnowledgeRows {
+    /// Local id → global id, ascending.
+    verts: Vec<u32>,
+    stride: usize,
+    known: Vec<u64>,
+    goal: Vec<u64>,
+}
+
+impl KnowledgeRows {
+    /// Builds both matrices in one pass over the known and one over the goal
+    /// edges, or `None` when their `2·K·⌈K/64⌉` words for `K` known vertices
+    /// would exceed [`cliques::TRIE_NODE_WORD_BUDGET`] (past 8,192 known
+    /// vertices). A goal edge with an endpoint outside the known vertices is
+    /// not a known edge, so it lists nothing and gets no bit.
+    fn build(n: usize, known_edges: &[(u32, u32)], goal_edges: &EdgeSet) -> Option<Self> {
+        const ABSENT: u32 = u32::MAX;
+        // Mark the known vertices with 0, then number them in ascending
+        // global id; unmarked slots stay `ABSENT`.
+        let mut local = vec![ABSENT; n];
+        for &(a, b) in known_edges {
+            local[a as usize] = 0;
+            local[b as usize] = 0;
+        }
+        let mut verts = Vec::new();
+        for (x, id) in local.iter_mut().enumerate() {
+            if *id == 0 {
+                *id = verts.len() as u32;
+                verts.push(x as u32);
+            }
+        }
+        let stride = verts.len().div_ceil(64);
+        if verts.len().saturating_mul(stride).saturating_mul(2) > cliques::TRIE_NODE_WORD_BUDGET {
+            return None;
+        }
+        let mut known = vec![0u64; verts.len() * stride];
+        let mut goal = vec![0u64; verts.len() * stride];
+        let set_pair = |rows: &mut [u64], a: u32, b: u32| {
+            let (a, b) = (a as usize, b as usize);
+            rows[a * stride + (b >> 6)] |= 1 << (b & 63);
+            rows[b * stride + (a >> 6)] |= 1 << (a & 63);
+        };
+        for &(a, b) in known_edges {
+            set_pair(&mut known, local[a as usize], local[b as usize]);
+        }
+        for e in goal_edges {
+            let (a, b) = (local[e.u() as usize], local[e.v() as usize]);
+            if a != ABSENT && b != ABSENT {
+                set_pair(&mut goal, a, b);
+            }
+        }
+        Some(KnowledgeRows {
+            verts,
+            stride,
+            known,
+            goal,
+        })
+    }
+
+    fn known_row(&self, x: usize) -> &[u64] {
+        &self.known[x * self.stride..(x + 1) * self.stride]
+    }
+
+    fn goal_row(&self, x: usize) -> &[u64] {
+        &self.goal[x * self.stride..(x + 1) * self.stride]
+    }
+
+    /// The word-parallel form of [`list_at_first_goal_edge`], with the same
+    /// emission byte for byte. Goal edges `(u, v)` come off `goal`'s upper
+    /// triangle in ascending local, hence global, order. The seed set is
+    /// `K(u) & K(v)` minus `G(u)` below `v` and minus `G(v)` below `u`: the
+    /// pairs through `u` or `v` that sort before `(u, v)`. The search then
+    /// picks candidates in ascending bit order, so the two vertices `x < y`
+    /// of a completed clique's goal pair with `x < u` are always picked `x`
+    /// first; a pick `w < u` clears `G(w)` from the deeper sets, which drops
+    /// exactly the cliques the completed-clique check drops. Nothing is sized
+    /// by `p`: the mask levels grow only for a seed set of at least `p - 2`
+    /// vertices.
+    fn list_at_first_goal_edge(&self, p: usize, sink: &mut dyn CliqueSink) {
+        if p < 2 {
+            return;
+        }
+        let stride = self.stride;
+        let mut masks = vec![0u64; stride];
+        let mut search = GoalEdgeSearch {
+            rows: self,
+            p,
+            u: 0,
+            stack: Vec::new(),
+            scratch: Vec::new(),
+        };
+        for u in 0..self.verts.len() {
+            let (goal_u, known_u) = (self.goal_row(u), self.known_row(u));
+            for (wi, &goal_word) in goal_u.iter().enumerate().skip(u >> 6) {
+                let mut word = goal_word & !below(u + 1, wi);
+                while word != 0 {
+                    let v = (wi << 6) + word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    if sink.is_saturated() {
+                        return;
+                    }
+                    // A goal edge absent from the known edges lists nothing.
+                    if known_u[v >> 6] >> (v & 63) & 1 == 0 {
+                        continue;
+                    }
+                    let (gu, gv) = (self.verts[u], self.verts[v]);
+                    if p == 2 {
+                        sink.accept(&[gu, gv]);
+                        continue;
+                    }
+                    self.seed_set(u, v, &mut masks[..stride]);
+                    let seeds: u32 = masks[..stride].iter().map(|w| w.count_ones()).sum();
+                    if (seeds as usize) < p - 2 {
+                        continue;
+                    }
+                    // `p - 2 ≤ seeds ≤ K`: one mask level per vertex still
+                    // to pick.
+                    masks.resize(masks.len().max((p - 2) * stride), 0);
+                    search.u = u;
+                    search.stack.clear();
+                    search.stack.extend_from_slice(&[gu, gv]);
+                    search.descend(&mut masks, 0, sink);
+                }
+            }
+        }
+    }
+
+    /// Writes the seed set of goal edge `(u, v)`, `u < v`, into `out`: the
+    /// common known neighbours `w` with `{u, w}` not a goal edge if `w < v`,
+    /// and `{w, v}` not a goal edge if `w < u`.
+    fn seed_set(&self, u: usize, v: usize, out: &mut [u64]) {
+        let (known_u, known_v) = (self.known_row(u), self.known_row(v));
+        let (goal_u, goal_v) = (self.goal_row(u), self.goal_row(v));
+        for (j, word) in out.iter_mut().enumerate() {
+            *word =
+                known_u[j] & known_v[j] & !(goal_u[j] & below(v, j)) & !(goal_v[j] & below(u, j));
+        }
+    }
+}
+
+/// The bits of word `j` whose index is below `x`.
+fn below(x: usize, j: usize) -> u64 {
+    match j.cmp(&(x >> 6)) {
+        std::cmp::Ordering::Less => !0,
+        std::cmp::Ordering::Equal => (1 << (x & 63)) - 1,
+        std::cmp::Ordering::Greater => 0,
+    }
+}
+
+/// The depth-first search below one goal edge over a cluster's
+/// [`KnowledgeRows`]. The mask levels live in a separate buffer, split one
+/// level per call, as the trie kernel splits its arena.
+struct GoalEdgeSearch<'r> {
+    rows: &'r KnowledgeRows,
+    p: usize,
+    /// Local id of the goal edge's lower endpoint: a pick below it clears
+    /// its goal row from the deeper sets.
+    u: usize,
+    /// The clique so far in global ids: the goal edge, then the picks in
+    /// ascending order.
+    stack: Vec<u32>,
+    scratch: Vec<u32>,
+}
+
+impl GoalEdgeSearch<'_> {
+    /// Extends the stack by every vertex of the candidate set in
+    /// `masks[..stride]`, in ascending order, and emits each completed
+    /// clique sorted; returns `false` once the sink saturates. Words below
+    /// `from` are empty and never read.
+    fn descend(&mut self, masks: &mut [u64], from: usize, sink: &mut dyn CliqueSink) -> bool {
+        let rows = self.rows;
+        let stride = rows.stride;
+        let (current, deeper) = masks.split_at_mut(stride);
+        let needed = self.p - self.stack.len();
+        let mut remaining: usize = current[from..]
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum();
+        for wi in from..stride {
+            let mut word = current[wi];
+            while word != 0 {
+                if remaining < needed {
+                    return true;
+                }
+                let w = (wi << 6) + word.trailing_zeros() as usize;
+                // What is left of the word are the candidates above `w`.
+                word &= word - 1;
+                remaining -= 1;
+                self.stack.push(rows.verts[w]);
+                let keep_going = if needed == 1 {
+                    self.scratch.clear();
+                    self.scratch.extend_from_slice(&self.stack);
+                    self.scratch.sort_unstable();
+                    sink.accept(&self.scratch);
+                    !sink.is_saturated()
+                } else {
+                    // The candidates above `w` that see it, minus its goal
+                    // partners when `w < u`. An empty child is not entered.
+                    let (known_w, goal_w) = (rows.known_row(w), rows.goal_row(w));
+                    let clear = if w < self.u { !0 } else { 0 };
+                    let mut live = 0;
+                    for j in wi..stride {
+                        let rest = if j == wi { word } else { current[j] };
+                        deeper[j] = rest & known_w[j] & !(goal_w[j] & clear);
+                        live |= deeper[j];
+                    }
+                    live == 0 || self.descend(deeper, wi, sink)
+                };
+                self.stack.pop();
+                if !keep_going {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+}
+
+/// Step 5 over CSR rows, for knowledge too large for [`KnowledgeRows`]:
+/// the known and goal graphs feed [`list_at_first_goal_edge`].
+fn list_over_csr(
+    n: usize,
+    known_edges: &[(u32, u32)],
+    goal_edges: &EdgeSet,
+    p: usize,
+    sink: &mut dyn CliqueSink,
+) {
+    let undirected: Vec<(u32, u32)> = known_edges
         .iter()
         .map(|&(a, b)| (a.min(b), a.max(b)))
         .collect();
     let known_graph = Graph::from_edges(n, &undirected).expect("known edges are in range");
-    let goal_graph = Graph::from_edge_set(n, input.goal_edges).expect("goal edges are in range");
+    let goal_graph = Graph::from_edge_set(n, goal_edges).expect("goal edges are in range");
     list_at_first_goal_edge(&known_graph, &goal_graph, p, sink);
-    outcome
 }
 
 /// Streams every `p`-clique of `known` that contains an edge of `goal` into
@@ -306,7 +551,7 @@ fn row_difference(known: &Graph, goal: &Graph) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{CollectSink, Dedup, FirstK};
+    use crate::sink::{CollectSink, CountSink, Dedup, FirstK};
     use graphcore::{gen, Clique, Edge, Orientation};
     use std::collections::HashSet;
 
@@ -314,10 +559,19 @@ mod tests {
         graph: &Graph,
         cluster_size: usize,
     ) -> (Cluster, Graph, Vec<(u32, u32)>, EdgeSet) {
-        let cluster = Cluster::new(0, (0..cluster_size as u32).collect());
+        inputs_for_cluster(graph, (0..cluster_size as u32).collect())
+    }
+
+    /// The known edges are all of `graph`'s edges, oriented by degeneracy;
+    /// the cluster's edges `E_m` are those between two of `vertices`.
+    fn inputs_for_cluster(
+        graph: &Graph,
+        vertices: Vec<u32>,
+    ) -> (Cluster, Graph, Vec<(u32, u32)>, EdgeSet) {
+        let cluster = Cluster::new(0, vertices);
         let em: EdgeSet = graph
             .edges()
-            .filter(|&(u, v)| (u as usize) < cluster_size && (v as usize) < cluster_size)
+            .filter(|&(u, v)| cluster.contains(u) && cluster.contains(v))
             .map(|(u, v)| Edge::new(u, v))
             .collect();
         let em_graph = Graph::from_edge_set(graph.num_vertices(), &em).unwrap();
@@ -509,11 +763,19 @@ mod tests {
     #[test]
     fn each_clique_is_listed_once_at_its_smallest_goal_edge() {
         let mut rejections = 0;
-        for g in [gen::erdos_renyi(30, 0.6, 4), gen::complete_graph(12)] {
+        // The first two clusters are the whole graph: one word of rows. The
+        // third is the even vertices of `er(200, 0.3)`, whose ids interleave
+        // with those of outside known vertices, across four words of rows.
+        let cells: [(Graph, Vec<u32>); 3] = [
+            (gen::erdos_renyi(30, 0.6, 4), (0..30).collect()),
+            (gen::complete_graph(12), (0..12).collect()),
+            (gen::erdos_renyi(200, 0.3, 4), (0..200).step_by(2).collect()),
+        ];
+        for (g, vertices) in cells {
             let n = g.num_vertices();
-            let (cluster, em_graph, known, _) = inputs_for(&g, n);
+            let (cluster, em_graph, known, em) = inputs_for_cluster(&g, vertices);
             let learned = DenseTable::new(cluster.len());
-            let edges: Vec<Edge> = g.edges().map(|(u, v)| Edge::new(u, v)).collect();
+            let edges = em.to_sorted_vec();
             // Goal sets: every edge, one edge, and each edge with
             // probability 1/2 (the coin is an independent G(n, 1/2)).
             let mut goal_sets: Vec<EdgeSet> = vec![
@@ -562,5 +824,128 @@ mod tests {
             rejections > 0,
             "no cell exercised the completed-clique check"
         );
+    }
+
+    /// Folds an emission sequence into its length and an order-sensitive
+    /// hash, so long sequences compare without being stored.
+    #[derive(Debug, Default, PartialEq, Eq)]
+    struct Fingerprint {
+        count: u64,
+        hash: u64,
+    }
+
+    impl CliqueSink for Fingerprint {
+        fn accept(&mut self, clique: &[u32]) {
+            self.count += 1;
+            for &x in clique {
+                self.hash = (self.hash ^ u64::from(x)).wrapping_mul(0x0100_0000_01b3);
+            }
+            self.hash = self.hash.rotate_left(17) ^ self.count;
+        }
+    }
+
+    /// The word path and the CSR loop emit the same raw sequence, and stop at
+    /// the same prefix under a saturating sink; at `p = 2` that is every goal
+    /// edge that is a known edge. The goal edges are the pairs of an
+    /// independent `G(n, 1/2)`: about half of the known edges, so every part
+    /// of the smallest-goal-edge rule fires, and pairs that are not known
+    /// edges, which list nothing on either path.
+    #[test]
+    fn word_rows_and_the_csr_loop_emit_identical_sequences() {
+        let graphs = [
+            gen::clique_listing_workload(220, 4, 0.8, 5, 3).0,
+            gen::erdos_renyi(120, 0.3, 5),
+            gen::erdos_renyi(200, 0.5, 6),
+        ];
+        for g in &graphs {
+            let n = g.num_vertices();
+            let (_, _, known, _) = inputs_for(g, n);
+            let goal: EdgeSet = gen::erdos_renyi(n, 0.5, 7)
+                .edges()
+                .map(|(u, v)| Edge::new(u, v))
+                .collect();
+            let rows = KnowledgeRows::build(n, &known, &goal).expect("within the word budget");
+            for p in [2usize, 3, 4, 5] {
+                let (mut words, mut csr) = (Fingerprint::default(), Fingerprint::default());
+                rows.list_at_first_goal_edge(p, &mut words);
+                list_over_csr(n, &known, &goal, p, &mut csr);
+                assert_eq!(words, csr, "n={n} p={p}");
+                assert!(words.count > 0, "n={n} p={p}: nothing listed");
+                for k in [1, 17, 1000] {
+                    let (mut words, mut csr) = (FirstK::new(k), FirstK::new(k));
+                    rows.list_at_first_goal_edge(p, &mut words);
+                    list_over_csr(n, &known, &goal, p, &mut csr);
+                    assert_eq!(words.cliques, csr.cliques, "n={n} p={p} k={k}");
+                }
+            }
+        }
+    }
+
+    /// More than 8,192 known vertices overflow the word budget, so the CSR
+    /// loop lists them: a path with planted `K_6`s, against the oracle. The
+    /// cluster is the even vertices, so its goal edges are the planted edges
+    /// between two even members.
+    #[test]
+    fn knowledge_over_the_word_budget_runs_the_csr_loop() {
+        let n = 8_300;
+        let mut planted = Vec::new();
+        for c in 0..12u32 {
+            let members: Vec<u32> = (0..6).map(|i| c * 97 + i * 1_301).collect();
+            for (i, &a) in members.iter().enumerate() {
+                planted.extend(members[i + 1..].iter().map(|&b| (a, b)));
+            }
+        }
+        let g = gen::path_graph(n).with_edges_added(&planted).unwrap();
+        let (cluster, em_graph, known, em) =
+            inputs_for_cluster(&g, (0..n as u32).step_by(2).collect());
+        assert!(KnowledgeRows::build(n, &known, &em).is_none());
+        let learned = DenseTable::new(cluster.len());
+        // Goal sets: every edge, one edge, and each edge with probability
+        // 1/2 (a G(n, 1/2) coin would hold 17M edges here).
+        let edges = em.to_sorted_vec();
+        let mut rng = congest::DeterministicRng::from_seed(100);
+        let goal_sets: [EdgeSet; 3] = [
+            edges.iter().copied().collect(),
+            std::iter::once(edges[edges.len() / 2]).collect(),
+            edges.iter().copied().filter(|_| rng.coin(0.5)).collect(),
+        ];
+        for goal in &goal_sets {
+            let input = SparseListingInput {
+                cluster: &cluster,
+                em_graph: &em_graph,
+                known_edges: &known,
+                goal_edges: goal,
+                learned_words: &learned,
+                n,
+                arboricity_bound: 5,
+            };
+            for p in [3usize, 4, 5] {
+                let cfg = ListingConfig::for_p(p);
+                let oracle = first_occurrences(&g, goal, p);
+                let mut raw = FirstK::new(usize::MAX);
+                cluster_listing(&input, &cfg, 1, &mut raw);
+                assert_eq!(raw.cliques, oracle, "p={p}");
+                let k = oracle.len() / 3;
+                let mut first = FirstK::new(k);
+                cluster_listing(&input, &cfg, 1, &mut first);
+                assert_eq!(first.cliques, oracle[..k], "p={p} k={k}");
+            }
+        }
+    }
+
+    /// No `K_p` exists once `p` exceeds the known vertex count; both paths
+    /// answer empty without sizing anything by `p`.
+    #[test]
+    fn p_far_above_the_candidates_answers_empty() {
+        let g = gen::erdos_renyi(30, 0.6, 4);
+        let n = g.num_vertices();
+        let (_, _, known, em) = inputs_for(&g, n);
+        let rows = KnowledgeRows::build(n, &known, &em).unwrap();
+        for p in [n + 1, usize::MAX] {
+            let (mut words, mut csr) = (CountSink::new(), CountSink::new());
+            rows.list_at_first_goal_edge(p, &mut words);
+            list_over_csr(n, &known, &em, p, &mut csr);
+            assert_eq!((words.count, csr.count), (0, 0), "p={p}");
+        }
     }
 }
