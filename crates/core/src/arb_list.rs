@@ -8,25 +8,28 @@
 //!
 //! * `Ê_m` — the goal edges, all of whose `K_p` instances were listed and
 //!   which can therefore be removed from the graph;
-//! * `E'_s` — new low-arboricity edges (with their peeling orientation) to be
-//!   merged into `E_s`;
+//! * `E'_s` — new low-arboricity edges, as the out-lists of their peeling
+//!   orientation, to be merged into `E_s`;
 //! * `Ê_r`  — the remaining edges (`E'_r` plus the bad-bad edges), at most a
 //!   quarter of the incoming `E_r`.
 //!
-//! The listed instances are streamed into the caller's [`CliqueSink`]. Inside
-//! one cluster the in-cluster listing emits each clique once, at its smallest
-//! goal edge (see [`sparse_listing`](crate::sparse_listing)), so duplicates
-//! can only come from *different* clusters, when a clique holds goal edges of
-//! both. For the general algorithm a per-invocation [`Dedup`] layer absorbs
-//! that cross-cluster overlap, so one invocation emits each clique at most
-//! once, and cliques listed by *different* invocations are structurally
-//! distinct because every listed clique contains a goal edge and goal edges
-//! are removed from the graph. For the fast-`K_4` variant the emission can
-//! also repeat cliques of the light-node listing, which overlaps the
-//! in-cluster listing and later invocations: its callers wrap the **whole
-//! run** in a single `Dedup` — see `driver::run_congest` — which is both
-//! necessary for cross-invocation duplicates and sufficient for the
-//! in-invocation ones, so this function adds no second layer.
+//! Every edge set on this path is a sorted list of canonical pairs
+//! `(u, v)`, `u < v`; [`arb_list`] is the [`EdgeSet`] adapter over it.
+//!
+//! The listed instances are streamed into the caller's [`CliqueSink`], each
+//! once per invocation, with no set of emitted cliques. Inside one cluster
+//! the in-cluster listing emits each clique once, at its smallest goal edge
+//! (see [`sparse_listing`](crate::sparse_listing)). Across clusters an
+//! ownership rule applies: cluster `c` lists every clique holding one of its
+//! goal edges (the knowledge guarantee of Section 2.4.1), so the replay of a
+//! later cluster skips each clique holding a goal edge of `c`, a pair inside
+//! `c` found by binary search in `c`'s sorted goal list. Clusters replay in
+//! ascending order, so the emission is the first occurrences of all their
+//! listings. Different invocations list distinct cliques, because every
+//! listed clique holds a goal edge and goal edges leave the graph. The
+//! fast-`K_4` light-node listing can repeat cliques, so `driver::run_congest`
+//! wraps a whole fast-`K_4` run in one `Dedup`; the ownership rule only skips
+//! cliques that set would drop.
 //!
 //! # Cluster-parallel execution
 //!
@@ -37,8 +40,9 @@
 //! work is a pure *produce* step (`run_cluster` — knowledge gathering,
 //! in-cluster listing and the fast-`K_4` light listing, all emitting into a
 //! private [`ShardBuffer`]), and the mutation of the invocation outcome plus
-//! the replay into the real sink is a *consume* step executed **only on the
-//! calling thread, in ascending cluster order**. When the fan-out rule
+//! the replay into the real sink (with the ownership rule) is a *consume*
+//! step executed **only on the calling thread, in ascending cluster order**.
+//! When the fan-out rule
 //! ([`fanout`]) of the [`Parallelism`](crate::Parallelism) grant, the
 //! cluster count and the host's cores is above one thread, contiguous
 //! cluster ranges (size-balanced by goal-edge count through
@@ -54,11 +58,11 @@
 use crate::cluster_knowledge::gather_cluster_knowledge;
 use crate::config::{ListingConfig, Variant};
 use crate::result::{phase, Diagnostics, Rounds};
-use crate::sink::{CliqueSink, Dedup, ShardBuffer};
+use crate::sink::{CliqueSink, ShardBuffer};
 use crate::sparse_listing::{cluster_listing, SparseListingInput};
-use expander::{decompose, Cluster, Decomposition};
+use expander::{decompose_sorted, Cluster, SortedDecomposition};
 use graphcore::ordered_merge::{balanced_ranges, fanout, ordered_merge};
-use graphcore::{EdgeSet, Graph, Orientation};
+use graphcore::{Edge, EdgeSet, Graph, Orientation};
 use std::collections::BTreeMap;
 
 /// Cluster-range tasks planned per granted thread by the cluster fan-out:
@@ -68,17 +72,17 @@ use std::collections::BTreeMap;
 const CLUSTER_TASKS_PER_THREAD: usize = 4;
 
 /// Result of one ARB-LIST invocation (the listed cliques are streamed to the
-/// sink, not returned).
+/// sink, not returned). The pipeline holds its edge sets as sorted lists of
+/// canonical pairs; [`arb_list`] returns them as [`EdgeSet`]s.
 #[derive(Clone, Debug, Default)]
-pub struct ArbListOutcome {
+pub struct ArbListOutcome<Edges = EdgeSet> {
     /// The goal edges `Ê_m` (removed from the graph by the caller).
-    pub goal_edges: EdgeSet,
-    /// New `E_s` edges produced by the decomposition's peeling.
-    pub es_added: EdgeSet,
-    /// Out-neighbour lists of the peeling orientation of `es_added`.
+    pub goal_edges: Edges,
+    /// Out-neighbour lists of the peeling orientation of the new `E_s`
+    /// edges `E'_s`.
     pub es_out: Vec<Vec<u32>>,
     /// The new remainder `Ê_r`.
-    pub er_new: EdgeSet,
+    pub er_new: Edges,
     /// Round breakdown of this invocation.
     pub rounds: Rounds,
     /// Diagnostics of this invocation.
@@ -96,8 +100,8 @@ pub struct ArbListOutcome {
 /// thread) without touching any shared mutable state; merged into the
 /// [`ArbListOutcome`] and replayed into the sink in ascending cluster order.
 struct ClusterYield {
-    goal_edges: EdgeSet,
-    bad_edges: EdgeSet,
+    goal_edges: Vec<(u32, u32)>,
+    bad_edges: Vec<(u32, u32)>,
     cluster_edge_count: usize,
     max_learned_words: u64,
     heavy_upload_rounds: u64,
@@ -136,6 +140,8 @@ impl CliqueSink for GatedBuffer<'_> {
 }
 
 /// Runs one invocation of ARB-LIST, emitting every listed `K_p` into `sink`.
+/// `er` and the outcome's edge sets are [`EdgeSet`]s, converted here from and
+/// to the sorted lists the pipeline runs on.
 ///
 /// * `graph`, `orientation`: the current graph `(V, E_s ∪ E_r)` and an
 ///   orientation of out-degree at most `arboricity_bound`;
@@ -155,62 +161,85 @@ pub fn arb_list(
     seed: u64,
     sink: &mut dyn CliqueSink,
 ) -> ArbListOutcome {
+    let mut er: Vec<(u32, u32)> = er.iter().map(Edge::endpoints).collect();
+    er.sort_unstable();
+    let s = arb_list_sorted(
+        graph,
+        orientation,
+        &er,
+        arboricity_bound,
+        delta,
+        config,
+        seed,
+        sink,
+    );
+    let set = |edges: Vec<(u32, u32)>| edges.into_iter().map(Edge::from).collect();
+    ArbListOutcome {
+        goal_edges: set(s.goal_edges),
+        es_out: s.es_out,
+        er_new: set(s.er_new),
+        rounds: s.rounds,
+        diagnostics: s.diagnostics,
+        threads_used: s.threads_used,
+    }
+}
+
+/// [`arb_list`] on sorted lists of canonical pairs: `er` in, and the
+/// outcome's goal edges and `Ê_r` out.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn arb_list_sorted(
+    graph: &Graph,
+    orientation: &Orientation,
+    er: &[(u32, u32)],
+    arboricity_bound: usize,
+    delta: f64,
+    config: &ListingConfig,
+    seed: u64,
+    sink: &mut dyn CliqueSink,
+) -> ArbListOutcome<Vec<(u32, u32)>> {
     let n = graph.num_vertices();
     let mut outcome = ArbListOutcome {
         es_out: vec![Vec::new(); n],
         ..Default::default()
     };
-    // A clique can contain goal edges of several clusters, and the fast-K4
-    // light listing overlaps the in-cluster listing. For the general
-    // algorithm a per-invocation Dedup absorbs that overlap (and suffices,
-    // because emissions of different invocations are structurally disjoint);
-    // for the fast-K4 variant the caller already wraps the whole run in a
-    // Dedup — see `driver::run_congest` — so a second layer here would only
-    // double the memory.
-    let mut dedup;
-    let sink: &mut dyn CliqueSink = match config.variant {
-        Variant::General => {
-            dedup = Dedup::new(sink);
-            &mut dedup
-        }
-        Variant::FastK4 => sink,
-    };
 
     // --- Expander decomposition on E_r (Theorem 2.3) -----------------------
-    let er_graph = Graph::from_edge_set(n, er).expect("E_r endpoints are in range");
-    let decomposition = decompose(&er_graph, delta, &config.decomposition, seed);
+    let er_graph = Graph::from_edges(n, er).expect("E_r endpoints are in range");
+    let SortedDecomposition {
+        cluster_edges,
+        er,
+        es_orientation,
+        clusters,
+        cluster_of,
+    } = decompose_sorted(&er_graph, delta, &config.decomposition, seed);
     outcome.rounds.add(
         phase::DECOMPOSITION,
         config.charge_policy.decomposition_rounds(n, delta),
     );
     outcome.diagnostics.decompositions = 1;
-    outcome.diagnostics.clusters = decomposition.clusters.len();
+    outcome.diagnostics.clusters = clusters.len();
     outcome.diagnostics.arb_iterations = 1;
 
     // E'_s joins E_s; E'_r starts the new remainder.
-    outcome.es_added = decomposition.es.clone();
-    for (u, v) in decomposition.es_orientation.edges() {
+    for (u, v) in es_orientation.edges() {
         outcome.es_out[u as usize].push(v);
     }
-    outcome.er_new = decomposition.er.clone();
+    outcome.er_new = er;
 
-    if decomposition.clusters.is_empty() {
+    if clusters.is_empty() {
         return outcome;
     }
 
     // Cluster-membership broadcast: one round, all clusters in parallel.
     outcome.rounds.add(phase::MEMBERSHIP, 1);
 
-    // The per-cluster E'_m edge sets double as the fan-out's balancing
-    // weights: a cluster's listing work scales with its goal-edge count.
-    let (em_graph, cluster_ems) = split_cluster_edges(&decomposition, n);
+    let em_edges: Vec<(u32, u32)> = cluster_edges.concat();
+    let em_graph = Graph::from_edges(n, &em_edges).expect("E_m endpoints are in range");
     let heavy_threshold = match config.variant {
         Variant::General => config.heavy_threshold(n),
         // Section 3: heavy means at least n^{d-1/3} cluster neighbours.
         Variant::FastK4 => (arboricity_bound as f64 / (n.max(2) as f64).powf(1.0 / 3.0)).max(1.0),
     };
-
-    let clusters = &decomposition.clusters;
 
     // Work-avoidance flag shared between the consume step (which raises it
     // once the real sink saturates) and the producers (whose gated buffers
@@ -223,12 +252,12 @@ pub fn arb_list(
     // a private per-cluster buffer.
     let run_cluster = |index: usize| -> ClusterYield {
         let cluster: &Cluster = &clusters[index];
-        let cluster_em = &cluster_ems[index];
+        let cluster_em = &cluster_edges[index];
         let knowledge = gather_cluster_knowledge(
             graph,
             orientation,
             cluster,
-            cluster_em,
+            cluster_em.iter().map(|&e| Edge::from(e)),
             heavy_threshold,
             config,
         );
@@ -278,11 +307,14 @@ pub fn arb_list(
     let mut max_probe = 0u64;
     let mut sequential_light_listing = 0u64;
     let mut per_cluster_rounds: Vec<Rounds> = Vec::new();
+    // The sorted goal lists of the clusters consumed so far, by cluster id.
+    let mut goals: Vec<Vec<(u32, u32)>> = Vec::with_capacity(clusters.len());
 
     // --- Consume: merge one cluster's yield, ascending cluster order -------
     // Runs only on the calling thread. Rounds and diagnostics are always
     // merged (communication happens regardless of how much output the client
-    // consumes); only the emission replay honours saturation.
+    // consumes); only the emission replay honours saturation. The replay
+    // skips the cliques an earlier cluster owns (see the module docs).
     let mut consume = |y: ClusterYield| {
         outcome.diagnostics.cluster_edges += y.cluster_edge_count;
         max_heavy = max_heavy.max(y.heavy_upload_rounds);
@@ -294,22 +326,34 @@ pub fn arb_list(
             .max(y.max_learned_words);
 
         // Bad-bad edges are deferred to Ê_r.
-        for e in y.bad_edges.iter() {
-            outcome.er_new.insert(e);
-        }
-        for e in y.goal_edges.iter() {
-            outcome.goal_edges.insert(e);
-        }
+        outcome.er_new.extend_from_slice(&y.bad_edges);
 
         per_cluster_rounds.push(y.listing_rounds);
         sequential_light_listing += y.light_listing_rounds;
 
+        // An earlier cluster `c` owns the cliques holding one of its goal
+        // edges: a pair inside `c` found in `c`'s sorted goal list. Cluster 0
+        // has no earlier cluster.
+        let index = goals.len();
+        let owned_earlier = |clique: &[u32]| {
+            clique
+                .iter()
+                .enumerate()
+                .any(|(i, &a)| match cluster_of[a as usize] {
+                    Some(c) if c < index => clique[i + 1..].iter().any(|&b| {
+                        cluster_of[b as usize] == Some(c) && goals[c].binary_search(&(a, b)).is_ok()
+                    }),
+                    _ => false,
+                })
+        };
         if !sink.is_saturated() {
-            y.emissions.replay_into(sink);
+            y.emissions
+                .replay_unless(sink, |clique| index > 0 && owned_earlier(clique));
         }
         if sink.is_saturated() {
             stop_listing.store(true, std::sync::atomic::Ordering::Relaxed);
         }
+        goals.push(y.goal_edges);
     };
 
     // --- Execute: fan the cluster tasks out, or run them inline ------------
@@ -321,7 +365,8 @@ pub fn arb_list(
     // fan-out the merge actually ran on (1 = the inline loop ran).
     let threads = config.effective_threads(true);
     let threads_used = if fanout(threads, clusters.len()) > 1 {
-        let weights: Vec<u64> = cluster_ems.iter().map(|em| 1 + em.len() as u64).collect();
+        // A cluster's listing work scales with its goal-edge count.
+        let weights: Vec<u64> = cluster_edges.iter().map(|em| 1 + em.len() as u64).collect();
         let tasks = balanced_ranges(&weights, threads.saturating_mul(CLUSTER_TASKS_PER_THREAD));
         ordered_merge(
             tasks.len(),
@@ -347,6 +392,9 @@ pub fn arb_list(
         1
     };
     outcome.threads_used = threads_used;
+    outcome.goal_edges = goals.concat();
+    outcome.goal_edges.sort_unstable();
+    outcome.er_new.sort_unstable();
 
     outcome.rounds.add(phase::HEAVY_UPLOAD, max_heavy);
     outcome.rounds.add(phase::LIGHT_PROBES, max_probe);
@@ -370,24 +418,6 @@ pub fn arb_list(
     }
 
     outcome
-}
-
-/// The `E_m` graph and every cluster's share of `E_m`, from one pass over
-/// `E_m` routed by `cluster_of`: both endpoints of an `E_m` edge lie in the
-/// same cluster. Equals [`Decomposition::em_graph`] and
-/// [`Cluster::edges_within`] per cluster, without scanning `E_m` once per
-/// cluster.
-fn split_cluster_edges(decomposition: &Decomposition, n: usize) -> (Graph, Vec<EdgeSet>) {
-    let mut cluster_ems = vec![EdgeSet::new(); decomposition.clusters.len()];
-    let mut em_edges = Vec::with_capacity(decomposition.em.len());
-    for e in decomposition.em.iter() {
-        let cluster = decomposition.cluster_of[e.u() as usize]
-            .expect("E_m edges join vertices of one cluster");
-        cluster_ems[cluster].insert(e);
-        em_edges.push(e.endpoints());
-    }
-    let em_graph = Graph::from_edges(n, &em_edges).expect("E_m endpoints are in range");
-    (em_graph, cluster_ems)
 }
 
 /// The light-node listing of Section 3: every `C`-light node asks all its
@@ -448,8 +478,18 @@ fn light_node_listing(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphcore::{gen, Clique};
+    use crate::sink::{CountSink, FirstK};
+    use crate::Parallelism;
+    use expander::decompose;
+    use graphcore::{cliques::EdgeCliqueEnumerator, gen, Clique};
     use std::collections::HashSet;
+
+    /// The new `E_s` edges of an invocation, read off its out-lists.
+    fn es_added(out: &ArbListOutcome) -> EdgeSet {
+        let es = out.es_out.iter().enumerate();
+        es.flat_map(|(u, vs)| vs.iter().map(move |&v| Edge::new(u as u32, v)))
+            .collect()
+    }
 
     fn run_arb(graph: &Graph, p: usize, variant: Variant) -> (ArbListOutcome, HashSet<Clique>) {
         let (outcome, trace) = run_arb_traced(graph, p, variant);
@@ -488,11 +528,12 @@ mod tests {
     fn er_shrinks_and_partition_is_consistent() {
         let g = gen::erdos_renyi(150, 0.3, 3);
         let (out, _) = run_arb(&g, 4, Variant::General);
-        let total = out.goal_edges.len() + out.es_added.len() + out.er_new.len();
+        let es = es_added(&out);
+        let total = out.goal_edges.len() + es.len() + out.er_new.len();
         assert_eq!(total, g.num_edges(), "ARB-LIST must partition the edges");
-        assert!(out.goal_edges.is_disjoint(&out.es_added));
+        assert!(out.goal_edges.is_disjoint(&es));
         assert!(out.goal_edges.is_disjoint(&out.er_new));
-        assert!(out.es_added.is_disjoint(&out.er_new));
+        assert!(es.is_disjoint(&out.er_new));
         assert!(
             out.er_new.len() <= g.num_edges() / 4,
             "|Ê_r| = {} > |E_r|/4 = {}",
@@ -569,7 +610,7 @@ mod tests {
         let g = gen::path_graph(100);
         let (out, listed) = run_arb(&g, 4, Variant::General);
         assert!(out.goal_edges.is_empty());
-        assert_eq!(out.es_added.len(), g.num_edges());
+        assert_eq!(es_added(&out).len(), g.num_edges());
         assert!(listed.is_empty());
         assert_eq!(out.diagnostics.clusters, 0);
     }
@@ -589,10 +630,11 @@ mod tests {
     #[test]
     fn general_invocations_emit_each_clique_exactly_once() {
         // For the general algorithm, raw CountSink totals must match the
-        // distinct set even though the cross-cluster path can find a clique
-        // twice — the per-invocation Dedup absorbs the overlap. The fast-K4
-        // variant deliberately has no inner layer (its drivers dedup the
-        // whole run), so its raw count may only overshoot, never undershoot.
+        // distinct set even where a clique holds goal edges of two clusters:
+        // the ownership rule emits it only from the first of them. The
+        // fast-K4 light listing can still repeat cliques (its drivers dedup
+        // the whole run), so its raw count may only overshoot, never
+        // undershoot.
         let g = gen::erdos_renyi(100, 0.35, 19);
         let orientation = Orientation::from_degeneracy(&g);
         let a = orientation.max_out_degree().max(1);
@@ -602,7 +644,7 @@ mod tests {
             (((a as f64 / (2.0 * n.log2())).max(n.powf(0.5))).ln() / n.ln()).clamp(0.05, 0.95);
 
         let config = ListingConfig::for_p(4);
-        let mut count = crate::sink::CountSink::new();
+        let mut count = CountSink::new();
         arb_list(&g, &orientation, &er, a, delta, &config, 7, &mut count);
         let (_, listed) = run_arb(&g, 4, Variant::General);
         assert_eq!(count.count as usize, listed.len());
@@ -611,7 +653,7 @@ mod tests {
             variant: Variant::FastK4,
             ..config
         };
-        let mut fast_count = crate::sink::CountSink::new();
+        let mut fast_count = CountSink::new();
         arb_list(
             &g,
             &orientation,
@@ -640,14 +682,13 @@ mod tests {
 
     #[test]
     fn dedup_exists_for_duplicates_not_order() {
-        // The Dedup layers of the pipeline absorb *structural* duplicates —
-        // a clique holding goal edges of two clusters is listed by both, and
-        // the fast-K4 light listing re-finds cliques the in-cluster listing
-        // emitted (inside one cluster each clique is listed once, at its
-        // smallest goal edge). They are NOT needed to repair iteration
-        // order: with the flat dense-id tables, the raw (pre-dedup) emission
-        // sequence of the fast-K4 variant — which runs without any inner
-        // Dedup — is identical from run to run.
+        // The run-level Dedup of the fast-K4 variant absorbs *structural*
+        // duplicates: its light listing re-finds cliques the in-cluster
+        // listing emitted (inside one cluster each clique is listed once, at
+        // its smallest goal edge, and across clusters the ownership rule
+        // emits it once). It is NOT needed to repair iteration order: with
+        // the flat dense-id tables, the raw (pre-dedup) emission sequence of
+        // the fast-K4 variant is identical from run to run.
         let g = gen::erdos_renyi(90, 0.35, 23);
         let orientation = Orientation::from_degeneracy(&g);
         let a = orientation.max_out_degree().max(1);
@@ -681,10 +722,10 @@ mod tests {
         assert_eq!(distinct, deduped);
     }
 
-    #[test]
-    fn the_one_pass_split_equals_edges_within_for_every_cluster() {
-        // Three dense blocks, each an er(40, 0.5), joined in a path by one
-        // edge each, plus a sparse tail that peels into E_s.
+    /// Three dense blocks, each an er(40, 0.5), joined in a path by one edge
+    /// each, plus a sparse tail that peels into E_s; `bridges` more edges
+    /// are added.
+    fn three_blocks(bridges: &[(u32, u32)]) -> Graph {
         let mut edges: Vec<(u32, u32)> = Vec::new();
         for (block, seed) in [(0u32, 1u64), (1, 2), (2, 3)] {
             let offset = 40 * block;
@@ -696,15 +737,134 @@ mod tests {
         }
         edges.extend([(0, 40), (41, 80)]);
         edges.extend((120..139).map(|v| (v, v + 1)));
-        let g = Graph::from_edges(140, &edges).unwrap();
-        let decomposition = decompose(&g, 0.5, &ListingConfig::for_p(4).decomposition, 7);
-        assert!(decomposition.clusters.len() >= 3);
+        edges.extend_from_slice(bridges);
+        Graph::from_edges(140, &edges).unwrap()
+    }
 
-        let (em_graph, cluster_ems) = split_cluster_edges(&decomposition, 140);
-        assert_eq!(em_graph, decomposition.em_graph(140));
-        assert_eq!(cluster_ems.len(), decomposition.clusters.len());
-        for (cluster, em) in decomposition.clusters.iter().zip(&cluster_ems) {
-            assert_eq!(*em, cluster.edges_within(&decomposition.em));
+    #[test]
+    fn the_one_pass_split_equals_edges_within_for_every_cluster() {
+        // The decomposition splits E_m by cluster as it accepts each one;
+        // the split equals `edges_within` of the set form.
+        let g = three_blocks(&[]);
+        let config = ListingConfig::for_p(4).decomposition;
+        let sorted = decompose_sorted(&g, 0.5, &config, 7);
+        let decomposition = decompose(&g, 0.5, &config, 7);
+        assert!(decomposition.clusters.len() >= 3);
+        let em_edges = sorted.cluster_edges.concat();
+        assert_eq!(
+            Graph::from_edges(140, &em_edges).unwrap(),
+            decomposition.em_graph(140)
+        );
+        assert_eq!(sorted.cluster_edges.len(), decomposition.clusters.len());
+        for (cluster, em) in decomposition.clusters.iter().zip(&sorted.cluster_edges) {
+            assert!(em.windows(2).all(|w| w[0] < w[1]), "not sorted");
+            let set: EdgeSet = em.iter().map(|&e| Edge::from(e)).collect();
+            assert_eq!(set, cluster.edges_within(&decomposition.em));
+        }
+    }
+
+    /// Complete bipartite bridges between the first `size` vertices of
+    /// blocks 0 and 1 and of blocks 1 and 2 of [`three_blocks`].
+    fn dense_bridges(size: u32) -> Vec<(u32, u32)> {
+        let mut bridges = Vec::new();
+        for (from, to) in [(0u32, 40u32), (40, 80)] {
+            for a in from..from + size {
+                bridges.extend((to..to + size).map(|b| (a, b)));
+            }
+        }
+        bridges
+    }
+
+    /// The orientation, arboricity bound and δ of an invocation whose `E_r`
+    /// is all of `graph`.
+    fn invocation_inputs(graph: &Graph) -> (Orientation, usize, f64) {
+        let orientation = Orientation::from_degeneracy(graph);
+        let a = orientation.max_out_degree().max(1);
+        let n = graph.num_vertices() as f64;
+        let delta = ((a as f64 / (2.0 * n.log2())).max(n.powf(0.5))).ln() / n.ln();
+        (orientation, a, delta.clamp(0.05, 0.95))
+    }
+
+    /// Cliques that hold goal edges of two clusters: the three blocks, with
+    /// `K_{4,4}` bridges between blocks 0 and 1 and between blocks 1 and 2,
+    /// still split into three clusters, and a `K_4` with an edge inside each
+    /// end of a bridge holds goal edges of both ends. Each cluster lists
+    /// every clique through each of its goal edges (the knowledge guarantee
+    /// of Section 2.4.1), in sorted goal-edge order and ascending canonical
+    /// order within an edge, so the raw trace must be the first occurrences
+    /// of those listings concatenated in ascending cluster order, computed
+    /// here from the graph and the goal edges alone. It must not depend on
+    /// the sink's prefix or the thread grant.
+    #[test]
+    fn cliques_of_two_clusters_are_emitted_once_by_the_first() {
+        let g = three_blocks(&dense_bridges(4));
+        let (orientation, a, delta) = invocation_inputs(&g);
+        let er = g.edge_set();
+        let config = ListingConfig::for_p(4);
+        let run = |config: &ListingConfig, sink: &mut dyn CliqueSink| {
+            arb_list(&g, &orientation, &er, a, delta, config, 7, sink)
+        };
+        let mut raw = TraceSink::default();
+        let out = run(&config, &mut raw);
+        assert_eq!(out.diagnostics.clusters, 3);
+
+        // Each cluster's goal edges, by the decomposition arb_list ran.
+        let d = decompose_sorted(&g, delta, &config.decomposition, 7);
+        let mut goals: Vec<Vec<(u32, u32)>> = vec![Vec::new(); d.clusters.len()];
+        for e in out.goal_edges.to_sorted_vec() {
+            let cluster = d.cluster_of[e.u() as usize].expect("a goal edge lies in a cluster");
+            goals[cluster].push(e.endpoints());
+        }
+        let mut enumerator = EdgeCliqueEnumerator::new(&g, 4);
+        let mut seen = HashSet::new();
+        let (mut oracle, mut owned_earlier) = (Vec::new(), 0);
+        for cluster_goals in &goals {
+            let mut listing: Vec<Clique> = Vec::new();
+            let mut listed = HashSet::new();
+            for &(u, v) in cluster_goals {
+                enumerator.for_each_containing_edge_while(u, v, g.neighbors(u), |c| {
+                    if listed.insert(c.to_vec()) {
+                        listing.push(c.to_vec());
+                    }
+                    true
+                });
+            }
+            for clique in listing {
+                if seen.insert(clique.clone()) {
+                    oracle.push(clique);
+                } else {
+                    owned_earlier += 1;
+                }
+            }
+        }
+        assert!(
+            owned_earlier > 0,
+            "no clique holds goal edges of two clusters"
+        );
+        assert_eq!(raw.accepts, oracle);
+
+        for k in [1, 17, 1000] {
+            let mut first = FirstK::new(k);
+            run(&config, &mut first);
+            assert_eq!(first.cliques, oracle[..k.min(oracle.len())], "k={k}");
+        }
+        for grant in [
+            Parallelism::Off,
+            Parallelism::Threads(1),
+            Parallelism::Threads(2),
+            Parallelism::Threads(3),
+            Parallelism::Threads(8),
+        ] {
+            let granted = ListingConfig {
+                parallelism: grant,
+                ..config
+            };
+            let mut trace = TraceSink::default();
+            let again = run(&granted, &mut trace);
+            assert_eq!(trace.accepts, oracle, "{grant:?}");
+            assert_eq!(again.goal_edges, out.goal_edges, "{grant:?}");
+            assert_eq!(again.er_new, out.er_new, "{grant:?}");
+            assert_eq!(again.rounds, out.rounds, "{grant:?}");
         }
     }
 

@@ -26,7 +26,7 @@
 
 use crate::config::{ListingConfig, Variant};
 use expander::{Cluster, DenseTable};
-use graphcore::{Edge, EdgeSet, Graph, Orientation};
+use graphcore::{Edge, Graph, Orientation};
 
 /// Pooled knowledge of one cluster after the edge-learning phase.
 #[derive(Clone, Debug, Default)]
@@ -35,10 +35,11 @@ pub struct ClusterKnowledge {
     /// `(source, target)` (oriented according to the global orientation of
     /// the current graph), deduplicated and sorted.
     pub known_edges: Vec<(u32, u32)>,
-    /// Goal edges: the cluster's `E'_m` edges minus the bad-bad edges.
-    pub goal_edges: EdgeSet,
-    /// Bad-bad edges, to be moved to `Ê_r`.
-    pub bad_edges: EdgeSet,
+    /// Goal edges: the cluster's `E'_m` edges minus the bad-bad edges, as
+    /// sorted canonical pairs.
+    pub goal_edges: Vec<(u32, u32)>,
+    /// Bad-bad edges, to be moved to `Ê_r`, as sorted canonical pairs.
+    pub bad_edges: Vec<(u32, u32)>,
     /// Per-cluster-node words learned from outside the cluster (heavy uploads
     /// plus probe replies), keyed by the node's **dense rank** of Lemma 2.5
     /// (its position in the sorted cluster vertex list). Remark 2.10 bounds
@@ -70,7 +71,7 @@ impl ClusterKnowledge {
 /// * `graph` and `orientation` describe the **current** graph of the enclosing
 ///   LIST invocation (communication still happens along its edges, which are a
 ///   subgraph of the input graph).
-/// * `cluster_em` is the set of `E'_m` edges of this cluster.
+/// * `cluster_em` yields the `E'_m` edges of this cluster, in any order.
 /// * `heavy_threshold` is the number of cluster neighbours above which an
 ///   outside node is heavy (`n^{1/4}` in the general algorithm,
 ///   `n^{d−1/3}` in the fast `K_4` variant).
@@ -78,7 +79,7 @@ pub fn gather_cluster_knowledge(
     graph: &Graph,
     orientation: &Orientation,
     cluster: &Cluster,
-    cluster_em: &EdgeSet,
+    cluster_em: impl IntoIterator<Item = Edge>,
     heavy_threshold: f64,
     config: &ListingConfig,
 ) -> ClusterKnowledge {
@@ -88,50 +89,54 @@ pub fn gather_cluster_knowledge(
         learned_words: DenseTable::new(cluster.len()),
         ..ClusterKnowledge::default()
     };
-    // Collected with duplicates (both endpoints of an internal edge record
-    // it; heavy uploads re-record edges a cluster node already knows) and
-    // sorted + deduplicated once in `finalize` — a flat replacement for the
-    // old `HashSet` pool with a structural final order.
+    // Collected with duplicates (heavy uploads re-record edges a cluster
+    // node already knows) and sorted + deduplicated once in `finalize` — a
+    // flat replacement for the old `HashSet` pool with a structural final
+    // order.
     let mut known: Vec<(u32, u32)> = Vec::new();
 
     // Every edge incident to a cluster node (in the current graph) is known to
-    // that node; record it oriented by the global orientation.
+    // that node; record it oriented by the global orientation, once: an edge
+    // between two cluster nodes from its smaller endpoint. `N(u)` and
+    // `out(u)` are both sorted, so one merge finds the edges leaving `u`;
+    // only the others probe `out(v)`. The same scan collects every outside
+    // endpoint, to classify outside neighbours as heavy or light.
+    let mut outside: Vec<u32> = Vec::new();
     for &u in &cluster.vertices {
+        let out_u = orientation.out_neighbors(u);
+        let mut at = 0;
         for &v in graph.neighbors(u) {
-            known.push(oriented(orientation, u, v));
+            let inside = cluster.contains(v);
+            if !inside {
+                outside.push(v);
+            } else if v < u {
+                continue;
+            }
+            while out_u.get(at).is_some_and(|&w| w < v) {
+                at += 1;
+            }
+            known.push(if out_u.get(at) == Some(&v) {
+                (u, v)
+            } else {
+                oriented(orientation, v, u)
+            });
         }
     }
 
-    // Classify outside neighbours as heavy or light: collect every outside
-    // endpoint, sort, and run-length scan — the run length *is* the number of
-    // cluster neighbours. Both lists come out sorted by identifier.
-    let mut outside: Vec<u32> = Vec::new();
-    for &u in &cluster.vertices {
-        for &v in graph.neighbors(u) {
-            if !cluster.contains(v) {
-                outside.push(v);
-            }
-        }
-    }
+    // The run length of an outside endpoint *is* its number of cluster
+    // neighbours. Both lists come out sorted by identifier.
     outside.sort_unstable();
     // Heavy neighbours keep their cluster degree (needed for the upload
     // schedule); light neighbours only need membership.
     let mut heavy: Vec<(u32, u32)> = Vec::new();
     let mut light: Vec<u32> = Vec::new();
-    let mut i = 0usize;
-    while i < outside.len() {
-        let v = outside[i];
-        let mut j = i + 1;
-        while j < outside.len() && outside[j] == v {
-            j += 1;
-        }
-        let degree = (j - i) as u32;
+    for run in outside.chunk_by(|a, b| a == b) {
+        let degree = run.len() as u32;
         if f64::from(degree) > heavy_threshold {
-            heavy.push((v, degree));
+            heavy.push((run[0], degree));
         } else {
-            light.push(v);
+            light.push(run[0]);
         }
-        i = j;
     }
     knowledge.heavy_count = heavy.len();
     knowledge.light_count = light.len();
@@ -168,42 +173,15 @@ pub fn gather_cluster_knowledge(
     }
     knowledge.heavy_upload_rounds = heavy_rounds;
 
+    let mut em: Vec<(u32, u32)> = cluster_em.into_iter().map(Edge::endpoints).collect();
+    em.sort_unstable();
     // The fast K4 variant stops here: edges involving light nodes are listed
     // by the light nodes themselves (Section 3), not brought into the cluster.
     if config.variant == Variant::FastK4 {
-        knowledge.goal_edges = cluster_em.iter().collect();
-        finalize(knowledge, known)
-    } else {
-        gather_light_probes(
-            graph,
-            orientation,
-            cluster,
-            cluster_em,
-            &light,
-            config,
-            n,
-            words,
-            knowledge,
-            known,
-        )
+        knowledge.goal_edges = em;
+        return finalize(knowledge, known);
     }
-}
 
-/// The general-algorithm continuation: bad-node detection and light probes.
-/// `light` is sorted ascending (memberships resolve by binary search).
-#[allow(clippy::too_many_arguments)]
-fn gather_light_probes(
-    graph: &Graph,
-    orientation: &Orientation,
-    cluster: &Cluster,
-    cluster_em: &EdgeSet,
-    light: &[u32],
-    config: &ListingConfig,
-    n: usize,
-    words: u64,
-    mut knowledge: ClusterKnowledge,
-    mut known: Vec<(u32, u32)>,
-) -> ClusterKnowledge {
     // Bad nodes: cluster nodes with too many light neighbours. Light
     // neighbour lists are indexed by the node's dense rank; the bad list
     // comes out sorted because cluster vertices are scanned in rank order.
@@ -211,12 +189,8 @@ fn gather_light_probes(
     let mut light_neighbors: Vec<Vec<u32>> = Vec::with_capacity(cluster.len());
     let mut bad: Vec<u32> = Vec::new();
     for &u in &cluster.vertices {
-        let lights: Vec<u32> = graph
-            .neighbors(u)
-            .iter()
-            .copied()
-            .filter(|w| light.binary_search(w).is_ok())
-            .collect();
+        let mut lights = Vec::new();
+        graphcore::intersect_sorted_into(graph.neighbors(u), &light, &mut lights);
         if lights.len() as f64 > bad_threshold {
             bad.push(u);
         }
@@ -224,14 +198,11 @@ fn gather_light_probes(
     }
     knowledge.bad_node_count = bad.len();
 
-    // Edges between two bad nodes stop being goal edges.
-    for e in cluster_em.iter() {
-        if bad.binary_search(&e.u()).is_ok() && bad.binary_search(&e.v()).is_ok() {
-            knowledge.bad_edges.insert(e);
-        } else {
-            knowledge.goal_edges.insert(e);
-        }
-    }
+    // Edges between two bad nodes stop being goal edges; both lists keep
+    // `em`'s order.
+    let is_bad = |v: u32| bad.binary_search(&v).is_ok();
+    (knowledge.bad_edges, knowledge.goal_edges) =
+        em.into_iter().partition(|&(u, v)| is_bad(u) && is_bad(v));
 
     // Light probes: every good cluster node tells each of its outside
     // neighbours about its light neighbours; the outside neighbour answers
@@ -241,7 +212,7 @@ fn gather_light_probes(
     let mut probe_rounds = 0u64;
     let mut adjacent_lights: Vec<u32> = Vec::new();
     for (rank, &u) in cluster.vertices.iter().enumerate() {
-        if bad.binary_search(&u).is_ok() {
+        if is_bad(u) {
             continue;
         }
         let lights = &light_neighbors[rank];
@@ -304,7 +275,7 @@ fn oriented(orientation: &Orientation, u: u32, v: u32) -> (u32, u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphcore::gen;
+    use graphcore::{gen, EdgeSet};
     use std::collections::HashSet;
 
     /// A graph made of a dense cluster (K6 on 0..6) plus outside nodes:
@@ -388,7 +359,7 @@ mod tests {
         // Nodes 0 and 1 have light neighbours (7 and 8) => both bad => the
         // edge {0,1} is a bad edge.
         assert_eq!(k.bad_node_count, 2);
-        assert!(k.bad_edges.contains(Edge::new(0, 1)));
+        assert!(k.bad_edges.contains(&(0, 1)));
         assert_eq!(k.goal_edges.len() + k.bad_edges.len(), em.len());
     }
 
@@ -456,7 +427,7 @@ mod tests {
             let has_goal = clique.iter().enumerate().any(|(i, &a)| {
                 clique[i + 1..]
                     .iter()
-                    .any(|&b| k.goal_edges.contains_pair(a, b))
+                    .any(|&b| k.goal_edges.binary_search(&(a, b)).is_ok())
             });
             if !has_goal {
                 continue;

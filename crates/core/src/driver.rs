@@ -12,6 +12,10 @@
 //! [`CliqueSink`]. The pre-Engine free functions (`list_kp`,
 //! `list_kp_with_mode`) survived PR 2 as deprecated wrappers and were removed
 //! in the following release.
+//!
+//! A `general` run emits each clique once with no set of emitted cliques
+//! (see [`list`](crate::list)); a `fast-k4` run keeps one run-level
+//! [`Dedup`], because its light-node listing can repeat a clique.
 
 use crate::config::{ListingConfig, Variant};
 use crate::list::list_once;
@@ -43,8 +47,8 @@ pub(crate) fn run_congest(
         }
         // The general algorithm only ever lists cliques containing a goal
         // edge of the current iteration, and goal edges are removed before
-        // the next one: the per-ARB-LIST dedup already guarantees
-        // exactly-once.
+        // the next one; within an iteration ARB-LIST's ownership rule emits
+        // each clique once. Exactly-once holds without a set.
         Variant::General => run_congest_inner(graph, config, sink),
     }
 }

@@ -8,18 +8,23 @@
 //! `E_r` is empty and the surviving edge set `E_s` has arboricity at most
 //! `n^δ · log n ≤ A/2`, together with an explicit orientation.
 //!
+//! `E_r` and the goal edges are sorted lists of canonical pairs and `E_s` is
+//! its out-lists; the goal edges leave the working graph and its orientation
+//! by one merge per row.
+//!
 //! Listed instances are streamed into the caller's [`CliqueSink`]; for the
 //! general algorithm successive ARB-LIST invocations emit disjoint clique
 //! sets because every emitted clique contains a goal edge and goal edges are
-//! removed from the working graph before the next invocation. The fast-`K_4`
-//! variant's light-node listing can emit cliques without a goal edge, so its
-//! driver wraps the whole run in a [`Dedup`](crate::sink::Dedup) layer.
+//! removed from the working graph before the next invocation, and one
+//! invocation emits each clique once. The fast-`K_4` variant's light-node
+//! listing can emit cliques without a goal edge, so its driver wraps the
+//! whole run in a [`Dedup`](crate::sink::Dedup) layer.
 
-use crate::arb_list::arb_list;
+use crate::arb_list::arb_list_sorted;
 use crate::config::ListingConfig;
 use crate::result::{Diagnostics, Rounds};
 use crate::sink::CliqueSink;
-use graphcore::{EdgeSet, Graph, Orientation};
+use graphcore::{Graph, Orientation};
 
 /// Result of one LIST invocation (the listed cliques are streamed to the
 /// sink, not returned).
@@ -58,33 +63,31 @@ pub fn list_once(
     let n = graph.num_vertices();
     let slack = config.arboricity_slack(n);
 
-    let mut outcome = ListOutcome {
-        remaining: graph.clone(),
-        remaining_orientation: orientation.clone(),
-        ..Default::default()
-    };
-
     // Theorem 2.8 requires n^{p/(p+2)} < A / (2 log n); when the arboricity is
     // already that small the invocation is a no-op and the caller's final
     // broadcast handles the rest.
     if (arboricity_bound as f64) / slack <= 1.0 {
-        return outcome;
+        return ListOutcome {
+            remaining: graph.clone(),
+            remaining_orientation: orientation.clone(),
+            ..Default::default()
+        };
     }
 
     // n^δ = A / (2 log n)  ⇒  δ = ln(A / slack) / ln n.
     let target = (arboricity_bound as f64 / slack).max(1.5);
     let delta = (target.ln() / (n.max(2) as f64).ln()).clamp(0.05, 0.95);
 
+    let mut outcome = ListOutcome::default();
     let mut current = graph.clone();
     let mut current_orientation = orientation.clone();
-    let mut es = EdgeSet::new();
     let mut es_out: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut er = graph.edge_set();
+    let mut er: Vec<(u32, u32)> = graph.edges().collect();
 
     let mut iterations = 0usize;
     while !er.is_empty() && iterations < config.max_arb_iterations {
         iterations += 1;
-        let step = arb_list(
+        let step = arb_list_sorted(
             &current,
             &current_orientation,
             &er,
@@ -98,18 +101,16 @@ pub fn list_once(
         outcome.diagnostics.absorb(&step.diagnostics);
         outcome.threads_used = outcome.threads_used.max(step.threads_used);
 
-        // Merge E'_s and its orientation.
-        for e in step.es_added.iter() {
-            es.insert(e);
-        }
-        for (v, list) in step.es_out.iter().enumerate() {
-            es_out[v].extend(list.iter().copied());
+        // Merge E'_s, kept as its orientation's out-lists.
+        for (out, added) in es_out.iter_mut().zip(step.es_out) {
+            out.extend(added);
         }
 
         // Remove the listed goal edges from the working graph.
         if !step.goal_edges.is_empty() {
-            current = current.without_edges(&step.goal_edges);
-            current_orientation = current_orientation.restrict_to(&current.edge_set());
+            let goal = Graph::from_edges(n, &step.goal_edges).expect("goal edges are in range");
+            current = current.without_edges_of(&goal);
+            current_orientation = current_orientation.without_edges_of(&goal);
         }
 
         let previous_er = er.len();
@@ -123,13 +124,13 @@ pub fn list_once(
     }
 
     // Whatever is left of E_r survives as part of the remaining graph.
-    for e in er.iter() {
-        es.insert(e);
-        es_out[e.u() as usize].push(e.v());
+    for &(u, v) in &er {
+        es_out[u as usize].push(v);
     }
 
-    outcome.remaining = Graph::from_edge_set(n, &es).expect("E_s endpoints are in range");
     outcome.remaining_orientation = Orientation::from_out_lists(es_out);
+    let es: Vec<(u32, u32)> = outcome.remaining_orientation.edges().collect();
+    outcome.remaining = Graph::from_edges(n, &es).expect("E_s endpoints are in range");
     outcome
 }
 

@@ -60,10 +60,10 @@ impl TupleAssignment {
         digits
     }
 
-    /// The tuples owned by the node with rank `rank` (tuples are distributed
-    /// round-robin: rank `r` owns `r, r + k, r + 2k, …`).
-    pub fn tuples_of(&self, rank: usize) -> Vec<u64> {
-        (rank as u64..self.num_tuples).step_by(self.k).collect()
+    /// The tuples owned by the node with rank `rank`, ascending (tuples are
+    /// distributed round-robin: rank `r` owns `r, r + k, r + 2k, …`).
+    pub fn tuples_of(&self, rank: usize) -> impl Iterator<Item = u64> {
+        (rank as u64..self.num_tuples).step_by(self.k)
     }
 
     /// The rank of the node that owns tuple `t`.
@@ -108,9 +108,11 @@ impl TupleAssignment {
     /// iteration order is structural.
     pub fn distinct_pairs_into(&self, t: u64, out: &mut Vec<(u32, u32)>) {
         out.clear();
-        let digits = self.tuple_parts(t);
-        for (i, &a) in digits.iter().enumerate() {
-            for &b in &digits[i + 1..] {
+        let q = u64::from(self.num_parts);
+        let digit = |i: usize| (t / q.pow(i as u32) % q) as u32;
+        for i in 0..self.p {
+            for j in i + 1..self.p {
+                let (a, b) = (digit(i), digit(j));
                 out.push((a.min(b), a.max(b)));
             }
         }
@@ -216,7 +218,7 @@ mod tests {
         let asg = TupleAssignment::new(1, 4);
         assert_eq!(asg.num_parts, 1);
         assert_eq!(asg.num_tuples, 1);
-        assert_eq!(asg.tuples_of(0), vec![0]);
+        assert_eq!(asg.tuples_of(0).collect::<Vec<_>>(), vec![0]);
         assert_eq!(asg.tuples_containing(0, 0), 1);
     }
 

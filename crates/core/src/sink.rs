@@ -149,9 +149,8 @@ impl CliqueSink for FirstK {
 /// The engine already guarantees exactly-once emission, so user code rarely
 /// needs this directly; it exists for composing *multiple* runs into one
 /// downstream sink (e.g. a comparison matrix that unions several algorithms)
-/// and is what the pipeline itself uses internally where two listing paths
-/// can overlap (per-`ARB-LIST` cross-cluster overlap, and the fast-`K_4`
-/// light-node listing).
+/// and is what the fast-`K_4` and `eden-k4` runs use internally, where the
+/// light-node listing overlaps the other listing paths.
 #[derive(Debug)]
 pub struct Dedup<S: CliqueSink> {
     seen: HashSet<Clique>,
@@ -250,7 +249,16 @@ impl ShardBuffer {
     /// sequential path's (`accept`, then `is_saturated`), which keeps the
     /// exactly-once emission byte-identical.
     pub fn replay_into(&self, sink: &mut dyn CliqueSink) -> bool {
-        for clique in self.flat.chunks_exact(self.width) {
+        self.replay_unless(sink, |_| false)
+    }
+
+    /// [`ShardBuffer::replay_into`], passing over the cliques `skip` holds.
+    pub fn replay_unless(
+        &self,
+        sink: &mut dyn CliqueSink,
+        mut skip: impl FnMut(&[u32]) -> bool,
+    ) -> bool {
+        for clique in self.flat.chunks_exact(self.width).filter(|c| !skip(c)) {
             sink.accept(clique);
             if sink.is_saturated() {
                 return false;

@@ -41,14 +41,17 @@
 //! (more than 8,192 known vertices) runs the same rule over CSR rows, with
 //! the same emission. Duplicates remain only *across*
 //! clusters (a clique can hold goal edges of two clusters); `arb_list`'s
-//! per-invocation [`Dedup`](crate::sink::Dedup) layer absorbs those for the
-//! general variant, and the run-level one does for fast-`K_4`, preserving
-//! the engine's exactly-once contract.
+//! ownership rule skips those when it replays a later cluster's listing,
+//! preserving the engine's exactly-once contract. The goal edges arrive as
+//! a sorted list of canonical pairs.
 //!
-//! All load accounting is flat: per-rank loads live in `Vec`s keyed by the
-//! dense identifiers of Lemma 2.5 ([`ClusterIds`]), part-pair counts in a
-//! [`PairTable`] over the radix parts — no hashing on the per-edge path and
-//! no hash-order iteration anywhere.
+//! All load accounting is flat and takes one pass over the known edges:
+//! per-rank loads live in `Vec`s keyed by the dense identifiers of Lemma 2.5
+//! ([`ClusterIds`]), looked up through a dense vertex-to-rank table,
+//! part-pair counts in a [`PairTable`] over the radix parts, and an edge's
+//! owner count is computed once per cluster (it depends only on whether its
+//! endpoint parts are equal). Each rank's tuples are walked in place. No
+//! hashing on the per-edge path and no hash-order iteration anywhere.
 
 use crate::config::ListingConfig;
 use crate::parts::TupleAssignment;
@@ -56,7 +59,7 @@ use crate::result::{phase, Rounds};
 use crate::sink::CliqueSink;
 use expander::{Cluster, ClusterIds, ClusterRouter, DenseTable, PairTable};
 use graphcore::partition::VertexPartition;
-use graphcore::{cliques, intersect_sorted_into, EdgeSet, Graph};
+use graphcore::{cliques, intersect_sorted_into, Graph};
 
 pub use crate::config::ExchangeMode;
 
@@ -81,8 +84,8 @@ pub struct SparseListingInput<'a> {
     pub em_graph: &'a Graph,
     /// Known edges as oriented `(source, target)` pairs, deduplicated.
     pub known_edges: &'a [(u32, u32)],
-    /// Goal edges of the cluster.
-    pub goal_edges: &'a EdgeSet,
+    /// Goal edges of the cluster, as sorted canonical pairs.
+    pub goal_edges: &'a [(u32, u32)],
     /// Per-cluster-node words of outside knowledge, keyed by dense rank (for
     /// the reshuffle's send load).
     pub learned_words: &'a DenseTable,
@@ -115,31 +118,47 @@ pub fn cluster_listing(
     }
 
     let policy = config.charge_policy;
-    let ids = ClusterIds::assign(cluster);
     outcome
         .rounds
         .add(phase::ID_ASSIGNMENT, ClusterIds::charged_rounds(n, &policy));
 
     let router = ClusterRouter::new(cluster, input.em_graph, n, policy);
 
-    // --- Step 2: reshuffle ------------------------------------------------
-    // Responsibility: rank i handles original vertices in one contiguous
-    // block of size ceil(n/k).
+    // Step 2's responsibility: rank i handles original vertices in one
+    // contiguous block of size ceil(n/k). Steps 3 and 4: a random partition
+    // into parts and the radix tuples of parts.
     let block = n.div_ceil(k).max(1);
     let responsible_rank = |vertex: u32| -> usize { ((vertex as usize) / block).min(k - 1) };
+    let assignment = TupleAssignment::new(k, p);
+    let partition = VertexPartition::random(n, assignment.num_parts, seed);
+    // The owners an edge goes to depend only on whether its parts differ.
+    let copies = [0, 1].map(|b| assignment.owners_needing(0, b));
+    // The dense rank (Lemma 2.5) of each cluster node, by vertex.
+    let mut rank_of = vec![u32::MAX; n];
+    for (rank, &v) in cluster.vertices.iter().enumerate() {
+        rank_of[v as usize] = rank as u32;
+    }
 
-    // Send load: what each cluster node currently holds (its own outgoing
-    // incident edges plus what it learned from outside). One pass over the
-    // known edges, crediting cluster-member sources by dense rank.
+    // One pass over the known edges loads steps 2 and 4. Reshuffle: each
+    // cluster node sends its outgoing incident edges (and what it learned
+    // from outside), each responsible node receives its block's out-edges.
+    // Exchange: edges per pair of parts, and each edge sent by the
+    // responsible node of its source to every owner of a tuple holding both
+    // endpoint parts.
     let mut send_load = DenseTable::new(k);
-    // Receive load: each responsible node receives the known out-edges of the
-    // vertices in its block.
     let mut recv_load = DenseTable::new(k);
-    for &(src, _) in input.known_edges {
-        if let Some(rank) = ids.rank(src) {
-            send_load.add(rank, words);
+    let mut pair_counts = PairTable::new(assignment.num_parts);
+    let mut exchange_send = DenseTable::new(k);
+    for &(src, dst) in input.known_edges {
+        let rank = rank_of[src as usize];
+        if rank != u32::MAX {
+            send_load.add(rank as usize, words);
         }
-        recv_load.add(responsible_rank(src), words);
+        let responsible = responsible_rank(src);
+        recv_load.add(responsible, words);
+        let (a, b) = (partition.part_of(src), partition.part_of(dst));
+        pair_counts.add(a, b, 1);
+        exchange_send.add(responsible, copies[usize::from(a != b)] * words);
     }
     for (rank, learned) in input.learned_words.iter() {
         send_load.add(rank, learned);
@@ -150,9 +169,7 @@ pub fn cluster_listing(
         router.rounds_for_load(outcome.reshuffle_load),
     );
 
-    // --- Step 3: random partition and its broadcast ------------------------
-    let assignment = TupleAssignment::new(k, p);
-    let partition = VertexPartition::random(n, assignment.num_parts, seed);
+    // --- Step 3: the partition's broadcast ---------------------------------
     // Every node announces the parts of the ~n/k vertices it is responsible
     // for to every other cluster node: load ≈ n words per node.
     outcome
@@ -160,12 +177,6 @@ pub fn cluster_listing(
         .add(phase::PARTITION_BROADCAST, router.rounds_for_load(n as u64));
 
     // --- Step 4: part exchange ---------------------------------------------
-    // Count known edges between each unordered pair of parts — a flat
-    // upper-triangular table over the `P ≈ k^{1/p}` parts.
-    let mut pair_counts = PairTable::new(assignment.num_parts);
-    for &(src, dst) in input.known_edges {
-        pair_counts.add(partition.part_of(src), partition.part_of(dst), 1);
-    }
     // Receive load per rank: sum over its tuples of the counts of every pair
     // of parts in the tuple.
     let dense_pair_load = {
@@ -191,15 +202,6 @@ pub fn cluster_listing(
             }
         }
         max_exchange_recv = max_exchange_recv.max(load);
-    }
-    // Send load per rank: each known edge (owned by the responsible node of
-    // its source) is sent to every node owning a tuple containing both
-    // endpoint parts.
-    let mut exchange_send = DenseTable::new(k);
-    for &(src, dst) in input.known_edges {
-        let (a, b) = (partition.part_of(src), partition.part_of(dst));
-        let copies = assignment.owners_needing(a.min(b), a.max(b));
-        exchange_send.add(responsible_rank(src), copies * words);
     }
     let max_exchange_send = match mode {
         ExchangeMode::SparsityAware => exchange_send.max(),
@@ -249,7 +251,7 @@ impl KnowledgeRows {
     /// would exceed [`cliques::TRIE_NODE_WORD_BUDGET`] (past 8,192 known
     /// vertices). A goal edge with an endpoint outside the known vertices is
     /// not a known edge, so it lists nothing and gets no bit.
-    fn build(n: usize, known_edges: &[(u32, u32)], goal_edges: &EdgeSet) -> Option<Self> {
+    fn build(n: usize, known_edges: &[(u32, u32)], goal_edges: &[(u32, u32)]) -> Option<Self> {
         const ABSENT: u32 = u32::MAX;
         // Mark the known vertices with 0, then number them in ascending
         // global id; unmarked slots stay `ABSENT`.
@@ -279,8 +281,8 @@ impl KnowledgeRows {
         for &(a, b) in known_edges {
             set_pair(&mut known, local[a as usize], local[b as usize]);
         }
-        for e in goal_edges {
-            let (a, b) = (local[e.u() as usize], local[e.v() as usize]);
+        for &(a, b) in goal_edges {
+            let (a, b) = (local[a as usize], local[b as usize]);
             if a != ABSENT && b != ABSENT {
                 set_pair(&mut goal, a, b);
             }
@@ -457,16 +459,12 @@ impl GoalEdgeSearch<'_> {
 fn list_over_csr(
     n: usize,
     known_edges: &[(u32, u32)],
-    goal_edges: &EdgeSet,
+    goal_edges: &[(u32, u32)],
     p: usize,
     sink: &mut dyn CliqueSink,
 ) {
-    let undirected: Vec<(u32, u32)> = known_edges
-        .iter()
-        .map(|&(a, b)| (a.min(b), a.max(b)))
-        .collect();
-    let known_graph = Graph::from_edges(n, &undirected).expect("known edges are in range");
-    let goal_graph = Graph::from_edge_set(n, goal_edges).expect("goal edges are in range");
+    let known_graph = Graph::from_edges(n, known_edges).expect("known edges are in range");
+    let goal_graph = Graph::from_edges(n, goal_edges).expect("goal edges are in range");
     list_at_first_goal_edge(&known_graph, &goal_graph, p, sink);
 }
 
@@ -485,13 +483,13 @@ fn list_over_csr(
 ///   with `x < u`, form a goal edge.
 ///
 /// The result is exactly the first occurrences of the listing that streams
-/// *every* clique of every goal edge, in the same order, so a downstream
-/// `Dedup` sees each clique once and early-stop prefixes do not move. The
+/// *every* clique of every goal edge, in the same order, so the listing
+/// holds each clique once and early-stop prefixes do not move. The
 /// seeds below `v` come from the non-goal rows, and the enumerator probes
 /// the seed list against `v`'s bitset row; no edge set is hashed. A
 /// saturated sink stops the enumeration mid-edge.
 fn list_at_first_goal_edge(known: &Graph, goal: &Graph, p: usize, sink: &mut dyn CliqueSink) {
-    let non_goal = row_difference(known, goal);
+    let non_goal = known.without_edges_of(goal);
     let mut enumerator = cliques::EdgeCliqueEnumerator::new(known, p);
     let mut seeds: Vec<u32> = Vec::new();
     let below = |row: &[u32], bound: u32| row.partition_point(|&w| w < bound);
@@ -529,52 +527,30 @@ fn list_at_first_goal_edge(known: &Graph, goal: &Graph, p: usize, sink: &mut dyn
     }
 }
 
-/// The known edges that are not goal edges: row `x` is the sorted difference
-/// of `x`'s known and goal rows, taken by one merge per row.
-fn row_difference(known: &Graph, goal: &Graph) -> Graph {
-    let mut edges = Vec::new();
-    for x in 0..known.num_vertices() as u32 {
-        let goal_row = goal.neighbors(x);
-        let mut at = 0;
-        for &y in known.neighbors(x).iter().filter(|&&y| y > x) {
-            while goal_row.get(at).is_some_and(|&g| g < y) {
-                at += 1;
-            }
-            if goal_row.get(at) != Some(&y) {
-                edges.push((x, y));
-            }
-        }
-    }
-    Graph::from_edges(known.num_vertices(), &edges).expect("known edges are in range")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sink::{CollectSink, CountSink, Dedup, FirstK};
-    use graphcore::{gen, Clique, Edge, Orientation};
+    use graphcore::{gen, Clique, Orientation};
     use std::collections::HashSet;
 
-    fn inputs_for(
-        graph: &Graph,
-        cluster_size: usize,
-    ) -> (Cluster, Graph, Vec<(u32, u32)>, EdgeSet) {
+    /// Edges as `(u32, u32)` pairs.
+    type Pairs = Vec<(u32, u32)>;
+
+    fn inputs_for(graph: &Graph, cluster_size: usize) -> (Cluster, Graph, Pairs, Pairs) {
         inputs_for_cluster(graph, (0..cluster_size as u32).collect())
     }
 
     /// The known edges are all of `graph`'s edges, oriented by degeneracy;
-    /// the cluster's edges `E_m` are those between two of `vertices`.
-    fn inputs_for_cluster(
-        graph: &Graph,
-        vertices: Vec<u32>,
-    ) -> (Cluster, Graph, Vec<(u32, u32)>, EdgeSet) {
+    /// the cluster's edges `E_m`, sorted, are those between two of
+    /// `vertices`.
+    fn inputs_for_cluster(graph: &Graph, vertices: Vec<u32>) -> (Cluster, Graph, Pairs, Pairs) {
         let cluster = Cluster::new(0, vertices);
-        let em: EdgeSet = graph
+        let em: Vec<(u32, u32)> = graph
             .edges()
             .filter(|&(u, v)| cluster.contains(u) && cluster.contains(v))
-            .map(|(u, v)| Edge::new(u, v))
             .collect();
-        let em_graph = Graph::from_edge_set(graph.num_vertices(), &em).unwrap();
+        let em_graph = Graph::from_edges(graph.num_vertices(), &em).unwrap();
         let orientation = Orientation::from_degeneracy(graph);
         let known: Vec<(u32, u32)> = graph
             .edges()
@@ -616,9 +592,11 @@ mod tests {
         let expected: HashSet<Clique> = cliques::list_cliques(&g, 4)
             .into_iter()
             .filter(|c| {
-                c.iter()
-                    .enumerate()
-                    .any(|(i, &a)| c[i + 1..].iter().any(|&b| em.contains_pair(a, b)))
+                c.iter().enumerate().any(|(i, &a)| {
+                    c[i + 1..]
+                        .iter()
+                        .any(|&b| em.binary_search(&(a, b)).is_ok())
+                })
             })
             .collect();
         assert_eq!(got, expected);
@@ -657,12 +635,11 @@ mod tests {
         let cluster = Cluster::new(0, vec![0, 1]);
         let em_graph = g.clone();
         let learned = DenseTable::new(cluster.len());
-        let goal = EdgeSet::new();
         let input = SparseListingInput {
             cluster: &cluster,
             em_graph: &em_graph,
             known_edges: &[],
-            goal_edges: &goal,
+            goal_edges: &[],
             learned_words: &learned,
             n: 10,
             arboricity_bound: 1,
@@ -725,14 +702,33 @@ mod tests {
         assert_eq!(out.rounds.total(), full.rounds.total());
     }
 
+    /// Every clique through each goal edge, in sorted goal-edge order and
+    /// ascending canonical order within an edge, repeats included. One
+    /// enumerator serves every edge of `known`.
+    fn cliques_through_each(
+        known: &Graph,
+        goal: &[(u32, u32)],
+        p: usize,
+    ) -> Vec<(u32, u32, Clique)> {
+        let mut enumerator = cliques::EdgeCliqueEnumerator::new(known, p);
+        let mut out = Vec::new();
+        for &(u, v) in goal {
+            enumerator.for_each_containing_edge_while(u, v, known.neighbors(u), |c| {
+                out.push((u, v, c.to_vec()));
+                true
+            });
+        }
+        out
+    }
+
     /// The sequence a `Dedup` lets through when every clique of every goal
     /// edge is listed: first occurrences, in sorted goal-edge order,
     /// ascending canonical order within an edge.
-    fn first_occurrences(known: &Graph, goal: &EdgeSet, p: usize) -> Vec<Clique> {
+    fn first_occurrences(known: &Graph, goal: &[(u32, u32)], p: usize) -> Vec<Clique> {
         let mut seen = HashSet::new();
-        goal.to_sorted_vec()
-            .iter()
-            .flat_map(|e| cliques::cliques_containing_edge(known, p, e.u(), e.v()))
+        cliques_through_each(known, goal, p)
+            .into_iter()
+            .map(|(_, _, c)| c)
             .filter(|c| seen.insert(c.clone()))
             .collect()
     }
@@ -740,22 +736,19 @@ mod tests {
     /// How many cliques the completed-clique check has to drop: at goal edge
     /// `(u, v)`, every other vertex passes the seed test, yet two other
     /// vertices `x < y` with `x < u` form a goal edge.
-    fn pairwise_rejections(known: &Graph, goal: &EdgeSet, p: usize) -> usize {
-        let is_goal = |a: u32, b: u32| goal.contains_pair(a, b);
+    fn pairwise_rejections(known: &Graph, goal: &[(u32, u32)], p: usize) -> usize {
+        let is_goal = |a: u32, b: u32| goal.binary_search(&(a.min(b), a.max(b))).is_ok();
         let mut rejections = 0;
-        for e in goal.to_sorted_vec() {
-            let (u, v) = (e.u(), e.v());
-            for c in cliques::cliques_containing_edge(known, p, u, v) {
-                let others: Vec<u32> = c.into_iter().filter(|&w| w != u && w != v).collect();
-                let seeds_pass = others
-                    .iter()
-                    .all(|&w| w > v || (!is_goal(u, w) && (w > u || !is_goal(w, v))));
-                let pair_hit = others
-                    .iter()
-                    .enumerate()
-                    .any(|(i, &x)| x < u && others[i + 1..].iter().any(|&y| is_goal(x, y)));
-                rejections += usize::from(seeds_pass && pair_hit);
-            }
+        for (u, v, c) in cliques_through_each(known, goal, p) {
+            let others: Vec<u32> = c.into_iter().filter(|&w| w != u && w != v).collect();
+            let seeds_pass = others
+                .iter()
+                .all(|&w| w > v || (!is_goal(u, w) && (w > u || !is_goal(w, v))));
+            let pair_hit = others
+                .iter()
+                .enumerate()
+                .any(|(i, &x)| x < u && others[i + 1..].iter().any(|&y| is_goal(x, y)));
+            rejections += usize::from(seeds_pass && pair_hit);
         }
         rejections
     }
@@ -775,20 +768,18 @@ mod tests {
             let n = g.num_vertices();
             let (cluster, em_graph, known, em) = inputs_for_cluster(&g, vertices);
             let learned = DenseTable::new(cluster.len());
-            let edges = em.to_sorted_vec();
+            let edges = em;
             // Goal sets: every edge, one edge, and each edge with
             // probability 1/2 (the coin is an independent G(n, 1/2)).
-            let mut goal_sets: Vec<EdgeSet> = vec![
-                edges.iter().copied().collect(),
-                std::iter::once(edges[edges.len() / 2]).collect(),
-            ];
+            let mut goal_sets: Vec<Vec<(u32, u32)>> =
+                vec![edges.clone(), vec![edges[edges.len() / 2]]];
             for seed in 0..4 {
                 let coin = gen::erdos_renyi(n, 0.5, 100 + seed);
                 goal_sets.push(
                     edges
                         .iter()
                         .copied()
-                        .filter(|e| coin.has_edge(e.u(), e.v()))
+                        .filter(|&(u, v)| coin.has_edge(u, v))
                         .collect(),
                 );
             }
@@ -860,10 +851,7 @@ mod tests {
         for g in &graphs {
             let n = g.num_vertices();
             let (_, _, known, _) = inputs_for(g, n);
-            let goal: EdgeSet = gen::erdos_renyi(n, 0.5, 7)
-                .edges()
-                .map(|(u, v)| Edge::new(u, v))
-                .collect();
+            let goal: Vec<(u32, u32)> = gen::erdos_renyi(n, 0.5, 7).edges().collect();
             let rows = KnowledgeRows::build(n, &known, &goal).expect("within the word budget");
             for p in [2usize, 3, 4, 5] {
                 let (mut words, mut csr) = (Fingerprint::default(), Fingerprint::default());
@@ -902,11 +890,11 @@ mod tests {
         let learned = DenseTable::new(cluster.len());
         // Goal sets: every edge, one edge, and each edge with probability
         // 1/2 (a G(n, 1/2) coin would hold 17M edges here).
-        let edges = em.to_sorted_vec();
+        let edges = em;
         let mut rng = congest::DeterministicRng::from_seed(100);
-        let goal_sets: [EdgeSet; 3] = [
-            edges.iter().copied().collect(),
-            std::iter::once(edges[edges.len() / 2]).collect(),
+        let goal_sets: [Vec<(u32, u32)>; 3] = [
+            edges.clone(),
+            vec![edges[edges.len() / 2]],
             edges.iter().copied().filter(|_| rng.coin(0.5)).collect(),
         ];
         for goal in &goal_sets {

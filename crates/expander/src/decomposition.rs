@@ -244,10 +244,7 @@ impl Decomposition {
 
         // E_s orientation: coverage and out-degree bound of n^δ.
         let es_limit = (n.max(1) as f64).powf(self.delta).ceil() as usize;
-        let mut oriented = EdgeSet::new();
-        for (u, v) in self.es_orientation.edges() {
-            oriented.insert(Edge::new(u, v));
-        }
+        let oriented: EdgeSet = self.es_orientation.edges().map(Edge::from).collect();
         if oriented != self.es {
             violations.push(Violation::EsOrientationMismatch);
         }
@@ -270,7 +267,48 @@ impl Decomposition {
     }
 }
 
-/// Builds a δ-expander decomposition of `graph`.
+/// A [`Decomposition`] whose edge sets are sorted lists of canonical pairs
+/// `(u, v)`, `u < v`, with `E_m` already split by cluster: the form the
+/// listing pipeline reads. [`decompose`] converts it into [`EdgeSet`]s.
+#[derive(Clone, Debug)]
+pub struct SortedDecomposition {
+    /// Every cluster's `E_m` edges, sorted; indexed like `clusters`.
+    pub cluster_edges: Vec<Vec<(u32, u32)>>,
+    /// Leftover edges `E_r`, sorted.
+    pub er: Vec<(u32, u32)>,
+    /// `E_s`, as its orientation of out-degree at most `n^δ`.
+    pub es_orientation: Orientation,
+    /// The clusters (connected components of `E_m` with at least two nodes).
+    pub clusters: Vec<Cluster>,
+    /// For every vertex, the id of the cluster containing it (if any).
+    pub cluster_of: Vec<Option<usize>>,
+}
+
+/// Builds a δ-expander decomposition of `graph`: [`decompose_sorted`], with
+/// its edge lists collected into [`EdgeSet`]s.
+pub fn decompose(
+    graph: &Graph,
+    delta: f64,
+    config: &DecompositionConfig,
+    seed: u64,
+) -> Decomposition {
+    let sorted = decompose_sorted(graph, delta, config, seed);
+    let set = |pairs: &[(u32, u32)]| -> EdgeSet { pairs.iter().map(|&e| Edge::from(e)).collect() };
+    Decomposition {
+        delta,
+        degree_threshold: config.degree_threshold(graph.num_vertices(), delta),
+        em: set(&sorted.cluster_edges.concat()),
+        es: sorted.es_orientation.edges().map(Edge::from).collect(),
+        er: set(&sorted.er),
+        es_orientation: sorted.es_orientation,
+        clusters: sorted.clusters,
+        cluster_of: sorted.cluster_of,
+        config: *config,
+    }
+}
+
+/// Builds a δ-expander decomposition of `graph`, with its edges as sorted
+/// lists.
 ///
 /// The construction peels vertices of remaining degree below the cluster
 /// degree threshold into `E_s` (oriented away from the peeled vertex, which
@@ -280,12 +318,12 @@ impl Decomposition {
 /// cluster. Cut edges go to `E_r`; if the `E_r` budget (`|E|/6` by default)
 /// would be exceeded, the component is accepted as-is so the budget guarantee
 /// always holds.
-pub fn decompose(
+pub fn decompose_sorted(
     graph: &Graph,
     delta: f64,
     config: &DecompositionConfig,
     _seed: u64,
-) -> Decomposition {
+) -> SortedDecomposition {
     let n = graph.num_vertices();
     let m = graph.num_edges();
     let threshold = config.degree_threshold(n, delta);
@@ -298,9 +336,10 @@ pub fn decompose(
     let mut mask = vec![false; n];
 
     // E_s is kept as its orientation: the out-lists of the peeled vertices.
+    // Cut edges are distinct, so E_r is a list, sorted at the end.
     let mut es_out: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut er = EdgeSet::new();
-    let mut em = EdgeSet::new();
+    let mut er: Vec<(u32, u32)> = Vec::new();
+    let mut cluster_edges: Vec<Vec<(u32, u32)>> = Vec::new();
     let mut clusters: Vec<Cluster> = Vec::new();
     let mut cluster_of: Vec<Option<usize>> = vec![None; n];
 
@@ -330,23 +369,23 @@ pub fn decompose(
             // Accept the component as a cluster: it mixes fast enough, or no
             // cut was found, or the cut would break the E_r budget, which
             // takes precedence so the |E_r| <= |E|/6 guarantee always holds.
-            accept_cluster(
-                &component,
-                &sub,
-                &mut em,
-                &mut clusters,
-                &mut cluster_of,
-                &mut remaining,
-            );
+            // Its edges are `sub`'s, which `edges()` yields sorted.
+            let id = clusters.len();
+            for &v in &component {
+                cluster_of[v as usize] = Some(id);
+                remaining[v as usize].clear();
+            }
+            cluster_edges.push(sub.edges().collect());
+            clusters.push(Cluster::new(id, component));
             continue;
         }
 
         // Apply the cut: the crossing edges go to E_r.
-        for e in &cut_edges {
-            er.insert(*e);
-            remove_from_row(&mut remaining[e.u() as usize], e.v());
-            remove_from_row(&mut remaining[e.v() as usize], e.u());
+        for &(u, v) in &cut_edges {
+            remove_from_row(&mut remaining[u as usize], v);
+            remove_from_row(&mut remaining[v as usize], u);
         }
+        er.extend_from_slice(&cut_edges);
         // Degrees dropped: re-peel within the component, then re-split it into
         // connected components and keep refining.
         peel(
@@ -359,21 +398,13 @@ pub fn decompose(
         queue.extend(components(&remaining, &component, &mut mask));
     }
 
-    let es_orientation = Orientation::from_out_lists(es_out);
-    let es = es_orientation
-        .edges()
-        .map(|(u, v)| Edge::new(u, v))
-        .collect();
-    Decomposition {
-        delta,
-        degree_threshold: threshold,
-        em,
-        es,
+    er.sort_unstable();
+    SortedDecomposition {
+        cluster_edges,
         er,
-        es_orientation,
+        es_orientation: Orientation::from_out_lists(es_out),
         clusters,
         cluster_of,
-        config: *config,
     }
 }
 
@@ -471,28 +502,16 @@ fn subgraph(remaining: &[Vec<u32>], n: usize, component: &[u32], member: &mut [b
     Graph::from_edges(n, &edges).expect("remaining edges are in range")
 }
 
-fn accept_cluster(
-    component: &[u32],
-    sub: &Graph,
-    em: &mut EdgeSet,
-    clusters: &mut Vec<Cluster>,
-    cluster_of: &mut [Option<usize>],
-    remaining: &mut [Vec<u32>],
-) {
-    let id = clusters.len();
-    em.extend(sub.edges().map(|(u, v)| Edge::new(u, v)));
-    for &v in component {
-        cluster_of[v as usize] = Some(id);
-        remaining[v as usize].clear();
-    }
-    clusters.push(Cluster::new(id, component.to_vec()));
-}
-
 /// Finds the prefix of the ordering of `component` by its entry of the
 /// second eigenvector `vector` with minimum conductance, and returns the
 /// edges of `sub` crossing it (empty if no prefix has a non-degenerate
 /// conductance). `in_prefix` marks the prefix meanwhile.
-fn sweep_cut(sub: &Graph, component: &[u32], vector: &[f64], in_prefix: &mut [bool]) -> Vec<Edge> {
+fn sweep_cut(
+    sub: &Graph,
+    component: &[u32],
+    vector: &[f64],
+    in_prefix: &mut [bool],
+) -> Vec<(u32, u32)> {
     let mut order: Vec<usize> = (0..component.len()).collect();
     order.sort_by(|&a, &b| {
         vector[a]
@@ -535,7 +554,7 @@ fn sweep_cut(sub: &Graph, component: &[u32], vector: &[f64], in_prefix: &mut [bo
         for &u in component {
             for &w in sub.neighbors(u) {
                 if u < w && in_prefix[u as usize] != in_prefix[w as usize] {
-                    crossing.push(Edge::new(u, w));
+                    crossing.push((u, w));
                 }
             }
         }

@@ -43,6 +43,8 @@ pub mod ids;
 pub mod routing;
 
 pub use cluster::Cluster;
-pub use decomposition::{decompose, Decomposition, DecompositionConfig, Violation};
+pub use decomposition::{
+    decompose, decompose_sorted, Decomposition, DecompositionConfig, SortedDecomposition, Violation,
+};
 pub use ids::{ClusterIds, DenseTable, PairTable};
 pub use routing::{ClusterRouter, RoutingOutcome};

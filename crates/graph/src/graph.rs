@@ -11,7 +11,7 @@
 //! on a pre-built oriented DAG with reusable buffers instead of probing
 //! `has_edge` in its innermost loop.
 //!
-//! Subgraph builders (`edge_subgraph`, `without_edges`, `induced_keep_ids`)
+//! Subgraph builders (`without_edges`, `without_edges_of`, `induced_keep_ids`)
 //! are single-pass linear filters over the CSR arrays: rows stay sorted by
 //! construction, so no per-vertex set rebuild is needed.
 
@@ -86,6 +86,20 @@ pub fn intersect_sorted_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
                 i += 1;
                 j += 1;
             }
+        }
+    }
+}
+
+/// Appends the sorted difference `a ∖ b` of two sorted `u32` slices to `out`,
+/// in one two-pointer merge.
+pub(crate) fn push_difference(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    let mut j = 0;
+    for &x in a {
+        while b.get(j).is_some_and(|&y| y < x) {
+            j += 1;
+        }
+        if b.get(j) != Some(&x) {
+            out.push(x);
         }
     }
 }
@@ -383,16 +397,18 @@ impl Graph {
     /// `keep(u, v)` holds. `keep` must be symmetric, or the result is not a
     /// valid undirected graph.
     fn filter_neighbors(&self, mut keep: impl FnMut(u32, u32) -> bool) -> Graph {
+        self.rebuild_rows(|u, row, out| out.extend(row.iter().copied().filter(|&v| keep(u, v))))
+    }
+
+    /// Rebuilds the CSR arrays row by row: `fill(u, row, out)` appends the
+    /// new sorted row of `u` to `out`. The rows must stay symmetric.
+    fn rebuild_rows(&self, mut fill: impl FnMut(u32, &[u32], &mut Vec<u32>)) -> Graph {
         let n = self.num_vertices();
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0u32);
         let mut nbrs = Vec::with_capacity(self.nbrs.len());
         for u in 0..n as u32 {
-            for &v in self.neighbors(u) {
-                if keep(u, v) {
-                    nbrs.push(v);
-                }
-            }
+            fill(u, self.neighbors(u), &mut nbrs);
             offsets.push(nbrs.len() as u32);
         }
         let num_edges = nbrs.len() / 2;
@@ -403,17 +419,16 @@ impl Graph {
         }
     }
 
-    /// Returns the subgraph on the same vertex set containing only the given
-    /// edges (edges not present in `self` are ignored). Single linear pass
-    /// over the CSR arrays.
-    pub fn edge_subgraph(&self, edges: &EdgeSet) -> Graph {
-        self.filter_neighbors(|u, v| edges.contains_pair(u, v))
-    }
-
     /// Returns the subgraph on the same vertex set with the given edges
     /// removed. Single linear pass over the CSR arrays.
     pub fn without_edges(&self, edges: &EdgeSet) -> Graph {
         self.filter_neighbors(|u, v| !edges.contains_pair(u, v))
+    }
+
+    /// Returns the subgraph on the same vertex set without the edges of
+    /// `removed`, a graph on at least as many vertices: one merge per row.
+    pub fn without_edges_of(&self, removed: &Graph) -> Graph {
+        self.rebuild_rows(|u, row, out| push_difference(row, removed.neighbors(u), out))
     }
 
     /// Returns the subgraph induced by `vertices` **keeping the original
@@ -626,16 +641,17 @@ mod tests {
         keep.insert(Edge::new(0, 1));
         keep.insert(Edge::new(2, 3));
         keep.insert(Edge::new(3, 4)); // not an edge of g, ignored
-        let sub = g.edge_subgraph(&keep);
-        assert_eq!(sub.num_edges(), 2);
-        assert!(sub.has_edge(0, 1));
-        assert!(!sub.has_edge(0, 2));
-
         let rest = g.without_edges(&keep);
         assert_eq!(rest.num_edges(), 2);
         assert!(rest.has_edge(0, 2));
         assert!(rest.has_edge(1, 2));
         assert!(!rest.has_edge(0, 1));
+
+        // Removing what is left keeps exactly the edges of `keep`.
+        let sub = g.without_edges_of(&rest);
+        assert_eq!(sub.num_edges(), 2);
+        assert!(sub.has_edge(0, 1) && sub.has_edge(2, 3));
+        assert!(!sub.has_edge(0, 2));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! lower bounds on the arboricity.
 
 use crate::edge::EdgeSet;
-use crate::graph::Graph;
+use crate::graph::{push_difference, Graph};
 use serde::{Deserialize, Serialize};
 
 /// A degeneracy (smallest-last / core) ordering of a graph.
@@ -323,6 +323,16 @@ impl Orientation {
         Orientation { out }
     }
 
+    /// Drops the edges of `removed`, a graph on at least as many vertices,
+    /// preserving the other directions: one merge per out-list.
+    pub fn without_edges_of(&self, removed: &Graph) -> Orientation {
+        let mut out = vec![Vec::new(); self.out.len()];
+        for (u, (row, kept)) in self.out.iter().zip(&mut out).enumerate() {
+            push_difference(row, removed.neighbors(u as u32), kept);
+        }
+        Orientation { out }
+    }
+
     /// Iterates over all oriented edges as `(source, target)` pairs.
     pub fn edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.out
@@ -442,6 +452,30 @@ mod tests {
         assert_eq!(r.num_edges(), 2);
         for (u, v) in r.edges() {
             assert!(o.is_oriented(u, v));
+        }
+    }
+
+    #[test]
+    fn removing_edges_by_merge_matches_the_set_filters() {
+        // Each edge is removed with probability 1/2 (an independent
+        // G(n, 1/2) coin); a removed pair that is no edge changes nothing.
+        for (g, seed) in [
+            (gen::erdos_renyi(90, 0.2, 3), 4),
+            (gen::complete_graph(9), 5),
+        ] {
+            let n = g.num_vertices();
+            let coin = gen::erdos_renyi(n, 0.5, seed);
+            let removed: Vec<(u32, u32)> =
+                g.edges().filter(|&(u, v)| coin.has_edge(u, v)).collect();
+            let removed_graph = Graph::from_edges(n, &removed).unwrap();
+            let removed_set: EdgeSet = removed.iter().map(|&e| crate::Edge::from(e)).collect();
+            let rest = g.without_edges_of(&removed_graph);
+            assert_eq!(rest, g.without_edges(&removed_set));
+            let o = Orientation::from_degeneracy(&g);
+            let kept = o.without_edges_of(&removed_graph);
+            assert_eq!(kept, o.restrict_to(&rest.edge_set()));
+            assert!(kept.covers_exactly(&rest));
+            assert_eq!(g.without_edges_of(&coin), g.without_edges(&coin.edge_set()));
         }
     }
 

@@ -226,17 +226,18 @@ fn csr_invariants_survive_subgraph_composition_chains() {
         let graph = sample_graph(&mut rng, 60);
         assert_csr_invariants(&graph, &format!("case {case}: base"));
 
-        // edge_subgraph and without_edges split the edge set exactly.
+        // without_edges and without_edges_of split the edge set exactly.
         let keep = sample_edge_subset(&mut rng, &graph, 0.5);
-        let kept = graph.edge_subgraph(&keep);
         let dropped = graph.without_edges(&keep);
-        assert_csr_invariants(&kept, &format!("case {case}: edge_subgraph"));
+        let kept = graph.without_edges_of(&dropped);
+        assert_csr_invariants(&kept, &format!("case {case}: without_edges_of"));
         assert_csr_invariants(&dropped, &format!("case {case}: without_edges"));
         assert_eq!(
             kept.num_edges() + dropped.num_edges(),
             graph.num_edges(),
-            "case {case}: edge_subgraph/without_edges must partition the edges"
+            "case {case}: without_edges/without_edges_of must partition the edges"
         );
+        assert!(kept.edges().all(|(u, v)| keep.contains_pair(u, v)));
 
         // Composition chain: a vertex-induced cut of an edge cut, then a
         // second edge removal — the shapes the LIST pipeline produces when it
