@@ -147,6 +147,21 @@ pub fn perf_sweep() -> Sweep {
             );
         }
     }
+    // A dense graph the decomposition keeps as one cluster with no outside
+    // node: both algorithms emit the same million K_4s, so a `fast-k4` run
+    // must cost what a `general` run costs.
+    for algorithm in ["general", "fast-k4"] {
+        let mut config = base("engine");
+        config.extend([
+            ("gen", Json::Str("er".to_string())),
+            ("n", num(200)),
+            ("param", Json::Num(0.5)),
+            ("p", num(4)),
+            ("algorithm", Json::Str(algorithm.to_string())),
+            ("auto_threads", num(auto)),
+        ]);
+        sweep.cell("engine", "er(200,0.5)", Json::obj(config), 17);
+    }
 
     // Query throughput over an immutable snapshot (PR 7): build the snapshot
     // once, then time mixed batches through the `QueryService`, cold and

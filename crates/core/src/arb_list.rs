@@ -17,19 +17,33 @@
 //! `(u, v)`, `u < v`; [`arb_list`] is the [`EdgeSet`] adapter over it.
 //!
 //! The listed instances are streamed into the caller's [`CliqueSink`], each
-//! once per invocation, with no set of emitted cliques. Inside one cluster
-//! the in-cluster listing emits each clique once, at its smallest goal edge
-//! (see [`sparse_listing`](crate::sparse_listing)). Across clusters an
-//! ownership rule applies: cluster `c` lists every clique holding one of its
-//! goal edges (the knowledge guarantee of Section 2.4.1), so the replay of a
-//! later cluster skips each clique holding a goal edge of `c`, a pair inside
-//! `c` found by binary search in `c`'s sorted goal list. Clusters replay in
+//! once per run, with no set of emitted cliques. Inside one cluster the
+//! in-cluster listing emits each clique once, at its smallest goal edge (see
+//! [`sparse_listing`](crate::sparse_listing)). Across clusters an ownership
+//! rule applies: cluster `c` lists every clique holding one of its goal
+//! edges (the knowledge guarantee of Section 2.4.1), so the replay of a later
+//! cluster skips each clique holding a goal edge of `c`, a pair inside `c`
+//! found by binary search in `c`'s sorted goal list. Clusters replay in
 //! ascending order, so the emission is the first occurrences of all their
 //! listings. Different invocations list distinct cliques, because every
-//! listed clique holds a goal edge and goal edges leave the graph. The
-//! fast-`K_4` light-node listing can repeat cliques, so `driver::run_congest`
-//! wraps a whole fast-`K_4` run in one `Dedup`; the ownership rule only skips
-//! cliques that set would drop.
+//! in-cluster clique holds a goal edge and goal edges leave the graph.
+//!
+//! The fast-`K_4` light-node listing (Section 3) can find a clique again: its
+//! cluster's in-cluster listing or a second light node may list it, and a
+//! light clique need not hold a goal edge, so it can survive into later
+//! invocations and the final broadcast. Each cluster buffers its light rows
+//! apart and replays them after its in-cluster rows, and three rules keep
+//! the emission the first occurrences of every listing in the run:
+//!
+//! * the ownership rule above skips light rows too;
+//! * a cluster's light listing skips a clique its own in-cluster listing
+//!   emits: one holding a goal edge of the cluster whose six edges are all
+//!   known to it, since step 5 lists exactly those;
+//! * the run keeps a set of the light cliques forwarded so far
+//!   ([`LightCliques`]): a light row is forwarded only if it is new to the
+//!   set, and in-cluster rows and the final broadcast skip its members. On
+//!   runs without an outside light node the set stays empty and nothing
+//!   looks it up.
 //!
 //! # Cluster-parallel execution
 //!
@@ -55,7 +69,7 @@
 //! early — while replay into a saturated sink is skipped, matching the sink
 //! contract's "saturation skips local enumeration, never communication".
 
-use crate::cluster_knowledge::gather_cluster_knowledge;
+use crate::cluster_knowledge::{gather_knowledge, ClusterKnowledge};
 use crate::config::{ListingConfig, Variant};
 use crate::result::{phase, Diagnostics, Rounds};
 use crate::sink::{CliqueSink, ShardBuffer};
@@ -63,13 +77,24 @@ use crate::sparse_listing::{cluster_listing, SparseListingInput};
 use expander::{decompose_sorted, Cluster, SortedDecomposition};
 use graphcore::ordered_merge::{balanced_ranges, fanout, ordered_merge};
 use graphcore::{Edge, EdgeSet, Graph, Orientation};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 /// Cluster-range tasks planned per granted thread by the cluster fan-out:
 /// oversubscription lets fast workers steal the tail instead of idling
 /// behind one expensive cluster, while each task stays large enough to
 /// amortise its buffer.
 const CLUSTER_TASKS_PER_THREAD: usize = 4;
+
+/// The `K_4`s a run's fast-`K_4` light listing forwarded so far (see the
+/// module docs). The ids come from the caller's graph, so the set keeps the
+/// default hasher.
+pub(crate) type LightCliques = HashSet<[u32; 4]>;
+
+/// The [`LightCliques`] key of a `K_4` row. The light listing runs at
+/// `p = 4` only, so a non-empty set only ever meets rows of width 4.
+pub(crate) fn light_key(clique: &[u32]) -> [u32; 4] {
+    clique.try_into().expect("light cliques are K_4s")
+}
 
 /// Result of one ARB-LIST invocation (the listed cliques are streamed to the
 /// sink, not returned). The pipeline holds its edge sets as sorted lists of
@@ -108,7 +133,10 @@ struct ClusterYield {
     light_probe_rounds: u64,
     listing_rounds: Rounds,
     light_listing_rounds: u64,
+    /// The in-cluster listing's rows.
     emissions: ShardBuffer,
+    /// The fast-`K_4` light listing's rows, replayed after `emissions`.
+    light_emissions: ShardBuffer,
 }
 
 /// A [`ShardBuffer`] whose saturation mirrors a shared stop flag: the
@@ -139,9 +167,9 @@ impl CliqueSink for GatedBuffer<'_> {
     }
 }
 
-/// Runs one invocation of ARB-LIST, emitting every listed `K_p` into `sink`.
-/// `er` and the outcome's edge sets are [`EdgeSet`]s, converted here from and
-/// to the sorted lists the pipeline runs on.
+/// Runs one invocation of ARB-LIST, emitting every listed `K_p` into `sink`,
+/// each once. `er` and the outcome's edge sets are [`EdgeSet`]s, converted
+/// here from and to the sorted lists the pipeline runs on.
 ///
 /// * `graph`, `orientation`: the current graph `(V, E_s ∪ E_r)` and an
 ///   orientation of out-degree at most `arboricity_bound`;
@@ -171,6 +199,7 @@ pub fn arb_list(
         delta,
         config,
         seed,
+        &mut LightCliques::new(),
         sink,
     );
     let set = |edges: Vec<(u32, u32)>| edges.into_iter().map(Edge::from).collect();
@@ -185,7 +214,8 @@ pub fn arb_list(
 }
 
 /// [`arb_list`] on sorted lists of canonical pairs: `er` in, and the
-/// outcome's goal edges and `Ê_r` out.
+/// outcome's goal edges and `Ê_r` out. `light` is the run's set of light
+/// cliques forwarded so far; this invocation adds its own.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn arb_list_sorted(
     graph: &Graph,
@@ -195,6 +225,7 @@ pub(crate) fn arb_list_sorted(
     delta: f64,
     config: &ListingConfig,
     seed: u64,
+    light: &mut LightCliques,
     sink: &mut dyn CliqueSink,
 ) -> ArbListOutcome<Vec<(u32, u32)>> {
     let n = graph.num_vertices();
@@ -235,11 +266,7 @@ pub(crate) fn arb_list_sorted(
 
     let em_edges: Vec<(u32, u32)> = cluster_edges.concat();
     let em_graph = Graph::from_edges(n, &em_edges).expect("E_m endpoints are in range");
-    let heavy_threshold = match config.variant {
-        Variant::General => config.heavy_threshold(n),
-        // Section 3: heavy means at least n^{d-1/3} cluster neighbours.
-        Variant::FastK4 => (arboricity_bound as f64 / (n.max(2) as f64).powf(1.0 / 3.0)).max(1.0),
-    };
+    let heavy_threshold = heavy_threshold(config, n, arboricity_bound);
 
     // Work-avoidance flag shared between the consume step (which raises it
     // once the real sink saturates) and the producers (whose gated buffers
@@ -253,18 +280,20 @@ pub(crate) fn arb_list_sorted(
     let run_cluster = |index: usize| -> ClusterYield {
         let cluster: &Cluster = &clusters[index];
         let cluster_em = &cluster_edges[index];
-        let knowledge = gather_cluster_knowledge(
+        let knowledge = gather_knowledge(
             graph,
             orientation,
             cluster,
+            &cluster_of,
             cluster_em.iter().map(|&e| Edge::from(e)),
             heavy_threshold,
             config,
         );
-        let mut emissions = GatedBuffer {
-            buffer: ShardBuffer::new(index, config.p),
+        let gated = |width| GatedBuffer {
+            buffer: ShardBuffer::new(index, width),
             stop: &stop_listing,
         };
+        let mut emissions = gated(config.p);
 
         // In-cluster sparsity-aware listing.
         let input = SparseListingInput {
@@ -280,8 +309,16 @@ pub(crate) fn arb_list_sorted(
 
         // Fast K4 variant: C-light nodes list the instances whose outside edge
         // touches a light node, sequentially over the clusters (Section 3).
-        let light_listing_rounds = if config.variant == Variant::FastK4 {
-            light_node_listing(graph, cluster, heavy_threshold, &mut emissions)
+        let mut light_emissions = gated(4);
+        let light_listing_rounds = if config.variant == Variant::FastK4 && config.p == 4 {
+            light_node_listing(
+                graph,
+                cluster,
+                &cluster_of,
+                heavy_threshold,
+                |clique| listed_in_cluster(&knowledge, clique),
+                &mut light_emissions,
+            )
         } else {
             0
         };
@@ -297,6 +334,7 @@ pub(crate) fn arb_list_sorted(
             listing_rounds: listing.rounds,
             light_listing_rounds,
             emissions: emissions.buffer,
+            light_emissions: light_emissions.buffer,
         }
     };
 
@@ -314,7 +352,8 @@ pub(crate) fn arb_list_sorted(
     // Runs only on the calling thread. Rounds and diagnostics are always
     // merged (communication happens regardless of how much output the client
     // consumes); only the emission replay honours saturation. The replay
-    // skips the cliques an earlier cluster owns (see the module docs).
+    // skips the cliques an earlier cluster owns and the light cliques the run
+    // already forwarded (see the module docs).
     let mut consume = |y: ClusterYield| {
         outcome.diagnostics.cluster_edges += y.cluster_edge_count;
         max_heavy = max_heavy.max(y.heavy_upload_rounds);
@@ -346,9 +385,15 @@ pub(crate) fn arb_list_sorted(
                     _ => false,
                 })
         };
-        if !sink.is_saturated() {
-            y.emissions
-                .replay_unless(sink, |clique| index > 0 && owned_earlier(clique));
+        if !sink.is_saturated()
+            && y.emissions.replay_unless(sink, |clique| {
+                (index > 0 && owned_earlier(clique))
+                    || (!light.is_empty() && light.contains(&light_key(clique)))
+            })
+        {
+            y.light_emissions.replay_unless(sink, |clique| {
+                (index > 0 && owned_earlier(clique)) || !light.insert(light_key(clique))
+            });
         }
         if sink.is_saturated() {
             stop_listing.store(true, std::sync::atomic::Ordering::Relaxed);
@@ -420,17 +465,40 @@ pub(crate) fn arb_list_sorted(
     outcome
 }
 
+/// The number of cluster neighbours above which an outside node is heavy.
+fn heavy_threshold(config: &ListingConfig, n: usize, arboricity_bound: usize) -> f64 {
+    match config.variant {
+        Variant::General => config.heavy_threshold(n),
+        // Section 3: heavy means at least n^{d-1/3} cluster neighbours.
+        Variant::FastK4 => (arboricity_bound as f64 / (n.max(2) as f64).powf(1.0 / 3.0)).max(1.0),
+    }
+}
+
+/// Whether a cluster's in-cluster listing emits `clique`: step 5 lists
+/// exactly the `K_p`s of the known graph that hold a goal edge.
+fn listed_in_cluster(knowledge: &ClusterKnowledge, clique: &[u32; 4]) -> bool {
+    let known = |(a, b)| {
+        let edges = &knowledge.known_edges;
+        edges.binary_search(&(a, b)).is_ok() || edges.binary_search(&(b, a)).is_ok()
+    };
+    let pairs = || (0..4).flat_map(|i| (i + 1..4).map(move |j| (clique[i], clique[j])));
+    pairs().any(|e| knowledge.goal_edges.binary_search(&e).is_ok()) && pairs().all(known)
+}
+
 /// The light-node listing of Section 3: every `C`-light node asks all its
 /// neighbours about each of its cluster neighbours and lists the `K_4`
-/// instances it sees, emitting them into `sink`. Returns the rounds used
-/// (for this cluster).
+/// instances it sees, emitting into `sink` those `skip` does not hold.
+/// Returns the rounds used (for this cluster).
 ///
 /// Outside nodes are visited in ascending identifier order so the emission
-/// order is deterministic.
+/// order is deterministic; `cluster_of` is the decomposition's membership
+/// table.
 fn light_node_listing(
     graph: &Graph,
     cluster: &Cluster,
+    cluster_of: &[Option<usize>],
     heavy_threshold: f64,
+    skip: impl Fn(&[u32; 4]) -> bool,
     sink: &mut dyn CliqueSink,
 ) -> u64 {
     let mut max_rounds = 0u64;
@@ -438,7 +506,7 @@ fn light_node_listing(
     let mut outside: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
     for &u in &cluster.vertices {
         for &v in graph.neighbors(u) {
-            if !cluster.contains(v) {
+            if cluster_of[v as usize] != Some(cluster.id) {
                 outside.entry(v).or_default().push(u);
             }
         }
@@ -467,7 +535,12 @@ fn light_node_listing(
                 graph.common_neighbors_into(u, w, &mut uw_common);
                 graphcore::intersect_sorted_into(&uw_common, graph.neighbors(v), &mut witnesses);
                 for &y in &witnesses {
-                    sink.accept(&graphcore::canonical_clique(&[v, u, w, y]));
+                    // Four distinct vertices: y is a neighbour of v, u and w.
+                    let mut clique = [v, u, w, y];
+                    clique.sort_unstable();
+                    if !skip(&clique) {
+                        sink.accept(&clique);
+                    }
                 }
             }
         }
@@ -478,6 +551,7 @@ fn light_node_listing(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster_knowledge::gather_cluster_knowledge;
     use crate::sink::{CountSink, FirstK};
     use crate::Parallelism;
     use expander::decompose;
@@ -629,43 +703,28 @@ mod tests {
 
     #[test]
     fn general_invocations_emit_each_clique_exactly_once() {
-        // For the general algorithm, raw CountSink totals must match the
-        // distinct set even where a clique holds goal edges of two clusters:
-        // the ownership rule emits it only from the first of them. The
-        // fast-K4 light listing can still repeat cliques (its drivers dedup
-        // the whole run), so its raw count may only overshoot, never
-        // undershoot.
-        let g = gen::erdos_renyi(100, 0.35, 19);
-        let orientation = Orientation::from_degeneracy(&g);
-        let a = orientation.max_out_degree().max(1);
-        let er = g.edge_set();
-        let n = g.num_vertices() as f64;
-        let delta =
-            (((a as f64 / (2.0 * n.log2())).max(n.powf(0.5))).ln() / n.ln()).clamp(0.05, 0.95);
-
-        let config = ListingConfig::for_p(4);
-        let mut count = CountSink::new();
-        arb_list(&g, &orientation, &er, a, delta, &config, 7, &mut count);
-        let (_, listed) = run_arb(&g, 4, Variant::General);
-        assert_eq!(count.count as usize, listed.len());
-
-        let fast_config = ListingConfig {
-            variant: Variant::FastK4,
-            ..config
-        };
-        let mut fast_count = CountSink::new();
-        arb_list(
-            &g,
-            &orientation,
-            &er,
-            a,
-            delta,
-            &fast_config,
-            7,
-            &mut fast_count,
-        );
-        let (_, fast_listed) = run_arb(&g, 4, Variant::FastK4);
-        assert!(fast_count.count as usize >= fast_listed.len());
+        // Raw CountSink totals must match the distinct set even where a
+        // clique holds goal edges of two clusters (the ownership rule emits
+        // it only from the first of them) or where the fast-K4 light listing
+        // finds it again (the light rules skip the repeat; the three blocks
+        // with K_{3,3} bridges have light outside nodes).
+        for g in [
+            gen::erdos_renyi(100, 0.35, 19),
+            three_blocks(&dense_bridges(3)),
+        ] {
+            let (orientation, a, delta) = invocation_inputs(&g);
+            let er = g.edge_set();
+            for variant in [Variant::General, Variant::FastK4] {
+                let config = ListingConfig {
+                    variant,
+                    ..ListingConfig::for_p(4)
+                };
+                let mut count = CountSink::new();
+                arb_list(&g, &orientation, &er, a, delta, &config, 7, &mut count);
+                let (_, listed) = run_arb(&g, 4, variant);
+                assert_eq!(count.count as usize, listed.len(), "{variant:?}");
+            }
+        }
     }
 
     /// A sink recording the exact accept sequence (never saturates).
@@ -680,46 +739,368 @@ mod tests {
         }
     }
 
+    /// Every cluster's in-cluster listing and light listing with no rule
+    /// applied, clusters ascending.
+    fn raw_listings(
+        graph: &Graph,
+        orientation: &Orientation,
+        er: &[(u32, u32)],
+        arboricity_bound: usize,
+        delta: f64,
+        config: &ListingConfig,
+        seed: u64,
+    ) -> Vec<(Vec<Clique>, Vec<Clique>)> {
+        let n = graph.num_vertices();
+        let er_graph = Graph::from_edges(n, er).unwrap();
+        let d = decompose_sorted(&er_graph, delta, &config.decomposition, seed);
+        let em_graph = Graph::from_edges(n, &d.cluster_edges.concat()).unwrap();
+        let threshold = heavy_threshold(config, n, arboricity_bound);
+        let listings = d.clusters.iter().zip(&d.cluster_edges);
+        listings
+            .map(|(cluster, em)| {
+                let em = em.iter().map(|&e| Edge::from(e));
+                let k =
+                    gather_cluster_knowledge(graph, orientation, cluster, em, threshold, config);
+                let input = SparseListingInput {
+                    cluster,
+                    em_graph: &em_graph,
+                    known_edges: &k.known_edges,
+                    goal_edges: &k.goal_edges,
+                    learned_words: &k.learned_words,
+                    n,
+                    arboricity_bound,
+                };
+                let (mut in_cluster, mut light) = (TraceSink::default(), TraceSink::default());
+                cluster_listing(&input, config, seed ^ cluster.id as u64, &mut in_cluster);
+                light_node_listing(
+                    graph,
+                    cluster,
+                    &d.cluster_of,
+                    threshold,
+                    |_| false,
+                    &mut light,
+                );
+                (in_cluster.accepts, light.accepts)
+            })
+            .collect()
+    }
+
+    /// Raw listings concatenated: the sequence whose first occurrences an
+    /// invocation emits.
+    fn rows(listings: &[(Vec<Clique>, Vec<Clique>)]) -> Vec<Clique> {
+        listings
+            .iter()
+            .flat_map(|(a, b)| a.iter().chain(b))
+            .cloned()
+            .collect()
+    }
+
+    /// The first occurrence of each clique, in order.
+    fn first_occurrences(rows: &[Clique]) -> Vec<Clique> {
+        let mut seen = HashSet::new();
+        rows.iter().filter(|c| seen.insert(*c)).cloned().collect()
+    }
+
     #[test]
-    fn dedup_exists_for_duplicates_not_order() {
-        // The run-level Dedup of the fast-K4 variant absorbs *structural*
-        // duplicates: its light listing re-finds cliques the in-cluster
-        // listing emitted (inside one cluster each clique is listed once, at
-        // its smallest goal edge, and across clusters the ownership rule
-        // emits it once). It is NOT needed to repair iteration order: with
-        // the flat dense-id tables, the raw (pre-dedup) emission sequence of
-        // the fast-K4 variant is identical from run to run.
-        let g = gen::erdos_renyi(90, 0.35, 23);
-        let orientation = Orientation::from_degeneracy(&g);
-        let a = orientation.max_out_degree().max(1);
-        let er = g.edge_set();
-        let n = g.num_vertices() as f64;
-        let delta =
-            (((a as f64 / (2.0 * n.log2())).max(n.powf(0.5))).ln() / n.ln()).clamp(0.05, 0.95);
+    fn light_repeats_are_skipped_by_rule_not_by_order() {
+        // With K_{3,3} bridges the three blocks' clusters have light outside
+        // nodes, and their light listings find cliques again: some that the
+        // cluster's in-cluster listing emits, and some that two light nodes
+        // see. The emission skips those repeats by rule, with no set of
+        // emitted cliques, and the rules change multiplicities only: the
+        // emission is the first occurrences of every cluster's in-cluster
+        // and light listings, clusters ascending. With the flat dense-id
+        // tables it is also identical from run to run.
+        let g = three_blocks(&dense_bridges(3));
+        let (orientation, a, delta) = invocation_inputs(&g);
+        let er: Vec<(u32, u32)> = g.edges().collect();
+        let config = ListingConfig::fast_k4();
+        let run = || {
+            let mut trace = TraceSink::default();
+            let er = er.iter().map(|&e| Edge::from(e)).collect();
+            arb_list(&g, &orientation, &er, a, delta, &config, 7, &mut trace);
+            trace.accepts
+        };
+        let first = run();
+        assert_eq!(first, run(), "the emission order must be deterministic");
+
+        let listings = raw_listings(&g, &orientation, &er, a, delta, &config, 7);
+        assert!(
+            listings
+                .iter()
+                .any(|(in_cluster, light)| light.iter().any(|c| in_cluster.contains(c))),
+            "no light clique is listed in-cluster"
+        );
+        assert!(
+            listings
+                .iter()
+                .any(|(_, light)| first_occurrences(light).len() < light.len()),
+            "no light clique is seen by two light nodes"
+        );
+        assert_eq!(first, first_occurrences(&rows(&listings)));
+    }
+
+    #[test]
+    fn a_light_row_holding_an_earlier_goal_edge_is_owned_by_it() {
+        // Vertices 0 and 1 of block 0 are adjacent to 40..45 of block 1, so
+        // they are heavy for block 1's cluster, which learns their edges and
+        // lists the cliques through both blocks in-cluster at block 1's goal
+        // edges. Vertices 40..45 see only 0 and 1 of block 0, so they are
+        // light for its cluster, which the decomposition numbers after block
+        // 1's, and list the same cliques again as its light rows; the
+        // ownership rule skips those.
+        let bridges: Vec<(u32, u32)> = (40..45).flat_map(|b| [(0, b), (1, b)]).collect();
+        let g = three_blocks(&bridges);
+        let (orientation, a, delta) = invocation_inputs(&g);
+        let er: Vec<(u32, u32)> = g.edges().collect();
+        let config = ListingConfig::fast_k4();
+        let listings = raw_listings(&g, &orientation, &er, a, delta, &config, 7);
+        let owned = |c: usize, row: &Clique| {
+            listings[..c]
+                .iter()
+                .any(|(in_cluster, _)| in_cluster.contains(row))
+        };
+        assert!(
+            listings
+                .iter()
+                .enumerate()
+                .any(|(c, (_, light))| light.iter().any(|row| owned(c, row))),
+            "no light row repeats an earlier cluster's in-cluster row"
+        );
+        let mut trace = TraceSink::default();
+        let er_set = er.iter().map(|&e| Edge::from(e)).collect();
+        arb_list(&g, &orientation, &er_set, a, delta, &config, 7, &mut trace);
+        assert_eq!(trace.accepts, first_occurrences(&rows(&listings)));
+    }
+
+    #[test]
+    fn the_fast_k4_variant_at_p5_lists_only_k5s() {
+        // `ListingConfig::validate` rejects the pair; unvalidated, the
+        // public `arb_list` runs no light listing, whose K_4 rows would
+        // misalign a buffer of width 5.
+        let g = gen::rmat(8, 16, (0.57, 0.19, 0.19, 0.05), 3);
+        let (orientation, a, delta) = invocation_inputs(&g);
         let config = ListingConfig {
             variant: Variant::FastK4,
-            ..ListingConfig::for_p(4)
+            ..ListingConfig::for_p(5)
         };
+        assert!(config.validate().is_err());
+        let mut trace = TraceSink::default();
+        let out = arb_list(
+            &g,
+            &orientation,
+            &g.edge_set(),
+            a,
+            delta,
+            &config,
+            7,
+            &mut trace,
+        );
+        assert!(out.diagnostics.clusters > 0);
+        assert!(!trace.accepts.is_empty());
+        for clique in &trace.accepts {
+            assert_eq!(clique.len(), 5);
+            assert!(graphcore::cliques::is_clique(&g, clique), "{clique:?}");
+        }
+        assert_eq!(out.rounds.for_phase(phase::LIGHT_LISTING), 0);
+    }
 
-        let mut first = TraceSink::default();
-        arb_list(&g, &orientation, &er, a, delta, &config, 7, &mut first);
-        let mut second = TraceSink::default();
-        arb_list(&g, &orientation, &er, a, delta, &config, 7, &mut second);
+    /// Asserts that `rows` lists every `K_4` of `graph` once.
+    fn assert_lists_each_once(graph: &Graph, rows: &[Clique]) {
+        let distinct: HashSet<&Clique> = rows.iter().collect();
+        assert_eq!(distinct.len(), rows.len(), "a clique was emitted twice");
+        let all = graphcore::cliques::list_cliques(graph, 4);
         assert_eq!(
-            first.accepts, second.accepts,
-            "raw pre-dedup emission order must be deterministic"
+            distinct,
+            all.iter().collect(),
+            "the listing is not complete"
         );
+    }
 
-        // The duplicates a Dedup would drop are genuine re-findings of the
-        // same clique, so deduplication changes multiplicities only — never
-        // membership.
-        let distinct: HashSet<Clique> = first.accepts.iter().cloned().collect();
-        assert!(
-            first.accepts.len() >= distinct.len(),
-            "raw emission may repeat structurally shared cliques"
+    /// `graph` without `removed`.
+    fn without(graph: &Graph, removed: &[(u32, u32)]) -> Graph {
+        graph.without_edges_of(&Graph::from_edges(graph.num_vertices(), removed).unwrap())
+    }
+
+    /// The final broadcast's rows on `graph` with no light clique skipped.
+    fn final_rows(graph: &Graph, config: &ListingConfig) -> Vec<Clique> {
+        let mut rows = TraceSink::default();
+        crate::list::list_remaining(graph, config, &LightCliques::new(), &mut rows);
+        rows.accepts
+    }
+
+    /// The edges of er(40, 0.5) with the given seed, shifted by `offset`.
+    fn block(seed: u64, offset: u32) -> Vec<(u32, u32)> {
+        let g = gen::erdos_renyi(40, 0.5, seed);
+        g.edges().map(|(u, v)| (u + offset, v + offset)).collect()
+    }
+
+    /// The `K_4` of `a`, `b` and two outside nodes `x`, `y` adjacent to each
+    /// other and to both of them, and its five edges besides `{a, b}`.
+    fn light_pair(a: u32, b: u32, x: u32, y: u32) -> (Clique, [(u32, u32); 5]) {
+        (vec![a, b, x, y], [(a, x), (b, x), (a, y), (b, y), (x, y)])
+    }
+
+    #[test]
+    fn a_clique_two_light_nodes_see_is_emitted_once() {
+        // One dense block; x = 40 and y = 41 are adjacent to each other and
+        // to both ends of the block's edge {a, b} only. Both are light, so
+        // the cluster does not know {x, y}: its in-cluster listing misses
+        // {a, b, x, y}, both light nodes list it, and the run's light-clique
+        // set forwards it once.
+        let mut edges = block(1, 0);
+        let (a, b) = edges[0];
+        let (clique, extra) = light_pair(a, b, 40, 41);
+        edges.extend(extra);
+        let g = Graph::from_edges(42, &edges).unwrap();
+        let (orientation, bound, delta) = invocation_inputs(&g);
+        let er: Vec<(u32, u32)> = g.edges().collect();
+        let config = ListingConfig::fast_k4();
+
+        let d = decompose_sorted(&g, delta, &config.decomposition, 7);
+        let c = d.cluster_of[a as usize].expect("a lies in a cluster");
+        assert_eq!(d.cluster_of[b as usize], Some(c));
+        assert!(d.cluster_edges[c].binary_search(&(a, b)).is_ok());
+        assert_eq!((d.cluster_of[40], d.cluster_of[41]), (None, None));
+        let raw = rows(&raw_listings(
+            &g,
+            &orientation,
+            &er,
+            bound,
+            delta,
+            &config,
+            7,
+        ));
+        assert_eq!(raw.iter().filter(|&r| *r == clique).count(), 2);
+
+        let mut light = LightCliques::new();
+        let mut trace = TraceSink::default();
+        let out = arb_list_sorted(
+            &g,
+            &orientation,
+            &er,
+            bound,
+            delta,
+            &config,
+            7,
+            &mut light,
+            &mut trace,
         );
-        let (_, deduped) = run_arb(&g, 4, Variant::FastK4);
-        assert_eq!(distinct, deduped);
+        assert!(light.contains(&light_key(&clique)), "the set was not hit");
+        assert_eq!(trace.accepts, first_occurrences(&raw));
+        let rest = without(&g, &out.goal_edges);
+        crate::list::list_remaining(&rest, &config, &light, &mut trace);
+        assert_lists_each_once(&g, &trace.accepts);
+    }
+
+    #[test]
+    fn a_light_clique_without_a_goal_edge_is_not_listed_again() {
+        // Two dense blocks, P on 0..40 and Q on 38..78, share a = 38 and
+        // b = 39; x = 78 and y = 79 are adjacent to each other and to a and
+        // b. The first invocation's E_r is P without {a, b}, so {a, b} and Q
+        // lie in E_s: P's cluster holds a and b, every vertex of Q or
+        // {x, y} adjacent to both is a light outside node, and the light
+        // cliques {a, b, ·, ·} they see hold no goal edge. They survive the
+        // invocation, so the final broadcast (a), or a second invocation
+        // whose Q cluster lists them in-cluster (b), finds them again.
+        let (a, b) = (38, 39);
+        let mut edges = block(1, 0);
+        let er: Vec<(u32, u32)> = edges.iter().copied().filter(|&e| e != (a, b)).collect();
+        edges.extend(block(2, 38));
+        let (clique, extra) = light_pair(a, b, 78, 79);
+        edges.extend(extra);
+        edges.push((a, b));
+        let g = Graph::from_edges(80, &edges).unwrap();
+        let (orientation, bound, delta) = invocation_inputs(&g);
+        let config = ListingConfig::fast_k4();
+
+        let raw = rows(&raw_listings(
+            &g,
+            &orientation,
+            &er,
+            bound,
+            delta,
+            &config,
+            7,
+        ));
+        let mut light = LightCliques::new();
+        let mut trace = TraceSink::default();
+        let out = arb_list_sorted(
+            &g,
+            &orientation,
+            &er,
+            bound,
+            delta,
+            &config,
+            7,
+            &mut light,
+            &mut trace,
+        );
+        assert_eq!(trace.accepts, first_occurrences(&raw));
+        assert!(light.contains(&light_key(&clique)));
+        assert!(out.goal_edges.binary_search(&(a, b)).is_err());
+        let rest = without(&g, &out.goal_edges);
+
+        // (a) The final broadcast right away.
+        let rest_rows = final_rows(&rest, &config);
+        assert!(
+            rest_rows.iter().any(|c| light.contains(&light_key(c))),
+            "the set was not hit"
+        );
+        let mut then_final = TraceSink {
+            accepts: trace.accepts.clone(),
+        };
+        crate::list::list_remaining(&rest, &config, &light, &mut then_final);
+        assert_eq!(
+            then_final.accepts,
+            first_occurrences(&[raw.clone(), rest_rows].concat())
+        );
+        assert_lists_each_once(&g, &then_final.accepts);
+
+        // (b) A second invocation on all of what is left, then the final
+        // broadcast. A light clique of the first whose four vertices lie in
+        // one cluster of the second is an in-cluster row there.
+        let (orientation, bound, delta) = invocation_inputs(&rest);
+        let er: Vec<(u32, u32)> = rest.edges().collect();
+        let raw_again = rows(&raw_listings(
+            &rest,
+            &orientation,
+            &er,
+            bound,
+            delta,
+            &config,
+            8,
+        ));
+        let d = decompose_sorted(&rest, delta, &config.decomposition, 8);
+        let in_one_cluster = |c: &Clique| {
+            d.cluster_of[c[0] as usize]
+                .is_some_and(|k| c.iter().all(|&v| d.cluster_of[v as usize] == Some(k)))
+        };
+        assert!(
+            raw_again
+                .iter()
+                .any(|c| light.contains(&light_key(c)) && in_one_cluster(c)),
+            "the set was not hit"
+        );
+        let out = arb_list_sorted(
+            &rest,
+            &orientation,
+            &er,
+            bound,
+            delta,
+            &config,
+            8,
+            &mut light,
+            &mut trace,
+        );
+        let last = without(&rest, &out.goal_edges);
+        let last_rows = final_rows(&last, &config);
+        crate::list::list_remaining(&last, &config, &light, &mut trace);
+        assert_eq!(
+            trace.accepts,
+            first_occurrences(&[raw, raw_again, last_rows].concat())
+        );
+        assert_lists_each_once(&g, &trace.accepts);
     }
 
     /// Three dense blocks, each an er(40, 0.5), joined in a path by one edge

@@ -16,17 +16,21 @@
 //! The baseline is reached through the [`Engine`](crate::Engine) (algorithm
 //! `eden-k4`), whose [`prepare`](crate::ListingAlgorithm::prepare) pass pins
 //! the dense exchange and the single-pass iteration cap.
+//!
+//! Like a `fast-k4` run, the pass keeps one set of the cliques its light-node
+//! listing forwarded, which the final broadcast skips (see
+//! [`arb_list`](crate::arb_list)); there is no set of emitted cliques.
 
+use crate::arb_list::LightCliques;
 use crate::config::ListingConfig;
-use crate::list::list_once;
+use crate::list::{list_once_in_run, list_remaining};
 use crate::result::{phase, Diagnostics, Rounds};
-use crate::sink::{CliqueSink, Dedup};
+use crate::sink::CliqueSink;
 use graphcore::{Graph, Orientation};
 
 /// Runs the Eden-style baseline, emitting every listed `K_4` into `sink`
-/// exactly once (the light-node listing and the final broadcast can overlap,
-/// so the whole run is deduplicated), and returns the measured rounds,
-/// diagnostics, and the largest worker fan-out any stage actually reached.
+/// exactly once, and returns the measured rounds, diagnostics, and the
+/// largest worker fan-out any stage actually reached.
 pub(crate) fn run_streaming(
     graph: &Graph,
     config: &ListingConfig,
@@ -38,13 +42,20 @@ pub(crate) fn run_streaming(
     if n < 4 || graph.num_edges() == 0 {
         return (rounds, diagnostics, 1);
     }
-    let mut sink = Dedup::new(sink);
-
     let orientation = Orientation::from_degeneracy(graph);
     let a = orientation.max_out_degree().max(1);
 
     // A single decomposition-and-list pass with the generic (dense) exchange.
-    let step = list_once(graph, &orientation, a, config, config.seed, &mut sink);
+    let mut light = LightCliques::new();
+    let step = list_once_in_run(
+        graph,
+        &orientation,
+        a,
+        config,
+        config.seed,
+        &mut light,
+        sink,
+    );
     rounds.absorb(&step.rounds);
     diagnostics.absorb(&step.diagnostics);
     let mut threads_used = step.threads_used.max(1);
@@ -58,8 +69,7 @@ pub(crate) fn run_streaming(
             (remaining.max_degree() as u64).max(1),
         );
         // Dense local pass over the remainder: shared sharded path.
-        threads_used =
-            threads_used.max(crate::local::stream_cliques(&remaining, config, &mut sink));
+        threads_used = threads_used.max(list_remaining(&remaining, config, &light, sink));
     }
     (rounds, diagnostics, threads_used)
 }

@@ -16,7 +16,8 @@
 //! The function returns the cluster's pooled knowledge together with the exact
 //! per-node communication loads, from which the caller charges rounds.
 //!
-//! All bookkeeping is flat and order-structural: outside neighbours are
+//! All bookkeeping is flat and order-structural: cluster membership is read
+//! from a dense table of each vertex's cluster, outside neighbours are
 //! classified from a sorted run-length scan, heavy/light/bad memberships are
 //! sorted vectors probed by binary search, per-node loads live in a
 //! rank-keyed [`DenseTable`], and the pooled edge list is sorted + deduped
@@ -83,7 +84,34 @@ pub fn gather_cluster_knowledge(
     heavy_threshold: f64,
     config: &ListingConfig,
 ) -> ClusterKnowledge {
+    let mut cluster_of = vec![None; graph.num_vertices()];
+    for &v in &cluster.vertices {
+        cluster_of[v as usize] = Some(cluster.id);
+    }
+    gather_knowledge(
+        graph,
+        orientation,
+        cluster,
+        &cluster_of,
+        cluster_em,
+        heavy_threshold,
+        config,
+    )
+}
+
+/// [`gather_cluster_knowledge`] reading cluster membership from
+/// `cluster_of`, the decomposition's table of each vertex's cluster.
+pub(crate) fn gather_knowledge(
+    graph: &Graph,
+    orientation: &Orientation,
+    cluster: &Cluster,
+    cluster_of: &[Option<usize>],
+    cluster_em: impl IntoIterator<Item = Edge>,
+    heavy_threshold: f64,
+    config: &ListingConfig,
+) -> ClusterKnowledge {
     let n = graph.num_vertices();
+    let inside = |v: u32| cluster_of[v as usize] == Some(cluster.id);
     let words = config.words_per_edge;
     let mut knowledge = ClusterKnowledge {
         learned_words: DenseTable::new(cluster.len()),
@@ -106,8 +134,7 @@ pub fn gather_cluster_knowledge(
         let out_u = orientation.out_neighbors(u);
         let mut at = 0;
         for &v in graph.neighbors(u) {
-            let inside = cluster.contains(v);
-            if !inside {
+            if !inside(v) {
                 outside.push(v);
             } else if v < u {
                 continue;
@@ -157,13 +184,7 @@ pub fn gather_cluster_knowledge(
         heavy_rounds = heavy_rounds.max(upload_words.div_ceil(g));
         // Receivers: the cluster neighbours of v, in identifier order.
         receivers.clear();
-        receivers.extend(
-            graph
-                .neighbors(v)
-                .iter()
-                .copied()
-                .filter(|&u| cluster.contains(u)),
-        );
+        receivers.extend(graph.neighbors(v).iter().copied().filter(|&u| inside(u)));
         for (i, &w) in out.iter().enumerate() {
             known.push((v, w));
             let receiver = receivers[i % receivers.len()];
@@ -223,7 +244,7 @@ pub fn gather_cluster_knowledge(
             .neighbors(u)
             .iter()
             .copied()
-            .filter(|&v| !cluster.contains(v))
+            .filter(|&v| !inside(v))
             .collect();
         if outside.is_empty() {
             continue;

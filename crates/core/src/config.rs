@@ -289,6 +289,15 @@ impl ListingConfig {
         if self.p < 3 {
             return Err(ConfigError::CliqueSizeTooSmall { p: self.p });
         }
+        // Theorem 1.2's light-node listing lists K_4s only.
+        if self.variant == Variant::FastK4 && self.p != 4 {
+            return Err(ConfigError::UnsupportedCliqueSize {
+                algorithm: crate::engine::names::FAST_K4,
+                p: self.p,
+                min: 4,
+                max: Some(4),
+            });
+        }
         if self.max_arb_iterations == 0 {
             return Err(ConfigError::ZeroIterationCap {
                 field: "max_arb_iterations",
@@ -586,6 +595,23 @@ mod tests {
     fn validate_rejects_each_bad_field() {
         let good = ListingConfig::for_p(4);
         assert!(good.validate().is_ok());
+
+        assert!(ListingConfig::fast_k4().validate().is_ok());
+        for p in [3, 5, 6] {
+            let fast = ListingConfig {
+                variant: Variant::FastK4,
+                ..ListingConfig::for_p(p)
+            };
+            assert_eq!(
+                fast.validate(),
+                Err(ConfigError::UnsupportedCliqueSize {
+                    algorithm: "fast-k4",
+                    p,
+                    min: 4,
+                    max: Some(4),
+                })
+            );
+        }
 
         let zero_arb = ListingConfig {
             max_arb_iterations: 0,

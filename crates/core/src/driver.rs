@@ -13,14 +13,16 @@
 //! `list_kp_with_mode`) survived PR 2 as deprecated wrappers and were removed
 //! in the following release.
 //!
-//! A `general` run emits each clique once with no set of emitted cliques
-//! (see [`list`](crate::list)); a `fast-k4` run keeps one run-level
-//! [`Dedup`], because its light-node listing can repeat a clique.
+//! A run emits each clique once with no set of emitted cliques (see
+//! [`list`](crate::list)). A `fast-k4` run keeps one set of the cliques its
+//! light-node listing forwarded, which stays empty unless an outside node is
+//! light.
 
-use crate::config::{ListingConfig, Variant};
-use crate::list::list_once;
+use crate::arb_list::LightCliques;
+use crate::config::ListingConfig;
+use crate::list::{list_once_in_run, list_remaining};
 use crate::result::{phase, Diagnostics, Rounds};
-use crate::sink::{CliqueSink, Dedup};
+use crate::sink::CliqueSink;
 use graphcore::{Graph, Orientation};
 
 /// Runs the CONGEST driver (general or fast-`K_4`, per `config.variant`),
@@ -36,28 +38,6 @@ pub(crate) fn run_congest(
     config: &ListingConfig,
     sink: &mut dyn CliqueSink,
 ) -> (Rounds, Diagnostics, usize) {
-    match config.variant {
-        // The fast-K4 light-node listing can emit cliques that do not contain
-        // a goal edge and therefore survive into later iterations or the
-        // final broadcast: dedup across the whole run to keep the engine's
-        // exactly-once contract.
-        Variant::FastK4 => {
-            let mut dedup = Dedup::new(sink);
-            run_congest_inner(graph, config, &mut dedup)
-        }
-        // The general algorithm only ever lists cliques containing a goal
-        // edge of the current iteration, and goal edges are removed before
-        // the next one; within an iteration ARB-LIST's ownership rule emits
-        // each clique once. Exactly-once holds without a set.
-        Variant::General => run_congest_inner(graph, config, sink),
-    }
-}
-
-fn run_congest_inner(
-    graph: &Graph,
-    config: &ListingConfig,
-    mut sink: impl CliqueSink,
-) -> (Rounds, Diagnostics, usize) {
     let n = graph.num_vertices();
     let mut rounds = Rounds::new();
     let mut diagnostics = Diagnostics::default();
@@ -70,6 +50,7 @@ fn run_congest_inner(
     let mut orientation = Orientation::from_degeneracy(&current);
     let slack = config.arboricity_slack(n);
     let termination = (n.max(2) as f64).powf(config.termination_exponent());
+    let mut light = LightCliques::new();
 
     for iteration in 0..config.max_list_iterations {
         let a = orientation.max_out_degree().max(1);
@@ -78,13 +59,14 @@ fn run_congest_inner(
         if (a as f64) / slack <= termination {
             break;
         }
-        let step = list_once(
+        let step = list_once_in_run(
             &current,
             &orientation,
             a,
             config,
             config.seed.wrapping_add(iteration as u64 * 7919),
-            &mut sink,
+            &mut light,
+            sink,
         );
         rounds.absorb(&step.rounds);
         diagnostics.absorb(&step.diagnostics);
@@ -111,12 +93,12 @@ fn run_congest_inner(
         // (its own incident ones plus the broadcast out-edges of the other
         // members), so the union of the node outputs is exactly the set of
         // K_p instances of the surviving graph. These cliques are disjoint
-        // from the streamed ones for the general algorithm (each of those
-        // lost a goal edge); the fast-K4 wrapper dedups. The enumeration is
+        // from the in-cluster ones (each of those lost a goal edge); the
+        // fast-K4 light cliques among them are skipped. The enumeration is
         // one dense local pass over the surviving graph, so it runs through
         // the shared `local::stream_cliques` path — sharded across worker
         // threads under a `Parallelism` grant, byte-identical either way.
-        threads_used = threads_used.max(crate::local::stream_cliques(&current, config, &mut sink));
+        threads_used = threads_used.max(list_remaining(&current, config, &light, sink));
     }
     (rounds, diagnostics, threads_used)
 }
@@ -126,8 +108,11 @@ mod tests {
     use super::*;
     use crate::config::ExchangeMode;
     use crate::engine::Engine;
+    use crate::sink::FirstK;
     use crate::verify::verify_cliques;
-    use graphcore::gen;
+    use crate::Parallelism;
+    use graphcore::{gen, Clique};
+    use std::collections::HashSet;
 
     fn general(p: usize, seed: u64) -> Engine {
         Engine::builder()
@@ -214,6 +199,207 @@ mod tests {
         let fast = Engine::builder().p(4).algorithm("fast-k4").build().unwrap();
         let (_, fast_cliques) = fast.collect(&g);
         assert_eq!(general_cliques, fast_cliques);
+    }
+
+    /// R-MAT quadrant weights of the pinned cells.
+    const RMAT: (f64, f64, f64, f64) = (0.57, 0.19, 0.19, 0.05);
+    /// The FNV-1a offset basis.
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// FNV-1a over `bytes`, continuing from `hash`.
+    fn fnv(hash: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(hash, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The little-endian bytes of a clique sequence.
+    fn clique_bytes(cliques: &[Clique]) -> impl Iterator<Item = u8> + '_ {
+        cliques.iter().flatten().flat_map(|v| v.to_le_bytes())
+    }
+
+    /// A sink recording the exact accept sequence.
+    #[derive(Default)]
+    struct TraceSink(Vec<Clique>);
+
+    impl CliqueSink for TraceSink {
+        fn accept(&mut self, clique: &[u32]) {
+            self.0.push(clique.to_vec());
+        }
+    }
+
+    /// One pinned cell: an experiment-scale `p = 4` run on one of the two
+    /// R-MAT graphs, with the digests of its emission (rows and FNV-1a of
+    /// the accept sequence), of its `to_json`, and of the `FirstK` prefixes
+    /// at k = 1, 17 and 1000 with their reports.
+    struct Pin {
+        graph: usize,
+        algorithm: &'static str,
+        termination: Option<f64>,
+        slack: Option<f64>,
+        digests: (usize, u64, u64, u64),
+    }
+
+    /// The digests of the emission a run-level `Dedup` over the raw
+    /// listings gives, computed with such a `Dedup` in place. The cells with
+    /// an override and the `eden-k4` cells run LIST iterations, where the
+    /// raw listings repeat cliques (21 times per run on rmat(7,16,4), 39 on
+    /// rmat(8,16,3)).
+    const PINS: [Pin; 8] = [
+        Pin {
+            graph: 0,
+            algorithm: "fast-k4",
+            termination: None,
+            slack: None,
+            digests: (
+                9361,
+                0xb7f3_a6d6_b30e_f28d,
+                0x1dc3_0412_3c35_b7b1,
+                0xec21_9f4a_1890_969e,
+            ),
+        },
+        Pin {
+            graph: 0,
+            algorithm: "fast-k4",
+            termination: Some(0.3),
+            slack: None,
+            digests: (
+                9361,
+                0x7e3d_d4c1_2249_ea4d,
+                0x3e95_495f_a816_ec37,
+                0x7e34_0236_b18d_c5ee,
+            ),
+        },
+        Pin {
+            graph: 0,
+            algorithm: "fast-k4",
+            termination: Some(0.1),
+            slack: Some(0.5),
+            digests: (
+                9361,
+                0x7e3d_d4c1_2249_ea4d,
+                0xa61c_c368_8319_739b,
+                0x4c9e_a8b1_ec43_9756,
+            ),
+        },
+        Pin {
+            graph: 0,
+            algorithm: "eden-k4",
+            termination: None,
+            slack: None,
+            digests: (
+                9361,
+                0x7e3d_d4c1_2249_ea4d,
+                0x7ebd_303e_41d9_0763,
+                0x8508_2db5_4ebc_479a,
+            ),
+        },
+        Pin {
+            graph: 1,
+            algorithm: "fast-k4",
+            termination: None,
+            slack: None,
+            digests: (
+                35313,
+                0x3358_20bc_876f_b8d5,
+                0x1aeb_b708_7caf_606d,
+                0xe14e_ce2f_679f_da62,
+            ),
+        },
+        Pin {
+            graph: 1,
+            algorithm: "fast-k4",
+            termination: Some(0.3),
+            slack: None,
+            digests: (
+                35313,
+                0x0924_a291_a08c_96d5,
+                0x244d_d424_e8e9_d700,
+                0x164d_d5fd_21c7_60e8,
+            ),
+        },
+        Pin {
+            graph: 1,
+            algorithm: "fast-k4",
+            termination: Some(0.1),
+            slack: Some(0.5),
+            digests: (
+                35313,
+                0x0924_a291_a08c_96d5,
+                0x032a_56b2_6282_d9c5,
+                0x728c_0602_8949_89ed,
+            ),
+        },
+        Pin {
+            graph: 1,
+            algorithm: "eden-k4",
+            termination: None,
+            slack: None,
+            digests: (
+                35313,
+                0x0924_a291_a08c_96d5,
+                0x8eb0_4d2d_14df_521f,
+                0x391a_0da7_5cb2_0b17,
+            ),
+        },
+    ];
+
+    #[test]
+    fn fast_k4_and_eden_k4_match_the_pinned_digests() {
+        let graphs = [gen::rmat(7, 16, RMAT, 4), gen::rmat(8, 16, RMAT, 3)];
+        let totals = graphs
+            .each_ref()
+            .map(|g| graphcore::cliques::list_cliques(g, 4).len());
+        for pin in &PINS {
+            let g = &graphs[pin.graph];
+            for grant in [
+                Parallelism::Off,
+                Parallelism::Threads(1),
+                Parallelism::Threads(2),
+                Parallelism::Threads(3),
+                Parallelism::Threads(8),
+            ] {
+                let mut builder = Engine::builder()
+                    .p(4)
+                    .algorithm(pin.algorithm)
+                    .experiment_scale()
+                    .parallelism(grant);
+                if let Some(exponent) = pin.termination {
+                    builder = builder.termination_exponent(exponent);
+                }
+                if let Some(slack) = pin.slack {
+                    builder = builder.arboricity_slack(slack);
+                }
+                let engine = builder.build().unwrap();
+                let cell = format!(
+                    "{} on graph {} ({:?}, {:?}) at {grant:?}",
+                    pin.algorithm, pin.graph, pin.termination, pin.slack
+                );
+                let mut trace = TraceSink::default();
+                let report = engine.run(g, &mut trace);
+                let trace = trace.0;
+                let distinct: HashSet<&Clique> = trace.iter().collect();
+                assert_eq!(distinct.len(), trace.len(), "{cell}: a repeat");
+                assert_eq!(trace.len(), totals[pin.graph], "{cell}: a miss");
+                let mut first_k = FNV_OFFSET;
+                for k in [1, 17, 1000] {
+                    let mut first = FirstK::new(k);
+                    let prefix = engine.run(g, &mut first);
+                    assert_eq!(first.cliques, trace[..k], "{cell}, k={k}");
+                    first_k = fnv(
+                        fnv(first_k, clique_bytes(&first.cliques)),
+                        prefix.to_json().into_bytes(),
+                    );
+                }
+                let digests = (
+                    trace.len(),
+                    fnv(FNV_OFFSET, clique_bytes(&trace)),
+                    fnv(FNV_OFFSET, report.to_json().into_bytes()),
+                    first_k,
+                );
+                assert_eq!(digests, pin.digests, "{cell}");
+            }
+        }
     }
 
     #[test]

@@ -12,15 +12,19 @@
 //! its out-lists; the goal edges leave the working graph and its orientation
 //! by one merge per row.
 //!
-//! Listed instances are streamed into the caller's [`CliqueSink`]; for the
-//! general algorithm successive ARB-LIST invocations emit disjoint clique
-//! sets because every emitted clique contains a goal edge and goal edges are
-//! removed from the working graph before the next invocation, and one
-//! invocation emits each clique once. The fast-`K_4` variant's light-node
-//! listing can emit cliques without a goal edge, so its driver wraps the
-//! whole run in a [`Dedup`](crate::sink::Dedup) layer.
+//! Listed instances are streamed into the caller's [`CliqueSink`], each
+//! once, with no set of emitted cliques. Successive ARB-LIST invocations
+//! emit disjoint in-cluster listings because every such clique contains a
+//! goal edge and goal edges are removed from the working graph before the
+//! next invocation, and one invocation emits each clique once. The
+//! fast-`K_4` light-node listing can find a clique without a goal edge, which
+//! survives into later invocations and the final broadcast; the run's set of
+//! light cliques ([`LightCliques`]) covers those repeats (see
+//! [`arb_list`](crate::arb_list)). The drivers own that set and pass it
+//! through [`list_once_in_run`] to the final broadcast
+//! ([`list_remaining`]); the public [`list_once`] starts a fresh one.
 
-use crate::arb_list::arb_list_sorted;
+use crate::arb_list::{arb_list_sorted, light_key, LightCliques};
 use crate::config::ListingConfig;
 use crate::result::{Diagnostics, Rounds};
 use crate::sink::CliqueSink;
@@ -47,7 +51,7 @@ pub struct ListOutcome {
 
 /// Runs LIST once on `graph` with the given orientation and arboricity bound,
 /// emitting every listed `K_p` (each instance with at least one edge outside
-/// the returned graph) into `sink`.
+/// the returned graph) into `sink`, each once.
 ///
 /// `arboricity_bound` is the paper's `A = n^d` (we use the maximum out-degree
 /// of `orientation`); the caller must ensure `A / (2 log n) > 1`, which the
@@ -58,6 +62,28 @@ pub fn list_once(
     arboricity_bound: usize,
     config: &ListingConfig,
     seed: u64,
+    sink: &mut dyn CliqueSink,
+) -> ListOutcome {
+    list_once_in_run(
+        graph,
+        orientation,
+        arboricity_bound,
+        config,
+        seed,
+        &mut LightCliques::new(),
+        sink,
+    )
+}
+
+/// [`list_once`] within a run: `light` is the run's set of light cliques
+/// forwarded so far, which this invocation skips and adds to.
+pub(crate) fn list_once_in_run(
+    graph: &Graph,
+    orientation: &Orientation,
+    arboricity_bound: usize,
+    config: &ListingConfig,
+    seed: u64,
+    light: &mut LightCliques,
     sink: &mut dyn CliqueSink,
 ) -> ListOutcome {
     let n = graph.num_vertices();
@@ -95,6 +121,7 @@ pub fn list_once(
             delta,
             config,
             seed.wrapping_add(iterations as u64),
+            light,
             sink,
         );
         outcome.rounds.absorb(&step.rounds);
@@ -132,6 +159,39 @@ pub fn list_once(
     let es: Vec<(u32, u32)> = outcome.remaining_orientation.edges().collect();
     outcome.remaining = Graph::from_edges(n, &es).expect("E_s endpoints are in range");
     outcome
+}
+
+/// The final broadcast's local listing: streams the `K_p`s of the remaining
+/// `graph` into `sink`, skipping the light cliques the run already forwarded.
+/// Returns the fan-out the enumeration ran on.
+pub(crate) fn list_remaining(
+    graph: &Graph,
+    config: &ListingConfig,
+    light: &LightCliques,
+    sink: &mut dyn CliqueSink,
+) -> usize {
+    if light.is_empty() {
+        return crate::local::stream_cliques(graph, config, sink);
+    }
+    crate::local::stream_cliques(graph, config, &mut Unlisted { light, inner: sink })
+}
+
+/// Forwards the cliques outside a run's light-clique set.
+struct Unlisted<'a> {
+    light: &'a LightCliques,
+    inner: &'a mut dyn CliqueSink,
+}
+
+impl CliqueSink for Unlisted<'_> {
+    fn accept(&mut self, clique: &[u32]) {
+        if !self.light.contains(&light_key(clique)) {
+            self.inner.accept(clique);
+        }
+    }
+
+    fn is_saturated(&self) -> bool {
+        self.inner.is_saturated()
+    }
 }
 
 #[cfg(test)]

@@ -148,9 +148,9 @@ impl CliqueSink for FirstK {
 ///
 /// The engine already guarantees exactly-once emission, so user code rarely
 /// needs this directly; it exists for composing *multiple* runs into one
-/// downstream sink (e.g. a comparison matrix that unions several algorithms)
-/// and is what the fast-`K_4` and `eden-k4` runs use internally, where the
-/// light-node listing overlaps the other listing paths.
+/// downstream sink (e.g. a comparison matrix that unions several
+/// algorithms). No algorithm builds one: every pipeline emits each clique
+/// once by structure.
 #[derive(Debug)]
 pub struct Dedup<S: CliqueSink> {
     seen: HashSet<Clique>,

@@ -49,13 +49,7 @@ impl Cluster {
     pub fn min_internal_degree(&self, em_graph: &Graph) -> usize {
         self.vertices
             .iter()
-            .map(|&v| {
-                em_graph
-                    .neighbors(v)
-                    .iter()
-                    .filter(|&&w| self.contains(w))
-                    .count()
-            })
+            .map(|&v| self.internal_degree(em_graph, v))
             .min()
             .unwrap_or(0)
     }
@@ -64,15 +58,24 @@ impl Cluster {
     pub fn internal_edge_count(&self, em_graph: &Graph) -> usize {
         self.vertices
             .iter()
-            .map(|&v| {
-                em_graph
-                    .neighbors(v)
-                    .iter()
-                    .filter(|&&w| self.contains(w))
-                    .count()
-            })
+            .map(|&v| self.internal_degree(em_graph, v))
             .sum::<usize>()
             / 2
+    }
+
+    /// `|N(v) ∩ C|` in `em_graph`, by one merge of the two sorted lists.
+    fn internal_degree(&self, em_graph: &Graph, v: u32) -> usize {
+        let (mut count, mut at) = (0, 0);
+        for &w in em_graph.neighbors(v) {
+            while self.vertices.get(at).is_some_and(|&x| x < w) {
+                at += 1;
+            }
+            if at == self.vertices.len() {
+                break;
+            }
+            count += usize::from(self.vertices[at] == w);
+        }
+        count
     }
 
     /// Estimated mixing time of the lazy random walk restricted to the
