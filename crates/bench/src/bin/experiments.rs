@@ -3,8 +3,12 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p bench --bin experiments -- [e1|e2|...|e11|all] [--json]
+//! cargo run --release -p bench --bin experiments -- <e1|e2|...|e11|perf|all> [--json]
 //! ```
+//!
+//! `--help` prints the full usage; any usage error (an unknown flag, id or
+//! sweep, a missing flag value, no id at all) exits 2 without running
+//! anything.
 //!
 //! Each experiment id corresponds to a row of the per-experiment index in
 //! `DESIGN.md` §4; the output of `all` is what `EXPERIMENTS.md` records.
@@ -33,9 +37,51 @@ use graphcore::partition::{
 use graphcore::{gen, orientation};
 use std::path::Path;
 
+/// The command-line usage, printed by `--help` and after a usage error.
+const USAGE: &str = "\
+usage: experiments <id> [flags]
+  <id>: e1 .. e11 (one experiment), perf (the perf sweep), all (every
+        experiment and the perf sweep), report (write the consolidated
+        trajectory), check (gate against a committed trajectory)
+flags:
+  --json               print one machine-readable JSON document
+  --resume             perf: skip cells already in the results directory
+  --sweep perf|smoke   the sweep perf, report and check run (default perf)
+  --results-dir DIR    the result cache (default results)
+  --baseline FILE      check: the committed trajectory (default BENCH_TRAJECTORY.json)
+  --out FILE|-         report: where to write (default BENCH_TRAJECTORY.json)
+  --time-factor F      check: override the baseline's timing factor
+  -h, --help           print this usage";
+
+/// One experiment: renders its tables (or, given `true`, its JSON entry).
+type Experiment = fn(bool) -> String;
+
+/// Each experiment by id, in the order `all` runs them (the perf sweep,
+/// which also reads the command line, follows them).
+const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("e1", e1_rounds_vs_n),
+    ("e2", e2_fast_k4),
+    ("e3", e3_congested_clique),
+    ("e4", e4_decomposition_quality),
+    ("e5", e5_bad_edges_and_loads),
+    ("e6", e6_baselines),
+    ("e7", e7_lemma_2_7),
+    ("e8", e8_correctness),
+    ("e9", e9_ablation),
+    ("e10", e10_lower_bound_ratio),
+    ("e11", e11_simulated_broadcast),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = Cli::parse(&args);
+    if args.iter().any(|arg| arg == "--help" || arg == "-h") {
+        println!("{USAGE}");
+        return;
+    }
+    let cli = Cli::parse(&args).unwrap_or_else(|message| {
+        eprintln!("error: {message}\n{USAGE}");
+        std::process::exit(2)
+    });
     match cli.which.as_str() {
         "report" => std::process::exit(report_cmd(&cli)),
         "check" => std::process::exit(check_cmd(&cli)),
@@ -44,22 +90,11 @@ fn main() {
     let json = cli.json;
     let all = cli.which == "all";
     let mut rendered: Vec<String> = Vec::new();
-    let mut run = |id: &str, f: &dyn Fn(bool) -> String| {
-        if all || cli.which == id {
-            rendered.push(f(json));
+    for (id, experiment) in EXPERIMENTS {
+        if all || cli.which == *id {
+            rendered.push(experiment(json));
         }
-    };
-    run("e1", &e1_rounds_vs_n);
-    run("e2", &e2_fast_k4);
-    run("e3", &e3_congested_clique);
-    run("e4", &e4_decomposition_quality);
-    run("e5", &e5_bad_edges_and_loads);
-    run("e6", &e6_baselines);
-    run("e7", &e7_lemma_2_7);
-    run("e8", &e8_correctness);
-    run("e9", &e9_ablation);
-    run("e10", &e10_lower_bound_ratio);
-    run("e11", &e11_simulated_broadcast);
+    }
     if all || cli.which == "perf" {
         rendered.push(perf_hot_paths(&cli, json));
     }
@@ -78,7 +113,8 @@ fn main() {
 ///   trajectory (`--baseline`); exits 1 on regression, 2 on usage errors.
 ///
 /// `perf` accepts `--resume` (skip cells already in `--results-dir`) and all
-/// three commands accept `--sweep smoke` for the tiny test grid.
+/// three commands accept `--sweep smoke` for the tiny test grid. Anything
+/// else is a usage error: [`Cli::parse`] names it, and `main` exits 2.
 struct Cli {
     which: String,
     json: bool,
@@ -91,14 +127,10 @@ struct Cli {
 }
 
 impl Cli {
-    fn parse(args: &[String]) -> Cli {
-        const VALUE_FLAGS: &[&str] = &[
-            "--results-dir",
-            "--baseline",
-            "--out",
-            "--time-factor",
-            "--sweep",
-        ];
+    /// Parses the arguments after the binary name (`--help` is handled
+    /// before). Exactly one id is required, and every flag must be known and
+    /// carry a valid value.
+    fn parse(args: &[String]) -> Result<Cli, String> {
         let mut cli = Cli {
             which: String::new(),
             json: false,
@@ -109,34 +141,43 @@ impl Cli {
             time_factor: None,
             sweep: "perf".to_string(),
         };
-        let mut i = 0;
-        while i < args.len() {
-            let arg = args[i].as_str();
-            if VALUE_FLAGS.contains(&arg) {
-                let value = args.get(i + 1).cloned().unwrap_or_default();
-                match arg {
-                    "--results-dir" => cli.results_dir = value,
-                    "--baseline" => cli.baseline = value,
-                    "--out" => cli.out = value,
-                    "--time-factor" => cli.time_factor = value.parse().ok(),
-                    _ => cli.sweep = value,
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let mut value = || {
+                args.next()
+                    .cloned()
+                    .ok_or_else(|| format!("{arg} needs a value"))
+            };
+            match arg.as_str() {
+                "--json" => cli.json = true,
+                "--resume" => cli.resume = true,
+                "--results-dir" => cli.results_dir = value()?,
+                "--baseline" => cli.baseline = value()?,
+                "--out" => cli.out = value()?,
+                "--time-factor" => {
+                    let value = value()?;
+                    let factor = value
+                        .parse()
+                        .map_err(|_| format!("--time-factor takes a number, got {value:?}"))?;
+                    cli.time_factor = Some(factor);
                 }
-                i += 2;
-            } else {
-                match arg {
-                    "--json" => cli.json = true,
-                    "--resume" => cli.resume = true,
-                    _ if arg.starts_with("--") => eprintln!("warning: unknown flag {arg} ignored"),
-                    _ if cli.which.is_empty() => cli.which = arg.to_string(),
-                    _ => eprintln!("warning: extra argument {arg} ignored"),
+                "--sweep" => {
+                    cli.sweep = value()?;
+                    if !matches!(cli.sweep.as_str(), "perf" | "smoke") {
+                        return Err(format!("unknown sweep {:?}", cli.sweep));
+                    }
                 }
-                i += 1;
+                _ if arg.starts_with('-') => return Err(format!("unknown flag {arg}")),
+                _ if !cli.which.is_empty() => return Err(format!("extra argument {arg}")),
+                _ => cli.which = arg.clone(),
             }
         }
-        if cli.which.is_empty() {
-            cli.which = "all".to_string();
+        match cli.which.as_str() {
+            "" => Err("no experiment id given".to_string()),
+            "perf" | "all" | "report" | "check" => Ok(cli),
+            id if EXPERIMENTS.iter().any(|&(known, _)| known == id) => Ok(cli),
+            id => Err(format!("unknown experiment id {id:?}")),
         }
-        cli
     }
 }
 

@@ -211,11 +211,11 @@ pub fn perf_sweep() -> Sweep {
     }
 
     // Kernel sweep (PR 10): the recursive kernel against the induced-
-    // subgraph trie kernel (and the `Auto` heuristic) on the two shapes the
-    // selection heuristic distinguishes. `turan(450,3)` at p = 4 is the
-    // criterion cell — the extremal K4-free graph, pure intersection work
-    // with zero emissions, where the trie's pivot shortcut dominates;
-    // `er(400,0.25)` is the recursive kernel's low-degeneracy home turf.
+    // subgraph trie kernel (and, as `"auto"`, the kernel the index picks)
+    // on the two shapes the selection rule distinguishes. `turan(450,3)` at
+    // p = 4 is the criterion cell — the extremal K4-free graph, pure
+    // intersection work with zero emissions, where the trie's pivot shortcut
+    // dominates; `er(400,0.25)` (degeneracy 83) is its random counterpart.
     // `er(1000,0.15)` is serve-churn's graph, whose p = 4 count runs inline
     // in that workload's cold read batch; the p = 3 cells time the level
     // where the trie's materialisation weighs most. Every cell
@@ -349,35 +349,50 @@ fn usize_field(config: &Json, key: &str) -> usize {
     config.get(key).and_then(Json::as_f64).unwrap_or(0.0) as usize
 }
 
-/// The enumeration-kernel strategy of a `kernel-sweep`/`scaling-sweep` cell;
-/// `Auto` for cells that name none (`thread-scaling`).
-fn kernel_strategy(config: &Json) -> cliques::KernelStrategy {
+/// The kernel a `kernel-sweep`/`scaling-sweep` cell forces through the
+/// bench hook ([`cliques::ShardedEnumerator::with_kernel`]): `"recursive"` or
+/// `"trie"`. `"auto"`, or no key (`thread-scaling` cells), forces none: the
+/// cell runs the kernel its index picks.
+fn forced_kernel(config: &Json) -> Option<cliques::KernelChoice> {
     match config.get("kernel").and_then(Json::as_str) {
-        Some(name) => cliques::KernelStrategy::parse(name)
-            .unwrap_or_else(|| panic!("unknown kernel in cell config: {name:?}")),
-        None => cliques::KernelStrategy::Auto,
+        Some("recursive") => Some(cliques::KernelChoice::Recursive),
+        Some("trie") => Some(cliques::KernelChoice::Trie),
+        Some("auto") | None => None,
+        Some(other) => panic!("unknown kernel in cell config: {other:?}"),
+    }
+}
+
+/// `enumerator` on the `forced` kernel, if any.
+fn on_kernel(
+    enumerator: cliques::ShardedEnumerator<'_>,
+    forced: Option<cliques::KernelChoice>,
+) -> cliques::ShardedEnumerator<'_> {
+    match forced {
+        Some(kernel) => enumerator.with_kernel(kernel),
+        None => enumerator,
     }
 }
 
 /// Counts `p`-cliques with `threads` workers stealing shards of one
-/// [`cliques::ShardedEnumerator`] that runs the given [`KernelStrategy`](
-/// cliques::KernelStrategy) — the `thread-scaling` (under `Auto`) and
-/// `scaling-sweep` measurement, so each cell times exactly one (kernel,
-/// thread-grant) point.
+/// [`cliques::ShardedEnumerator`] on the `forced` kernel (the index's own
+/// when `None`) — the `thread-scaling` and `scaling-sweep` measurement, so
+/// each cell times exactly one (kernel, thread-grant) point.
 fn count_cliques_pinned(
     graph: &Graph,
     p: usize,
-    strategy: cliques::KernelStrategy,
+    forced: Option<cliques::KernelChoice>,
     threads: usize,
 ) -> usize {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    let enumerator = cliques::ShardedEnumerator::new(
-        graph,
-        p,
-        threads.saturating_mul(cliques::SHARDS_PER_THREAD),
-    )
-    .with_kernel(strategy);
+    let enumerator = on_kernel(
+        cliques::ShardedEnumerator::new(
+            graph,
+            p,
+            threads.saturating_mul(cliques::SHARDS_PER_THREAD),
+        ),
+        forced,
+    );
     let shards = enumerator.num_shards();
     let next = AtomicUsize::new(0);
     let total = AtomicUsize::new(0);
@@ -509,13 +524,19 @@ pub fn execute_perf_cell(spec: &CellSpec) -> Result<Json, Interrupted> {
         }
         "kernel-sweep" => {
             let graph = build_graph(&spec.config, spec.seed);
-            let strategy = kernel_strategy(&spec.config);
             let index = cliques::CliqueIndex::build(&graph);
+            // The kernel that runs: the forced one, after the node-budget
+            // fallback, or the index's own.
+            let kernel = on_kernel(
+                cliques::ShardedEnumerator::with_index(&graph, &index, p, 1),
+                forced_kernel(&spec.config),
+            )
+            .kernel();
             let truth = cliques::count_cliques(&graph, p);
             let mut count = 0usize;
             let (best, mean) = time_reps(REPS, || {
                 count = 0;
-                index.for_each_clique_while_with(&graph, p, strategy, |_| {
+                index.for_each_clique_while_forced(&graph, p, kernel, |_| {
                     count += 1;
                     true
                 });
@@ -523,15 +544,12 @@ pub fn execute_perf_cell(spec: &CellSpec) -> Result<Json, Interrupted> {
             assert_eq!(count, truth, "kernel diverged from the ground truth");
             let mut counted = None;
             let (count_only_best, _) = time_reps(REPS, || {
-                counted = index.count_cliques(&graph, p, strategy);
+                counted = index.count_cliques_forced(&graph, p, kernel);
             });
             assert_eq!(counted, Some(truth as u64), "count-only search diverged");
             metrics.extend([
                 ("cliques".to_string(), num(count)),
-                (
-                    "resolved_kernel".to_string(),
-                    Json::Str(index.resolve_kernel(strategy).to_string()),
-                ),
+                ("resolved_kernel".to_string(), Json::Str(kernel.to_string())),
                 ("best_ms".to_string(), Json::Num(best)),
                 ("mean_ms".to_string(), Json::Num(mean)),
                 ("count_only_best_ms".to_string(), Json::Num(count_only_best)),
@@ -540,14 +558,14 @@ pub fn execute_perf_cell(spec: &CellSpec) -> Result<Json, Interrupted> {
         "thread-scaling" | "scaling-sweep" => {
             let graph = build_graph(&spec.config, spec.seed);
             let threads = usize_field(&spec.config, "threads");
-            let strategy = kernel_strategy(&spec.config);
+            let forced = forced_kernel(&spec.config);
             let truth = cliques::count_cliques(&graph, p);
-            let resolved = cliques::CliqueIndex::build(&graph)
-                .resolve_kernel(strategy)
+            let resolved = on_kernel(cliques::ShardedEnumerator::new(&graph, p, 1), forced)
+                .kernel()
                 .to_string();
             let mut count = 0usize;
             let (best, mean) = time_reps(REPS, || {
-                count = count_cliques_pinned(&graph, p, strategy, threads);
+                count = count_cliques_pinned(&graph, p, forced, threads);
             });
             assert_eq!(count, truth, "pinned parallel count diverged");
             metrics.extend([
@@ -1023,7 +1041,7 @@ mod tests {
                     .unwrap()
                     >= 0.0
             );
-            // The resolved kernel is pure in (strategy, graph): it replays
+            // The resolved kernel is pure in (cell config, graph): it replays
             // byte-identically — that is what lets the trajectory gate it.
             let again = execute_perf_cell(&cell(kernel)).expect("executor never interrupts");
             assert_eq!(
@@ -1031,7 +1049,7 @@ mod tests {
                 again.get("resolved_kernel").unwrap().canonical()
             );
         }
-        // Explicit strategies resolve to themselves.
+        // Forced kernels resolve to themselves.
         let recursive = execute_perf_cell(&cell("recursive")).expect("runs");
         assert_eq!(
             recursive.get("resolved_kernel").and_then(Json::as_str),

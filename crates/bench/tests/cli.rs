@@ -128,3 +128,46 @@ fn report_is_stable_across_reruns_on_a_warm_cache() {
     assert_eq!(a, b, "warm-cache consolidation is byte-identical");
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn help_prints_the_usage_and_runs_nothing() {
+    let dir = temp_dir("help");
+    for flag in ["--help", "-h"] {
+        let help = experiments(&dir, &[flag]);
+        assert_eq!(help.status.code(), Some(0), "{flag}: {help:?}");
+        let stdout = String::from_utf8_lossy(&help.stdout);
+        assert!(stdout.starts_with("usage: experiments"), "{flag}: {stdout}");
+        assert!(
+            !stdout.contains("==="),
+            "{flag} ran an experiment: {stdout}"
+        );
+    }
+    assert!(!dir.join("results").exists(), "--help created results/");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn usage_errors_exit_2_without_running_anything() {
+    let dir = temp_dir("usage");
+    for args in [
+        &["perf", "--sweep", "smoke", "--frobnicate"][..],
+        &["e99"],
+        &["perf", "--sweep", "smok"],
+        &[],
+        &["perf", "--sweep"],
+        &["check", "--sweep", "smoke", "--time-factor", "fast"],
+        &["e1", "e2"],
+    ] {
+        let run = experiments(&dir, args);
+        assert_eq!(run.status.code(), Some(2), "{args:?}: {run:?}");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: experiments"), "{args:?}: {stderr}");
+        assert!(run.stdout.is_empty(), "{args:?} printed output");
+    }
+    assert!(
+        !dir.join("results").exists(),
+        "a usage error created results/"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -40,7 +40,7 @@
 //!   emits: one holding a goal edge of the cluster whose six edges are all
 //!   known to it, since step 5 lists exactly those;
 //! * the run keeps a set of the light cliques forwarded so far
-//!   ([`LightCliques`]): a light row is forwarded only if it is new to the
+//!   (`LightCliques`): a light row is forwarded only if it is new to the
 //!   set, and in-cluster rows and the final broadcast skip its members. On
 //!   runs without an outside light node the set stays empty and nothing
 //!   looks it up.

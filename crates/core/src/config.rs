@@ -3,7 +3,6 @@
 use crate::error::ConfigError;
 use congest::{ChargePolicy, FaultPlan};
 use expander::DecompositionConfig;
-use graphcore::KernelStrategy;
 use serde::{Deserialize, Serialize};
 
 /// Which algorithm variant to run.
@@ -34,9 +33,10 @@ pub enum ExchangeMode {
 /// The knob controls only *wall-clock* behaviour: algorithms whose local
 /// enumeration is sharded (see
 /// [`ParallelSupport`](crate::engine::ParallelSupport)) produce byte-identical
-/// output at every setting, and algorithms that simulate a CONGEST message
-/// schedule ignore the knob and record a sequential-fallback reason in the
-/// [`RunReport`](crate::RunReport).
+/// output at every setting. Only an algorithm whose
+/// [`AlgorithmInfo::parallel`](crate::engine::AlgorithmInfo::parallel) is
+/// `Sequential` ignores the knob and records its reason in the
+/// [`RunReport`](crate::RunReport); every built-in algorithm is sharded.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Parallelism {
     /// Strictly sequential local enumeration (the default).
@@ -204,19 +204,10 @@ pub struct ListingConfig {
     pub max_list_iterations: usize,
     /// Seed for all randomised choices (partitions, tie-breaking).
     pub seed: u64,
-    /// Thread parallelism of the local enumeration. Only algorithms with
-    /// sharded local enumeration honour it; everything else runs
-    /// sequentially and says so in the [`RunReport`](crate::RunReport).
+    /// Thread parallelism of the local enumeration. Only an algorithm whose
+    /// `AlgorithmInfo.parallel` is `Sequential` ignores it (and says so in
+    /// the [`RunReport`](crate::RunReport)); no built-in algorithm does.
     pub parallelism: Parallelism,
-    /// Enumeration kernel of the run's root-ordered clique searches (full
-    /// listings and shards; the in-cluster goal-edge listing takes no kernel
-    /// and runs on bitset rows). Like [`Parallelism`] this knob controls only
-    /// wall-clock behaviour: both kernels emit the same cliques in the same
-    /// order, byte for byte (the kernel differential battery enforces it),
-    /// so reports are identical at every setting. The default
-    /// [`KernelStrategy::Auto`] resolves per enumerated graph by the
-    /// degeneracy heuristic in `graphcore::cliques`.
-    pub kernel: KernelStrategy,
     /// The slack factor between the arboricity bound `A` and the cluster
     /// degree parameter `n^δ` (`n^δ = A / slack`). `None` uses the paper's
     /// `2 log n`; experiments at simulation scale set a small constant here,
@@ -251,7 +242,6 @@ impl ListingConfig {
             max_list_iterations: 64,
             seed: 0xC11,
             parallelism: Parallelism::Off,
-            kernel: KernelStrategy::Auto,
             arboricity_slack: None,
             termination_exponent_override: None,
         };

@@ -27,12 +27,12 @@ use crate::config::{ExchangeMode, ListingConfig, Parallelism, Resilience, Varian
 use crate::congested_clique;
 use crate::driver;
 use crate::error::ConfigError;
-use crate::report::{KernelSummary, Model, ParallelismSummary, RunOutcome, RunReport, SinkSummary};
+use crate::report::{Model, ParallelismSummary, RunOutcome, RunReport, SinkSummary};
 use crate::result::phase;
 use crate::sink::{CliqueSink, CollectSink, CountSink, Counted, CrashFilter};
 use congest::ChargePolicy;
 use expander::DecompositionConfig;
-use graphcore::{Clique, Graph, KernelStrategy};
+use graphcore::{Clique, Graph};
 use std::fmt;
 
 /// Registry names of the built-in algorithms.
@@ -57,9 +57,10 @@ pub mod names {
 /// stay byte-identical across parallelism settings.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ParallelSupport {
-    /// The algorithm's listing work is one dense local enumeration over an
-    /// aggregate graph: its degeneracy-DAG roots shard across worker threads
-    /// with byte-identical output (see `DESIGN.md` §8).
+    /// The algorithm's local work shards across worker threads with
+    /// byte-identical output: the degeneracy-DAG roots of its dense local
+    /// enumerations (`DESIGN.md` §8) and, in the CONGEST pipelines, the
+    /// cluster tasks of each ARB-LIST invocation (§9).
     Sharded,
     /// The algorithm is pinned to sequential execution; the payload says why
     /// and is recorded as the sequential-fallback reason in
@@ -364,11 +365,6 @@ impl Engine {
             emitted: counted.emitted(),
             saturated: counted.is_saturated(),
         };
-        // Like the thread counts, the kernel summary is an execution detail
-        // kept out of `to_json`.
-        report.kernel = KernelSummary {
-            requested: self.config.kernel,
-        };
         // Capability only — never the requested thread count — so the
         // serialised report stays byte-identical across parallelism settings.
         // `threads_used` is whatever fan-out the algorithm recorded while it
@@ -514,7 +510,6 @@ pub struct EngineBuilder {
     custom: Option<Box<dyn ListingAlgorithm>>,
     seed: Option<u64>,
     parallelism: Option<Parallelism>,
-    kernel: Option<KernelStrategy>,
     exchange_mode: Option<ExchangeMode>,
     charge_policy: Option<ChargePolicy>,
     decomposition: Option<DecompositionConfig>,
@@ -564,23 +559,12 @@ impl EngineBuilder {
     /// Thread parallelism of the local enumeration (defaults to
     /// [`Parallelism::Off`]). Never changes a run's output: algorithms with
     /// sharded local enumeration produce byte-identical listings at every
-    /// setting, and CONGEST-simulated algorithms ignore the knob and record
-    /// a sequential-fallback reason in the [`RunReport`]. `Threads(0)` is
-    /// rejected by [`EngineBuilder::build`].
+    /// setting. Only an algorithm whose [`AlgorithmInfo::parallel`] is
+    /// [`ParallelSupport::Sequential`] ignores the knob and records its
+    /// reason in the [`RunReport`]; no built-in algorithm does. `Threads(0)`
+    /// is rejected by [`EngineBuilder::build`].
     pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = Some(parallelism);
-        self
-    }
-
-    /// Selects the enumeration kernel of every root-ordered local enumeration
-    /// (defaults to [`KernelStrategy::Auto`], which resolves per graph by
-    /// degeneracy); the in-cluster goal-edge listing takes no kernel and
-    /// runs on bitset rows of the cluster's knowledge.
-    /// Like [`EngineBuilder::parallelism`], this knob never changes a run's
-    /// output — both kernels are held to byte-identical listings — only its
-    /// wall-clock profile.
-    pub fn kernel(mut self, kernel: KernelStrategy) -> Self {
-        self.kernel = Some(kernel);
         self
     }
 
@@ -705,9 +689,6 @@ impl EngineBuilder {
         }
         if let Some(parallelism) = self.parallelism {
             config.parallelism = parallelism;
-        }
-        if let Some(kernel) = self.kernel {
-            config.kernel = kernel;
         }
         if let Some(mode) = self.exchange_mode {
             config.exchange_mode = mode;

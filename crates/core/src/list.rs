@@ -19,10 +19,10 @@
 //! next invocation, and one invocation emits each clique once. The
 //! fast-`K_4` light-node listing can find a clique without a goal edge, which
 //! survives into later invocations and the final broadcast; the run's set of
-//! light cliques ([`LightCliques`]) covers those repeats (see
+//! light cliques (`LightCliques`) covers those repeats (see
 //! [`arb_list`](crate::arb_list)). The drivers own that set and pass it
-//! through [`list_once_in_run`] to the final broadcast
-//! ([`list_remaining`]); the public [`list_once`] starts a fresh one.
+//! through `list_once_in_run` to the final broadcast
+//! (`list_remaining`); the public [`list_once`] starts a fresh one.
 
 use crate::arb_list::{arb_list_sorted, light_key, LightCliques};
 use crate::config::ListingConfig;

@@ -7,7 +7,8 @@
 //! their surviving graph. This module is that step's single implementation —
 //! sequential by default, sharded through `graphcore::ordered_merge` when
 //! the validated [`Parallelism`](crate::Parallelism) knob resolves above one
-//! thread and the host has more than one core.
+//! thread and the host has more than one core. Both paths run the kernel
+//! the graph's `CliqueIndex` picks; nothing in the configuration chooses it.
 //!
 //! The parallel path keeps the engine's exactly-once deterministic emission
 //! contract by construction: producers claim contiguous shards of the
@@ -51,7 +52,7 @@ pub(crate) fn stream_cliques(
         let index = cliques::CliqueIndex::build(graph);
         return parallel_stream(graph, &index, config, threads, sink);
     }
-    cliques::for_each_clique_while_with(graph, config.p, config.kernel, |c| {
+    cliques::for_each_clique_while(graph, config.p, |c| {
         sink.accept(c);
         !sink.is_saturated()
     });
@@ -80,12 +81,11 @@ fn parallel_stream(
 
     let p = config.p;
     let enumerator =
-        ShardedEnumerator::with_index(graph, index, p, threads.saturating_mul(SHARDS_PER_THREAD))
-            .with_kernel(config.kernel);
+        ShardedEnumerator::with_index(graph, index, p, threads.saturating_mul(SHARDS_PER_THREAD));
     let shards = enumerator.num_shards();
     let threads_used = fanout(threads, shards);
     if threads_used <= 1 {
-        index.for_each_clique_while_with(graph, p, config.kernel, |c| {
+        index.for_each_clique_while(graph, p, |c| {
             sink.accept(c);
             !sink.is_saturated()
         });
@@ -129,19 +129,9 @@ mod tests {
                 Parallelism::Threads(2),
                 Parallelism::Threads(8),
             ] {
-                for kernel in [
-                    cliques::KernelStrategy::Recursive,
-                    cliques::KernelStrategy::Trie,
-                    cliques::KernelStrategy::Auto,
-                ] {
-                    let mut sink = CollectSink::new();
-                    let cfg = ListingConfig {
-                        kernel,
-                        ..config(p, parallelism)
-                    };
-                    stream_cliques(&g, &cfg, &mut sink);
-                    assert_eq!(sink.sorted(), truth, "p={p} {parallelism:?} {kernel}");
-                }
+                let mut sink = CollectSink::new();
+                stream_cliques(&g, &config(p, parallelism), &mut sink);
+                assert_eq!(sink.sorted(), truth, "p={p} {parallelism:?}");
             }
         }
     }

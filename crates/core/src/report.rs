@@ -13,7 +13,6 @@
 //! and switches to `serde_json` transparently once a real backend lands.
 
 use crate::result::{Diagnostics, Rounds};
-use graphcore::KernelStrategy;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -92,22 +91,6 @@ impl Default for ParallelismSummary {
     }
 }
 
-/// Which enumeration kernel a run's local enumerations were asked for, by
-/// the [`KernelStrategy`] knob.
-///
-/// Like the thread counts of [`ParallelismSummary`], the whole summary is an
-/// execution detail deliberately excluded from [`RunReport::to_json`]: both
-/// kernels emit byte-identical listings (the kernel differential battery
-/// holds them to it), so two runs differing only in their kernel setting
-/// must produce byte-identical report artifacts. Each enumeration resolves
-/// the strategy on its own graph; `CliqueIndex::resolve_kernel` answers what
-/// it picks on a given one.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct KernelSummary {
-    /// The strategy the run was configured with.
-    pub requested: KernelStrategy,
-}
-
 /// CONGESTED CLIQUE load statistics (Theorem 1.3), present only on runs of
 /// the `congested-clique` algorithm.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -170,10 +153,6 @@ pub struct RunReport {
     /// How the local enumeration was executed (sharded or sequential, and
     /// why), filled by the engine.
     pub parallelism: ParallelismSummary,
-    /// Which enumeration kernel the run requested, filled by the engine.
-    /// Execution detail, excluded from [`RunReport::to_json`] (see
-    /// [`KernelSummary`]).
-    pub kernel: KernelSummary,
     /// CONGESTED CLIQUE load statistics, when applicable.
     pub congested_clique: Option<CongestedCliqueStats>,
     /// How the run terminated under its [`Resilience`](crate::Resilience)
@@ -382,22 +361,6 @@ mod tests {
         };
         let json = report.to_json();
         assert!(json.contains("\"parallel\":{\"supported\":true,\"sequential_reason\":null}"));
-    }
-
-    #[test]
-    fn kernel_summary_is_rendered_nowhere_in_json() {
-        // Same contract as the thread counts: the kernel selection is an
-        // execution detail, and reports differing only in it must serialise
-        // byte-identically (the differential battery diffs these bytes).
-        let mut report = RunReport::new("general", Model::Congest, 4);
-        let baseline = report.to_json();
-        report.kernel = KernelSummary {
-            requested: KernelStrategy::Trie,
-        };
-        let json = report.to_json();
-        assert_eq!(json, baseline);
-        assert!(!json.to_lowercase().contains("kernel"));
-        assert!(!json.to_lowercase().contains("trie"));
     }
 
     #[test]

@@ -25,7 +25,9 @@
 //! count (see `DESIGN.md` §8).
 //!
 //! All of the search's build-once state — the degeneracy ordering, the
-//! oriented DAG and the adjacency bitsets — lives in [`CliqueIndex`], an
+//! oriented DAG, the adjacency bitsets and the enumeration kernel (the
+//! recursive search here or the induced-subgraph trie of [`trie`], picked
+//! once per graph, see [`CliqueIndex::kernel`]) — lives in [`CliqueIndex`], an
 //! owned, `Sync` artifact decoupled from any particular traversal. The
 //! one-shot entry points build a private index per call; callers that answer
 //! many queries against the same graph (the snapshot layer in the `query`
@@ -39,7 +41,7 @@ use crate::{Clique, Graph};
 #[path = "cliques_trie.rs"]
 pub mod trie;
 
-pub use trie::{KernelChoice, KernelStrategy, AUTO_TRIE_DEGENERACY, TRIE_NODE_WORD_BUDGET};
+pub use trie::{KernelChoice, AUTO_TRIE_DEGENERACY, TRIE_NODE_WORD_BUDGET};
 
 /// Ceiling on the adaptive bitset degree threshold (the value every graph
 /// used before the threshold became adaptive).
@@ -173,8 +175,9 @@ fn intersect_candidates(
 }
 
 /// The build-once, query-many state of the ordered clique search: the
-/// degeneracy ordering, its [`OrientedDag`] of later neighbours and the
-/// high-degree adjacency bitsets, all owned and immutable.
+/// degeneracy ordering, its [`OrientedDag`] of later neighbours, the
+/// high-degree adjacency bitsets and the enumeration kernel picked for the
+/// graph, all owned and immutable.
 ///
 /// An index is built from one graph and is only meaningful against that
 /// graph: every query method takes the graph by reference so the index itself
@@ -190,7 +193,7 @@ fn intersect_candidates(
 /// index's DAG via [`ShardPlan::balanced`].
 ///
 /// `PartialEq` compares the *entire* built state — ordering, DAG, bitset
-/// table, out-degree bound — which is what lets the churn differential
+/// table, out-degree bound, kernel — which is what lets the churn differential
 /// battery assert that the index under a derived snapshot is structurally
 /// identical to one built from the independently mutated edge list.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -199,23 +202,35 @@ pub struct CliqueIndex {
     dag: OrientedDag,
     bitsets: NeighborBitsets,
     max_out: usize,
+    kernel: KernelChoice,
 }
 
 impl CliqueIndex {
     /// Builds the index of `graph`: degeneracy ordering, oriented DAG and
     /// adjacency bitsets, in `O(n + m)` time plus the bounded bitset table.
     /// One peel yields both the ordering and the DAG (it writes each
-    /// vertex's row of later neighbours as it peels the vertex).
+    /// vertex's row of later neighbours as it peels the vertex). The
+    /// enumeration kernel is picked here, once, from the degeneracy and the
+    /// largest candidate set (the rule is on [`KernelChoice`]).
     pub fn build(graph: &Graph) -> CliqueIndex {
         let (ordering, dag) = degeneracy_dag(graph);
         let bitsets = NeighborBitsets::build(graph, bitset_threshold(graph));
         let max_out = dag.max_out_degree();
+        let kernel = KernelChoice::for_graph(ordering.degeneracy, max_out);
         CliqueIndex {
             ordering,
             dag,
             bitsets,
             max_out,
+            kernel,
         }
+    }
+
+    /// The kernel this index picked at build time. Every root-ordered
+    /// enumeration and count over the index runs it: full listings, shards,
+    /// and the count-only descents.
+    pub fn kernel(&self) -> KernelChoice {
+        self.kernel
     }
 
     /// The degeneracy ordering the search roots follow.
@@ -258,24 +273,10 @@ impl CliqueIndex {
             .collect()
     }
 
-    /// Resolves a [`KernelStrategy`] against this index's graph: explicit
-    /// choices are honoured, `Auto` applies the degeneracy heuristic
-    /// ([`AUTO_TRIE_DEGENERACY`]), and any trie choice whose largest
-    /// candidate set would overflow [`TRIE_NODE_WORD_BUDGET`] falls back to
-    /// the recursive kernel (both kernels emit identical bytes, so the
-    /// fallback is purely a memory decision). Pure in the built index, so
-    /// every enumeration over the same graph resolves the same way.
-    pub fn resolve_kernel(&self, strategy: KernelStrategy) -> KernelChoice {
-        match strategy.resolve(self.degeneracy()) {
-            KernelChoice::Trie if trie::node_fits_budget(self.max_out) => KernelChoice::Trie,
-            _ => KernelChoice::Recursive,
-        }
-    }
-
     /// [`for_each_clique_while`] against a prebuilt index: calls `visit` for
     /// every `p`-clique of `graph` in the deterministic sequential order
     /// until it declines; returns whether the enumeration completed. Runs
-    /// the kernel [`KernelStrategy::Auto`] resolves to for this graph.
+    /// the index's [`kernel`](CliqueIndex::kernel).
     ///
     /// `graph` must be the graph this index was built from.
     pub fn for_each_clique_while(
@@ -284,20 +285,22 @@ impl CliqueIndex {
         p: usize,
         visit: impl FnMut(&[u32]) -> bool,
     ) -> bool {
-        self.for_each_clique_while_with(graph, p, KernelStrategy::Auto, visit)
+        self.for_each_clique_while_forced(graph, p, self.kernel, visit)
     }
 
-    /// [`CliqueIndex::for_each_clique_while`] under an explicit
-    /// [`KernelStrategy`]. The strategy affects wall-clock time only: both
-    /// kernels emit the same cliques in the same order, byte for byte (the
-    /// kernel differential battery enforces this), so callers may switch
-    /// strategies freely without perturbing any downstream determinism
-    /// contract.
-    pub fn for_each_clique_while_with(
+    /// The test and bench hook of [`CliqueIndex::for_each_clique_while`]: the
+    /// same enumeration on a forced kernel instead of the index's own. A
+    /// forced trie whose largest node would overflow
+    /// [`TRIE_NODE_WORD_BUDGET`] runs the recursive kernel. Both kernels emit
+    /// the same cliques in the same order, byte for byte (the kernel
+    /// differential battery enforces this, with this hook as its reference);
+    /// only the wall-clock time differs. [`CliqueIndex::for_each_clique_while`]
+    /// runs it on the index's own kernel; no production path forces one.
+    pub fn for_each_clique_while_forced(
         &self,
         graph: &Graph,
         p: usize,
-        strategy: KernelStrategy,
+        kernel: KernelChoice,
         mut visit: impl FnMut(&[u32]) -> bool,
     ) -> bool {
         if p < 3 {
@@ -308,7 +311,7 @@ impl CliqueIndex {
         }
         let mut stack: Vec<u32> = Vec::with_capacity(p);
         let mut scratch: Vec<u32> = Vec::with_capacity(p);
-        match self.resolve_kernel(strategy) {
+        match kernel.within_budget(self.max_out) {
             KernelChoice::Trie => trie::TrieKernel::new().enumerate_roots(
                 graph,
                 &self.bitsets,
@@ -336,11 +339,11 @@ impl CliqueIndex {
         }
     }
 
-    /// The number of `p`-cliques of `graph` under an explicit
-    /// [`KernelStrategy`], computed without visiting a single clique; `None`
-    /// when the count does not fit in a `u64`.
+    /// The number of `p`-cliques of `graph`, computed on the index's kernel
+    /// without visiting a single clique; `None` when the count does not fit
+    /// in a `u64`.
     ///
-    /// Equal to the number of cliques [`CliqueIndex::for_each_clique_while_with`]
+    /// Equal to the number of cliques [`CliqueIndex::for_each_clique_while`]
     /// visits, on every kernel. The recursive kernel adds `|C|` at the last
     /// level instead of emitting each clique; the trie kernel also counts the
     /// level above the last from packed-row popcounts and takes
@@ -349,7 +352,21 @@ impl CliqueIndex {
     /// walks every `(p - 1)`-clique prefix.
     ///
     /// `graph` must be the graph this index was built from.
-    pub fn count_cliques(&self, graph: &Graph, p: usize, strategy: KernelStrategy) -> Option<u64> {
+    pub fn count_cliques(&self, graph: &Graph, p: usize) -> Option<u64> {
+        self.count_cliques_forced(graph, p, self.kernel)
+    }
+
+    /// The test and bench hook of [`CliqueIndex::count_cliques`]: the same
+    /// count on a forced kernel, with the node-budget fallback of
+    /// [`CliqueIndex::for_each_clique_while_forced`].
+    /// [`CliqueIndex::count_cliques`] runs it on the index's own kernel; no
+    /// production path forces one.
+    pub fn count_cliques_forced(
+        &self,
+        graph: &Graph,
+        p: usize,
+        kernel: KernelChoice,
+    ) -> Option<u64> {
         match p {
             0 => Some(1),
             1 => Some(graph.num_vertices() as u64),
@@ -357,7 +374,7 @@ impl CliqueIndex {
             _ => self.count_roots(
                 graph,
                 p,
-                self.resolve_kernel(strategy),
+                kernel.within_budget(self.max_out),
                 &self.ordering.order,
             ),
         }
@@ -565,21 +582,10 @@ pub fn for_each_clique(graph: &Graph, p: usize, mut visit: impl FnMut(&[u32])) {
 /// nothing afterwards: no allocation per visited clique, no allocation per
 /// recursion node.
 pub fn for_each_clique_while(graph: &Graph, p: usize, visit: impl FnMut(&[u32]) -> bool) -> bool {
-    for_each_clique_while_with(graph, p, KernelStrategy::Auto, visit)
-}
-
-/// [`for_each_clique_while`] under an explicit [`KernelStrategy`]. Output is
-/// byte-identical across strategies; only wall-clock time differs.
-pub fn for_each_clique_while_with(
-    graph: &Graph,
-    p: usize,
-    strategy: KernelStrategy,
-    visit: impl FnMut(&[u32]) -> bool,
-) -> bool {
     if p < 3 {
         return small_p_while(graph, p, visit);
     }
-    CliqueIndex::build(graph).for_each_clique_while_with(graph, p, strategy, visit)
+    CliqueIndex::build(graph).for_each_clique_while(graph, p, visit)
 }
 
 /// Runs the ordered search from every root in `roots` (a slice of the
@@ -851,8 +857,8 @@ impl<'g> ShardedEnumerator<'g> {
     fn assemble(graph: &'g Graph, p: usize, index: IndexHandle<'g>, plan: ShardPlan) -> Self {
         assert!(p >= 3, "sharded enumeration requires p >= 3 (got {p})");
         let kernel = match &index {
-            IndexHandle::Owned(index) => index.resolve_kernel(KernelStrategy::Auto),
-            IndexHandle::Shared(index) => index.resolve_kernel(KernelStrategy::Auto),
+            IndexHandle::Owned(index) => index.kernel,
+            IndexHandle::Shared(index) => index.kernel,
         };
         ShardedEnumerator {
             graph,
@@ -863,12 +869,14 @@ impl<'g> ShardedEnumerator<'g> {
         }
     }
 
-    /// Re-resolves the enumeration kernel under an explicit strategy
-    /// (constructors default to [`KernelStrategy::Auto`]). Per-shard output
-    /// is byte-identical across kernels, so the choice never affects the
-    /// merged emission order.
-    pub fn with_kernel(mut self, strategy: KernelStrategy) -> Self {
-        self.kernel = self.index().resolve_kernel(strategy);
+    /// The test and bench hook of the sharded path: every shard runs a forced
+    /// kernel instead of the index's own (constructors take the index's
+    /// [`kernel`](CliqueIndex::kernel)), with the node-budget fallback of
+    /// [`CliqueIndex::for_each_clique_while_forced`]. Per-shard output is
+    /// byte-identical across kernels, so the choice never affects the merged
+    /// emission order. No production path calls it.
+    pub fn with_kernel(mut self, kernel: KernelChoice) -> Self {
+        self.kernel = kernel.within_budget(self.index().max_out);
         self
     }
 
@@ -1154,10 +1162,7 @@ mod tests {
         let index = CliqueIndex::build(&g);
         for p in 0..=2 {
             let visited = count_cliques(&g, p) as u64;
-            assert_eq!(
-                index.count_cliques(&g, p, KernelStrategy::Auto),
-                Some(visited)
-            );
+            assert_eq!(index.count_cliques(&g, p), Some(visited));
         }
         // On K_n every root's candidate set is complete, so the trie kernel
         // sums one binomial per root: C(n - 1, p - 1) + C(n - 2, p - 1) + …
@@ -1166,11 +1171,8 @@ mod tests {
         for (n, p, want) in [(67, 34, Some(14_226_520_737_620_288_370)), (68, 34, None)] {
             let k = gen::complete_graph(n);
             let index = CliqueIndex::build(&k);
-            assert_eq!(
-                index.count_cliques(&k, p, KernelStrategy::Trie),
-                want,
-                "K_{n}, p={p}"
-            );
+            assert_eq!(index.kernel(), KernelChoice::Trie);
+            assert_eq!(index.count_cliques(&k, p), want, "K_{n}, p={p}");
         }
     }
 
@@ -1317,7 +1319,7 @@ mod tests {
             .all(|v| g.degree(v) < MIN_BITSET_DEGREE_THRESHOLD && index.bitset_row(v).is_none()));
         for p in [3usize, 4, 5] {
             let mut listed = Vec::new();
-            index.for_each_clique_while_with(&g, p, KernelStrategy::Recursive, |c| {
+            index.for_each_clique_while_forced(&g, p, KernelChoice::Recursive, |c| {
                 listed.push(c.to_vec());
                 true
             });
@@ -1608,14 +1610,14 @@ mod tests {
             for p in [3usize, 4] {
                 let mut recursive = Vec::new();
                 assert!(
-                    index.for_each_clique_while_with(g, p, KernelStrategy::Recursive, |c| {
+                    index.for_each_clique_while_forced(g, p, KernelChoice::Recursive, |c| {
                         recursive.push(c.to_vec());
                         true
                     })
                 );
                 let mut via_trie = Vec::new();
                 assert!(
-                    index.for_each_clique_while_with(g, p, KernelStrategy::Trie, |c| {
+                    index.for_each_clique_while_forced(g, p, KernelChoice::Trie, |c| {
                         via_trie.push(c.to_vec());
                         true
                     })
@@ -1623,26 +1625,26 @@ mod tests {
                 assert_eq!(via_trie, recursive, "workload {w} p={p}");
                 // Early-stop prefixes agree (and both report the abort).
                 let limit = (recursive.len() / 2).max(1);
-                for strategy in [KernelStrategy::Recursive, KernelStrategy::Trie] {
+                for kernel in [KernelChoice::Recursive, KernelChoice::Trie] {
                     let mut prefix = Vec::new();
-                    let completed = index.for_each_clique_while_with(g, p, strategy, |c| {
+                    let completed = index.for_each_clique_while_forced(g, p, kernel, |c| {
                         prefix.push(c.to_vec());
                         prefix.len() < limit
                     });
                     if recursive.len() > limit {
-                        assert!(!completed, "workload {w} p={p} {strategy}");
-                        assert_eq!(prefix, recursive[..limit], "workload {w} p={p} {strategy}");
+                        assert!(!completed, "workload {w} p={p} {kernel}");
+                        assert_eq!(prefix, recursive[..limit], "workload {w} p={p} {kernel}");
                     }
                 }
                 // Shard-by-shard output agrees kernel for kernel.
-                for strategy in [KernelStrategy::Recursive, KernelStrategy::Trie] {
+                for kernel in [KernelChoice::Recursive, KernelChoice::Trie] {
                     let sharded =
-                        ShardedEnumerator::with_index(g, &index, p, 6).with_kernel(strategy);
+                        ShardedEnumerator::with_index(g, &index, p, 6).with_kernel(kernel);
                     let mut merged = Vec::new();
                     for shard in 0..sharded.num_shards() {
                         sharded.for_each_in_shard(shard, |c| merged.push(c.to_vec()));
                     }
-                    assert_eq!(merged, recursive, "workload {w} p={p} {strategy}");
+                    assert_eq!(merged, recursive, "workload {w} p={p} {kernel}");
                 }
             }
         }
@@ -1650,45 +1652,43 @@ mod tests {
 
     #[test]
     fn auto_kernel_resolution_is_a_pure_degeneracy_rule() {
-        // Sparse: degeneracy under the bar resolves to the recursive kernel.
-        let sparse = gen::erdos_renyi(200, 0.02, 1);
-        let sparse_index = CliqueIndex::build(&sparse);
-        assert!(sparse_index.degeneracy() < AUTO_TRIE_DEGENERACY);
-        assert_eq!(
-            sparse_index.resolve_kernel(KernelStrategy::Auto),
-            KernelChoice::Recursive
-        );
-        // Dense: a 6-partite Turán-style graph clears the bar.
-        let dense = gen::multipartite(60, 6, 1.0, 2);
-        let dense_index = CliqueIndex::build(&dense);
-        assert!(dense_index.degeneracy() >= AUTO_TRIE_DEGENERACY);
-        assert_eq!(
-            dense_index.resolve_kernel(KernelStrategy::Auto),
-            KernelChoice::Trie
-        );
-        // Explicit strategies are honoured on both graphs, and resolution is
-        // stable across repeated calls (pure function of the built index).
-        for index in [&sparse_index, &dense_index] {
+        // The build-time choice flips exactly at AUTO_TRIE_DEGENERACY: K_32
+        // has degeneracy 31, K_33 has 32.
+        for (n, want) in [(32, KernelChoice::Recursive), (33, KernelChoice::Trie)] {
+            let g = gen::complete_graph(n);
+            let index = CliqueIndex::build(&g);
+            assert_eq!(index.degeneracy(), n - 1);
+            assert_eq!(index.kernel(), want, "K_{n}");
+            assert_eq!(CliqueIndex::build(&g), index, "K_{n}");
+            // The sharded enumerator runs the index's choice; the forced
+            // hook overrides it.
+            let sharded = ShardedEnumerator::with_index(&g, &index, 3, 4);
+            assert_eq!(sharded.kernel(), want, "K_{n}");
             assert_eq!(
-                index.resolve_kernel(KernelStrategy::Recursive),
+                sharded.with_kernel(KernelChoice::Recursive).kernel(),
                 KernelChoice::Recursive
             );
-            assert_eq!(
-                index.resolve_kernel(KernelStrategy::Trie),
-                KernelChoice::Trie
-            );
-            assert_eq!(
-                index.resolve_kernel(KernelStrategy::Auto),
-                index.resolve_kernel(KernelStrategy::Auto)
-            );
         }
-        // The sharded enumerator picks up the same resolution.
-        let sharded = ShardedEnumerator::with_index(&dense, &dense_index, 3, 4);
-        assert_eq!(sharded.kernel(), KernelChoice::Trie);
+        assert_eq!(AUTO_TRIE_DEGENERACY, 32);
+        assert_eq!(KernelChoice::for_graph(31, 31), KernelChoice::Recursive);
+        assert_eq!(KernelChoice::for_graph(32, 32), KernelChoice::Trie);
+        // The node-budget fallback: a candidate set whose node would take
+        // more than TRIE_NODE_WORD_BUDGET words runs the recursive kernel,
+        // both when the index picks and when a test forces the trie.
+        let (fits, overflows) = (11_584usize, 11_585usize);
+        assert!(fits * fits.div_ceil(64) <= TRIE_NODE_WORD_BUDGET);
+        assert!(overflows * overflows.div_ceil(64) > TRIE_NODE_WORD_BUDGET);
+        assert_eq!(KernelChoice::for_graph(fits, fits), KernelChoice::Trie);
         assert_eq!(
-            sharded.with_kernel(KernelStrategy::Recursive).kernel(),
+            KernelChoice::for_graph(overflows, overflows),
             KernelChoice::Recursive
         );
+        assert_eq!(KernelChoice::Trie.within_budget(fits), KernelChoice::Trie);
+        assert_eq!(
+            KernelChoice::Trie.within_budget(overflows),
+            KernelChoice::Recursive
+        );
+        assert_eq!(format!("{}", KernelChoice::Trie), "trie");
     }
 
     #[test]

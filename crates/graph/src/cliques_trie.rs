@@ -1,6 +1,6 @@
-//! The induced-subgraph-trie enumeration kernel (DIST-style) and the
-//! [`KernelStrategy`] knob that selects between it and the classic recursive
-//! kernel.
+//! The induced-subgraph-trie enumeration kernel (DIST-style) and the rule by
+//! which a [`CliqueIndex`](super::CliqueIndex) picks between it and the
+//! classic recursive kernel.
 //!
 //! The recursive kernel of [`super`] re-intersects every candidate set
 //! against global CSR rows (or global adjacency bitsets): each node of the
@@ -33,8 +33,10 @@
 //! differential battery in `tests/kernel_differential.rs` enforces this over
 //! clique sizes, workload families, seeds and thread grants.
 //!
-//! See `DESIGN.md` §14 for the trie layout, the memory-budget interaction
-//! with the global bitset table, and the `Auto` heuristic.
+//! Which kernel runs is not an option: the index picks it once, at build
+//! time, by the degeneracy rule documented on [`KernelChoice`], and only
+//! tests and benches force the other one. See `DESIGN.md` §14 for the trie layout, the memory-budget
+//! interaction with the global bitset table, and the selection rule.
 
 use super::NeighborBitsets;
 use crate::graph::Graph;
@@ -43,15 +45,17 @@ use serde::{Deserialize, Serialize};
 
 /// Which enumeration kernel drives the ordered clique search.
 ///
-/// The knob controls only *wall-clock* behaviour: both kernels emit the same
-/// cliques in the same order, byte for byte, so callers can switch freely
-/// (the kernel differential battery holds them to that). `Auto` resolves per
-/// graph by the degeneracy heuristic ([`AUTO_TRIE_DEGENERACY`]): dense
+/// The choice controls only *wall-clock* behaviour: both kernels emit the
+/// same cliques in the same order, byte for byte (the kernel differential
+/// battery holds them to that). [`CliqueIndex::build`](super::CliqueIndex::build)
+/// makes it once per graph: the trie from a degeneracy of
+/// [`AUTO_TRIE_DEGENERACY`] on, as long as the largest candidate set's node
+/// fits [`TRIE_NODE_WORD_BUDGET`], and the recursive kernel otherwise. Dense
 /// graphs, where the materialisation amortises over a deep subtree, get the
 /// trie; sparse graphs, where candidate sets are tiny and the local
 /// re-labelling would dominate, keep the recursive kernel.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum KernelStrategy {
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum KernelChoice {
     /// The classic per-root recursive kernel: sorted-merge / global-bitset
     /// candidate intersections, no per-root materialisation.
     Recursive,
@@ -59,24 +63,9 @@ pub enum KernelStrategy {
     /// subgraph once, run the subtree on local word masks, emit complete
     /// candidate sets as combination blocks.
     Trie,
-    /// Resolve per graph: [`KernelChoice::Trie`] when the degeneracy reaches
-    /// [`AUTO_TRIE_DEGENERACY`], [`KernelChoice::Recursive`] otherwise (the
-    /// default).
-    #[default]
-    Auto,
 }
 
-/// What a [`KernelStrategy`] resolves to for a concrete graph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum KernelChoice {
-    /// The recursive kernel runs.
-    Recursive,
-    /// The trie kernel runs.
-    Trie,
-}
-
-/// Degeneracy at or above which [`KernelStrategy::Auto`] picks the trie
-/// kernel.
+/// Degeneracy at or above which an index picks the trie kernel.
 ///
 /// The materialisation of one root costs `k²/2` adjacency probes for a
 /// candidate set of size `k` (folded 64 to a stored word when the members
@@ -95,59 +84,37 @@ pub const AUTO_TRIE_DEGENERACY: usize = 32;
 /// decision.
 pub const TRIE_NODE_WORD_BUDGET: usize = 1 << 21;
 
-impl KernelStrategy {
-    /// Resolves the strategy for a graph of the given degeneracy. Pure and
-    /// host-independent: the same `(strategy, degeneracy)` pair always
-    /// resolves the same way, so runs are reproducible across machines.
-    pub fn resolve(self, degeneracy: usize) -> KernelChoice {
-        match self {
-            KernelStrategy::Recursive => KernelChoice::Recursive,
-            KernelStrategy::Trie => KernelChoice::Trie,
-            KernelStrategy::Auto => {
-                if degeneracy >= AUTO_TRIE_DEGENERACY {
-                    KernelChoice::Trie
-                } else {
-                    KernelChoice::Recursive
-                }
-            }
-        }
-    }
-
-    /// Stable lower-case name (used in bench cell configs and logs).
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelStrategy::Recursive => "recursive",
-            KernelStrategy::Trie => "trie",
-            KernelStrategy::Auto => "auto",
-        }
-    }
-
-    /// Parses a stable name back into a strategy (the inverse of
-    /// [`KernelStrategy::name`]); anything unrecognised is `None`, so CLI
-    /// and bench-config consumers surface typos instead of defaulting.
-    pub fn parse(s: &str) -> Option<KernelStrategy> {
-        match s.trim() {
-            "recursive" => Some(KernelStrategy::Recursive),
-            "trie" => Some(KernelStrategy::Trie),
-            "auto" => Some(KernelStrategy::Auto),
-            _ => None,
-        }
-    }
-}
-
 impl KernelChoice {
+    /// The kernel an index picks for a graph of degeneracy `degeneracy`
+    /// whose largest candidate set has `largest` members: the trie from
+    /// [`AUTO_TRIE_DEGENERACY`] on, the recursive kernel below it, and the
+    /// recursive kernel whenever the trie's node would overflow
+    /// [`TRIE_NODE_WORD_BUDGET`]. Pure and host-independent, so every build
+    /// of the same graph picks the same kernel on every machine.
+    pub(crate) fn for_graph(degeneracy: usize, largest: usize) -> KernelChoice {
+        let wanted = if degeneracy >= AUTO_TRIE_DEGENERACY {
+            KernelChoice::Trie
+        } else {
+            KernelChoice::Recursive
+        };
+        wanted.within_budget(largest)
+    }
+
+    /// `self`, except that a trie whose node of `largest` members would
+    /// overflow [`TRIE_NODE_WORD_BUDGET`] runs the recursive kernel.
+    pub(crate) fn within_budget(self, largest: usize) -> KernelChoice {
+        match self {
+            KernelChoice::Trie if node_fits_budget(largest) => KernelChoice::Trie,
+            _ => KernelChoice::Recursive,
+        }
+    }
+
     /// Stable lower-case name.
     pub fn name(self) -> &'static str {
         match self {
             KernelChoice::Recursive => "recursive",
             KernelChoice::Trie => "trie",
         }
-    }
-}
-
-impl std::fmt::Display for KernelStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -351,7 +318,7 @@ impl TrieKernel {
 }
 
 /// Whether a candidate set of `k` members fits the per-node word budget.
-pub(crate) fn node_fits_budget(k: usize) -> bool {
+fn node_fits_budget(k: usize) -> bool {
     k.saturating_mul(k.div_ceil(64)) <= TRIE_NODE_WORD_BUDGET
 }
 
@@ -581,39 +548,6 @@ mod tests {
     use crate::gen;
 
     #[test]
-    fn strategy_names_round_trip() {
-        for s in [
-            KernelStrategy::Recursive,
-            KernelStrategy::Trie,
-            KernelStrategy::Auto,
-        ] {
-            assert_eq!(KernelStrategy::parse(s.name()), Some(s));
-            assert_eq!(format!("{s}"), s.name());
-        }
-        assert_eq!(KernelStrategy::parse("  trie "), Some(KernelStrategy::Trie));
-        assert_eq!(KernelStrategy::parse("quantum"), None);
-        assert_eq!(KernelStrategy::default(), KernelStrategy::Auto);
-        assert_eq!(format!("{}", KernelChoice::Trie), "trie");
-    }
-
-    #[test]
-    fn resolution_is_pure_in_strategy_and_degeneracy() {
-        assert_eq!(
-            KernelStrategy::Recursive.resolve(10_000),
-            KernelChoice::Recursive
-        );
-        assert_eq!(KernelStrategy::Trie.resolve(0), KernelChoice::Trie);
-        assert_eq!(
-            KernelStrategy::Auto.resolve(AUTO_TRIE_DEGENERACY - 1),
-            KernelChoice::Recursive
-        );
-        assert_eq!(
-            KernelStrategy::Auto.resolve(AUTO_TRIE_DEGENERACY),
-            KernelChoice::Trie
-        );
-    }
-
-    #[test]
     fn materialised_node_mirrors_the_host_adjacency() {
         let g = gen::erdos_renyi(70, 0.3, 5);
         let bitsets = NeighborBitsets::none(g.num_vertices());
@@ -752,6 +686,26 @@ mod tests {
     }
 
     #[test]
+    fn resolution_is_pure_in_strategy_and_degeneracy() {
+        // A forced kernel keeps itself whatever the graph (inside the node
+        // budget); the index's own pick flips at AUTO_TRIE_DEGENERACY.
+        assert_eq!(
+            KernelChoice::Recursive.within_budget(10_000),
+            KernelChoice::Recursive
+        );
+        assert_eq!(KernelChoice::Trie.within_budget(0), KernelChoice::Trie);
+        let below = AUTO_TRIE_DEGENERACY - 1;
+        assert_eq!(
+            KernelChoice::for_graph(below, below),
+            KernelChoice::Recursive
+        );
+        assert_eq!(
+            KernelChoice::for_graph(AUTO_TRIE_DEGENERACY, AUTO_TRIE_DEGENERACY),
+            KernelChoice::Trie
+        );
+    }
+
+    #[test]
     fn complete_candidate_sets_emit_combination_blocks() {
         // A complete graph: every root's candidate set is a clique, so the
         // pivot shortcut covers the whole enumeration and must reproduce the
@@ -763,7 +717,7 @@ mod tests {
             let index = super::super::CliqueIndex::build(&g);
             let mut trie = Vec::new();
             assert!(
-                index.for_each_clique_while_with(&g, p, KernelStrategy::Trie, |c| {
+                index.for_each_clique_while_forced(&g, p, KernelChoice::Trie, |c| {
                     trie.push(c.to_vec());
                     true
                 })

@@ -53,7 +53,7 @@ pub mod spectral;
 pub mod stats;
 
 pub use churn::{AppliedBatch, BatchError, EdgeBatch};
-pub use cliques::{KernelChoice, KernelStrategy};
+pub use cliques::KernelChoice;
 pub use edge::{Edge, EdgeSet};
 pub use graph::{intersect_sorted_into, Graph, GraphError};
 pub use orientation::{Orientation, OrientedDag};

@@ -338,7 +338,7 @@ impl QueryService {
             }
             QueryKind::CountKp => {
                 let mut total = 0u64;
-                index.for_each_clique_while_with(graph, p, self.snapshot.kernel(), |_| {
+                index.for_each_clique_while(graph, p, |_| {
                     if !meter.admit() {
                         return false;
                     }
@@ -349,7 +349,7 @@ impl QueryService {
             }
             QueryKind::FirstK { k } => {
                 let mut cliques: Vec<Clique> = Vec::with_capacity(k);
-                index.for_each_clique_while_with(graph, p, self.snapshot.kernel(), |c| {
+                index.for_each_clique_while(graph, p, |c| {
                     if !meter.admit() {
                         return false;
                     }
@@ -385,7 +385,7 @@ impl QueryService {
             }
             QueryKind::Exists => {
                 let mut found = false;
-                index.for_each_clique_while_with(graph, p, self.snapshot.kernel(), |_| {
+                index.for_each_clique_while(graph, p, |_| {
                     if !meter.admit() {
                         return false;
                     }
@@ -411,17 +411,12 @@ impl QueryService {
         p: usize,
         inner_threads: usize,
     ) -> Result<(QueryOutcome, usize, usize), QueryError> {
-        let (graph, index, kernel) = (
-            self.snapshot.graph(),
-            self.snapshot.index(),
-            self.snapshot.kernel(),
-        );
+        let (graph, index) = (self.snapshot.graph(), self.snapshot.index());
         let plan = self.snapshot.plan_for(p).expect("checked: p is prepared");
         let shards = plan.num_shards();
         let (total, shards, threads_used) = if inner_threads > 1 && shards > 1 {
             let enumerator =
-                graphcore::cliques::ShardedEnumerator::from_plan(graph, index, p, plan.clone())
-                    .with_kernel(kernel);
+                graphcore::cliques::ShardedEnumerator::from_plan(graph, index, p, plan.clone());
             let mut total = Some(0u64);
             graphcore::ordered_merge::ordered_merge(
                 shards,
@@ -438,7 +433,7 @@ impl QueryService {
                 graphcore::ordered_merge::fanout(inner_threads, shards),
             )
         } else {
-            (index.count_cliques(graph, p, kernel), 1, 1)
+            (index.count_cliques(graph, p), 1, 1)
         };
         let total = total.ok_or(QueryError::CountOverflow { p })?;
         Ok((QueryOutcome::Count(total), shards, threads_used))
@@ -519,38 +514,6 @@ mod tests {
             .unwrap();
         for response in &batch {
             assert_eq!(response.report.threads_used, 1);
-        }
-    }
-
-    #[test]
-    fn kernel_strategies_answer_queries_identically() {
-        // The snapshot's kernel knob must never change an answer — only the
-        // wall-clock profile of computing it.
-        let graph = gen::erdos_renyi(45, 0.3, 11);
-        let reference = GraphSnapshot::build(graph.clone()).into_shared();
-        let trie = GraphSnapshot::builder(graph)
-            .kernel(cliques::KernelStrategy::Trie)
-            .build()
-            .unwrap()
-            .into_shared();
-        assert_eq!(trie.id(), reference.id());
-        let ref_service = QueryService::new(reference.clone());
-        let trie_service = QueryService::new(trie.clone());
-        for p in [3usize, 4] {
-            let count_a = QueryBuilder::new().p(p).count().build(&reference).unwrap();
-            let count_b = QueryBuilder::new().p(p).count().build(&trie).unwrap();
-            assert_eq!(
-                ref_service.execute(&count_a).unwrap().outcome,
-                trie_service.execute(&count_b).unwrap().outcome,
-                "count p={p}"
-            );
-            let first_a = QueryBuilder::new().p(p).first(7).build(&reference).unwrap();
-            let first_b = QueryBuilder::new().p(p).first(7).build(&trie).unwrap();
-            assert_eq!(
-                ref_service.execute(&first_a).unwrap().outcome,
-                trie_service.execute(&first_b).unwrap().outcome,
-                "first-k p={p}"
-            );
         }
     }
 

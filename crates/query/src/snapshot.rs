@@ -3,8 +3,8 @@
 //!
 //! A [`GraphSnapshot`] owns the graph (CSR form) together with every artifact
 //! the ordered clique search needs — the degeneracy ordering, the oriented
-//! DAG and the adjacency bitsets, bundled as a
-//! [`CliqueIndex`] — plus one balanced
+//! DAG, the adjacency bitsets and the enumeration kernel picked for the
+//! graph, bundled as a [`CliqueIndex`] — plus one balanced
 //! [`ShardPlan`] per prepared clique size. Everything is built exactly once
 //! by [`SnapshotBuilder::build`] and never mutated afterwards, so a snapshot
 //! behind an [`Arc`] serves any number of concurrent queries through `&self`.
@@ -16,7 +16,7 @@
 //! (see `DESIGN.md` §11).
 
 use graphcore::cliques::{CliqueIndex, ShardPlan};
-use graphcore::{AppliedBatch, BatchError, EdgeBatch, Graph, KernelChoice, KernelStrategy};
+use graphcore::{AppliedBatch, BatchError, EdgeBatch, Graph};
 use std::fmt;
 use std::sync::Arc;
 
@@ -73,7 +73,6 @@ pub struct SnapshotBuilder {
     graph: Graph,
     ps: Vec<usize>,
     target_shards: usize,
-    kernel: KernelStrategy,
 }
 
 impl SnapshotBuilder {
@@ -90,18 +89,6 @@ impl SnapshotBuilder {
     #[must_use]
     pub fn target_shards(mut self, target_shards: usize) -> Self {
         self.target_shards = target_shards;
-        self
-    }
-
-    /// Selects the enumeration kernel every query against the snapshot runs
-    /// with (default [`KernelStrategy::Auto`], which resolves once per
-    /// snapshot by the built index's degeneracy). Like the shard target, the
-    /// knob is a pure performance choice: both kernels emit byte-identical
-    /// listings, so cached results — keyed by content identity — stay valid
-    /// across kernel settings.
-    #[must_use]
-    pub fn kernel(mut self, kernel: KernelStrategy) -> Self {
-        self.kernel = kernel;
         self
     }
 
@@ -125,12 +112,7 @@ impl SnapshotBuilder {
         }
         ps.sort_unstable();
         ps.dedup();
-        Ok(GraphSnapshot::assemble(
-            self.graph,
-            ps,
-            self.target_shards,
-            self.kernel,
-        ))
+        Ok(GraphSnapshot::assemble(self.graph, ps, self.target_shards))
     }
 }
 
@@ -156,11 +138,6 @@ pub struct GraphSnapshot {
     /// Remembered so derived snapshots ([`GraphSnapshot::apply_batch`]) plan
     /// their shards with the same target as the original build.
     target_shards: usize,
-    /// The kernel strategy queries run with; propagated to derived snapshots
-    /// like the shard target. Deliberately **not** part of the content
-    /// identity: both kernels emit byte-identical listings, so cached
-    /// results transfer across kernel settings.
-    kernel: KernelStrategy,
 }
 
 impl GraphSnapshot {
@@ -183,7 +160,6 @@ impl GraphSnapshot {
             graph,
             ps: Vec::new(),
             target_shards: DEFAULT_TARGET_SHARDS,
-            kernel: KernelStrategy::Auto,
         }
     }
 
@@ -200,12 +176,7 @@ impl GraphSnapshot {
     /// index and one shard plan per size in `ps` (sorted, deduplicated). The
     /// one constructor behind [`SnapshotBuilder::build`] and
     /// [`GraphSnapshot::apply_batch`].
-    fn assemble(
-        graph: Graph,
-        ps: Vec<usize>,
-        target_shards: usize,
-        kernel: KernelStrategy,
-    ) -> GraphSnapshot {
+    fn assemble(graph: Graph, ps: Vec<usize>, target_shards: usize) -> GraphSnapshot {
         let id = content_id(&graph);
         let index = CliqueIndex::build(&graph);
         let plans = ps
@@ -223,7 +194,6 @@ impl GraphSnapshot {
             plans,
             id,
             target_shards,
-            kernel,
         }
     }
 
@@ -245,20 +215,10 @@ impl GraphSnapshot {
         &self.graph
     }
 
-    /// The shared clique index (ordering + DAG + bitsets).
+    /// The shared clique index (ordering + DAG + bitsets + the kernel every
+    /// query against the snapshot runs, [`CliqueIndex::kernel`]).
     pub fn index(&self) -> &CliqueIndex {
         &self.index
-    }
-
-    /// The kernel strategy queries against this snapshot run with.
-    pub fn kernel(&self) -> KernelStrategy {
-        self.kernel
-    }
-
-    /// What the snapshot's strategy resolves to on its own index — a pure
-    /// function of (strategy, degeneracy) plus the trie node budget.
-    pub fn resolved_kernel(&self) -> KernelChoice {
-        self.index.resolve_kernel(self.kernel)
     }
 
     /// The clique sizes this snapshot prepared shard plans for, ascending.
@@ -281,7 +241,7 @@ impl GraphSnapshot {
     }
 
     /// Applies an edge churn batch, deriving a **new** snapshot (same
-    /// prepared sizes, shard target and kernel) together with the batch's
+    /// prepared sizes and shard target) together with the batch's
     /// effective changes. `self` is untouched — existing queries and caches
     /// against it remain valid.
     ///
@@ -304,8 +264,7 @@ impl GraphSnapshot {
         if applied.is_noop() {
             return Ok((self.clone(), applied));
         }
-        let snapshot =
-            GraphSnapshot::assemble(graph, self.prepared_ps(), self.target_shards, self.kernel);
+        let snapshot = GraphSnapshot::assemble(graph, self.prepared_ps(), self.target_shards);
         Ok((snapshot, applied))
     }
 }
@@ -521,26 +480,6 @@ mod tests {
             "no-op churn must not invalidate caches"
         );
         assert_eq!(same, snapshot);
-    }
-
-    #[test]
-    fn kernel_strategy_is_remembered_but_never_feeds_the_identity() {
-        let g = gen::erdos_renyi(40, 0.2, 5);
-        let snapshot = GraphSnapshot::builder(g.clone())
-            .kernel(KernelStrategy::Trie)
-            .build()
-            .unwrap();
-        assert_eq!(snapshot.kernel(), KernelStrategy::Trie);
-        assert_eq!(snapshot.resolved_kernel(), KernelChoice::Trie);
-        // Derived snapshots inherit the knob, like the shard target.
-        let removed: Vec<(u32, u32)> = g.edges().take(1).collect();
-        let batch = EdgeBatch::new(&[], &removed).unwrap();
-        let (next, _) = snapshot.apply_batch(&batch).unwrap();
-        assert_eq!(next.kernel(), KernelStrategy::Trie);
-        // The knob is a performance choice, not content: the same graph under
-        // the default strategy carries the same identity, so cached results
-        // transfer across kernel settings.
-        assert_eq!(GraphSnapshot::build(g).id(), snapshot.id());
     }
 
     #[test]

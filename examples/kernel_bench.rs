@@ -1,9 +1,10 @@
 //! Kernel selection walkthrough: run the recursive and trie enumeration
 //! kernels side by side on one dense and one sparse workload, cross-check
-//! that they count exactly the same cliques, and show what `Auto` resolves
-//! to on each graph. Every strategy is timed twice: visiting each clique,
-//! and through the count-only descent (`CliqueIndex::count_cliques`), which
-//! must give the same number without visiting any.
+//! that they count exactly the same cliques, and show which kernel the
+//! `CliqueIndex` picks on each graph. Each kernel is forced through the
+//! index's bench hook and timed twice: visiting each clique, and through the
+//! count-only descent (`CliqueIndex::count_cliques_forced`), which must give
+//! the same number without visiting any.
 //!
 //! ```text
 //! cargo run --release --example kernel_bench
@@ -14,40 +15,35 @@
 //! amortises over a deep subtree and its pivot shortcut fires constantly);
 //! the sparse workload is a low-degeneracy Erdős–Rényi graph, where
 //! candidate sets are tiny and the recursive kernel's plain merges win —
-//! which is exactly why `Auto` picks a different kernel on each.
+//! which is exactly why the index picks a different kernel on each.
 
 use std::time::Instant;
 
-use distributed_clique_listing::graphcore::cliques::{count_cliques, CliqueIndex, KernelStrategy};
+use distributed_clique_listing::graphcore::cliques::{count_cliques, CliqueIndex, KernelChoice};
 use distributed_clique_listing::graphcore::gen;
 use distributed_clique_listing::graphcore::graph::Graph;
 
-/// Times one full `p`-clique enumeration under an explicit strategy.
-fn timed_count(
-    graph: &Graph,
-    index: &CliqueIndex,
-    p: usize,
-    strategy: KernelStrategy,
-) -> (u64, f64) {
+/// Times one full `p`-clique enumeration on a forced kernel.
+fn timed_count(graph: &Graph, index: &CliqueIndex, p: usize, kernel: KernelChoice) -> (u64, f64) {
     let start = Instant::now();
     let mut count = 0u64;
-    index.for_each_clique_while_with(graph, p, strategy, |_| {
+    index.for_each_clique_while_forced(graph, p, kernel, |_| {
         count += 1;
         true
     });
     (count, start.elapsed().as_secs_f64() * 1e3)
 }
 
-/// Times one count-only `p`-clique count under an explicit strategy.
+/// Times one count-only `p`-clique count on a forced kernel.
 fn timed_count_only(
     graph: &Graph,
     index: &CliqueIndex,
     p: usize,
-    strategy: KernelStrategy,
+    kernel: KernelChoice,
 ) -> (u64, f64) {
     let start = Instant::now();
     let count = index
-        .count_cliques(graph, p, strategy)
+        .count_cliques_forced(graph, p, kernel)
         .expect("example counts fit in a u64");
     (count, start.elapsed().as_secs_f64() * 1e3)
 }
@@ -60,32 +56,24 @@ fn compare(label: &str, graph: &Graph, p: usize) {
         graph.num_edges(),
         index.degeneracy()
     );
-    println!(
-        "  auto resolves to: {}",
-        index.resolve_kernel(KernelStrategy::Auto)
-    );
+    println!("  the index picks: {}", index.kernel());
     let mut counts = Vec::new();
     let mut times = Vec::new();
-    for strategy in [
-        KernelStrategy::Recursive,
-        KernelStrategy::Trie,
-        KernelStrategy::Auto,
-    ] {
-        let (count, ms) = timed_count(graph, &index, p, strategy);
-        let (only, only_ms) = timed_count_only(graph, &index, p, strategy);
+    for kernel in [KernelChoice::Recursive, KernelChoice::Trie] {
+        let (count, ms) = timed_count(graph, &index, p, kernel);
+        let (only, only_ms) = timed_count_only(graph, &index, p, kernel);
         println!(
             "  {:<9} -> {count} cliques in {ms:8.1} ms visiting, {only_ms:8.1} ms count-only \
-             (ratio {:.2}; runs the {} kernel)",
-            strategy.name(),
+             (ratio {:.2})",
+            kernel.name(),
             only_ms / ms.max(1e-9),
-            index.resolve_kernel(strategy)
         );
-        assert_eq!(only, count, "{label} {strategy}: count-only != visiting");
+        assert_eq!(only, count, "{label} {kernel}: count-only != visiting");
         counts.push(count);
         times.push(ms);
     }
-    // The strategies must agree exactly — with each other and with the
-    // one-shot ground-truth entry point.
+    // The kernels must agree exactly — with each other and with the
+    // one-shot ground-truth entry point (the index's own choice).
     assert!(
         counts.windows(2).all(|w| w[0] == w[1]),
         "kernels disagree on {label}: {counts:?}"
@@ -96,7 +84,7 @@ fn compare(label: &str, graph: &Graph, p: usize) {
         "{label} ground truth"
     );
     println!(
-        "  counts agree; trie/recursive wall-clock ratio = {:.2}x",
+        "  counts agree; trie speedup over recursive = {:.2}x",
         times[0] / times[1].max(1e-9)
     );
 }

@@ -1,17 +1,20 @@
 //! The kernel differential battery: Trie vs Recursive vs brute force.
 //!
 //! PR 10 adds a second enumeration kernel (the induced-subgraph trie with
-//! prefix reuse and pivoting) behind the `KernelStrategy` knob. The knob's
-//! contract is absolute: **the kernel never changes a single output byte** —
-//! same cliques, same visit order, same early-stop prefixes, same serialised
-//! reports — only the wall-clock profile. This battery checks that contract
-//! differentially across the full matrix of
+//! prefix reuse and pivoting). Each `CliqueIndex` picks one of the two at
+//! build time, and the choice is absolute in one respect: **the kernel never
+//! changes a single output byte** — same cliques, same visit order, same
+//! early-stop prefixes, same serialised reports — only the wall-clock
+//! profile. This battery checks that contract differentially across the
+//! full matrix of
 //!
 //! * clique sizes `p ∈ {3, 4, 5, 6}`,
 //! * workload families (Erdős–Rényi sparse and dense, planted cliques,
 //!   multipartite, RMAT, and the dense Turán graph `T(n,3)` where the trie
 //!   kernel's pivot shortcut dominates),
-//! * kernel strategies `{Recursive, Trie, Auto}`,
+//! * both kernels, forced through the test hook
+//!   (`CliqueIndex::for_each_clique_while_forced`, `count_cliques_forced`,
+//!   `ShardedEnumerator::with_kernel`), next to the index's own choice,
 //! * thread grants `{Off, 1, 2, 8}`, and
 //! * several fixed seeds (failures reproduce exactly).
 //!
@@ -19,25 +22,22 @@
 //! reference* (plain backtracking, structurally independent of both
 //! kernels), the count-only counts (`CliqueIndex::count_cliques` and the sum
 //! of `ShardedEnumerator::count_in_shard` over a multi-shard plan), `FirstK`
-//! early-stop prefixes, and `RunReport::to_json` bytes. The brute-force
-//! cells keep every candidate set under 64 vertices, so a second set of
-//! cells runs graphs whose DAG out-degrees pass 64 and 128 (two- and
-//! three-word trie nodes) and checks the same contract against the
-//! recursive kernel by trace digest. A final cell pins the `Auto`
-//! resolution itself: a pure, replayable function of (strategy,
-//! degeneracy) — never of the host.
+//! early-stop prefixes, and `RunReport::to_json` bytes. The engine cells run
+//! one graph on each side of the index's choice, so both kernels stay
+//! exercised behind the engine. The brute-force cells keep every candidate
+//! set under 64 vertices, so a second set of cells runs graphs whose DAG
+//! out-degrees pass 64 and 128 (two- and three-word trie nodes) and checks
+//! the same contract against the recursive kernel by trace digest. A final
+//! cell pins the choice itself: a pure, replayable function of the graph —
+//! never of the host.
 
 use distributed_clique_listing::cliquelist::{algorithms, CliqueSink, Engine, FirstK, Parallelism};
 use distributed_clique_listing::graphcore::cliques::{
-    self, for_each_clique_while_with, CliqueIndex, KernelChoice, KernelStrategy, ShardedEnumerator,
+    self, CliqueIndex, KernelChoice, ShardedEnumerator,
 };
 use distributed_clique_listing::graphcore::{gen, Clique, Graph};
 
-const STRATEGIES: [KernelStrategy; 3] = [
-    KernelStrategy::Recursive,
-    KernelStrategy::Trie,
-    KernelStrategy::Auto,
-];
+const KERNELS: [KernelChoice; 2] = [KernelChoice::Recursive, KernelChoice::Trie];
 
 /// The naive reference: enumerate increasing vertex tuples, extending only
 /// by vertices adjacent to every chosen one. Independent of the degeneracy
@@ -96,9 +96,10 @@ fn workloads(p: usize, seed: u64) -> Vec<(String, Graph)> {
     ]
 }
 
-fn trace_with(graph: &Graph, p: usize, strategy: KernelStrategy) -> Vec<Clique> {
+/// The visit trace of the `p`-cliques of `graph` on a forced kernel.
+fn trace_on(graph: &Graph, p: usize, kernel: KernelChoice) -> Vec<Clique> {
     let mut trace = Vec::new();
-    for_each_clique_while_with(graph, p, strategy, |c| {
+    CliqueIndex::build(graph).for_each_clique_while_forced(graph, p, kernel, |c| {
         trace.push(c.to_vec());
         true
     });
@@ -113,7 +114,7 @@ fn every_kernel_matches_brute_force_across_the_matrix() {
                 let naive = brute_force_cliques(&graph, p);
                 // The recursive kernel is the order reference (degeneracy-root
                 // visit order); brute force checks the *set* plus count.
-                let reference = trace_with(&graph, p, KernelStrategy::Recursive);
+                let reference = trace_on(&graph, p, KernelChoice::Recursive);
                 let mut sorted = reference.clone();
                 sorted.sort_unstable();
                 assert_eq!(
@@ -122,29 +123,39 @@ fn every_kernel_matches_brute_force_across_the_matrix() {
                 );
                 let index = CliqueIndex::build(&graph);
                 let want = Some(naive.len() as u64);
-                for strategy in STRATEGIES {
+                // The index's own choice, through the production entry
+                // points.
+                let mut own = Vec::new();
+                cliques::for_each_clique(&graph, p, |c| own.push(c.to_vec()));
+                assert_eq!(own, reference, "{label}, p={p}: own-choice trace diverged");
+                assert_eq!(
+                    index.count_cliques(&graph, p),
+                    want,
+                    "{label}, p={p}: own-choice count diverged"
+                );
+                for kernel in KERNELS {
                     assert_eq!(
-                        trace_with(&graph, p, strategy),
+                        trace_on(&graph, p, kernel),
                         reference,
-                        "{label}, p={p}, {strategy}: visit trace diverged from \
+                        "{label}, p={p}, {kernel}: visit trace diverged from \
                          the recursive kernel"
                     );
                     // The count-only descents, whole-graph and summed over
                     // a multi-shard plan, count exactly the naive listing.
                     assert_eq!(
-                        index.count_cliques(&graph, p, strategy),
+                        index.count_cliques_forced(&graph, p, kernel),
                         want,
-                        "{label}, p={p}, {strategy}: count-only count diverged"
+                        "{label}, p={p}, {kernel}: count-only count diverged"
                     );
                     let sharded =
-                        ShardedEnumerator::with_index(&graph, &index, p, 4).with_kernel(strategy);
+                        ShardedEnumerator::with_index(&graph, &index, p, 4).with_kernel(kernel);
                     assert!(sharded.num_shards() > 1, "{label}: plan has one shard");
                     let summed = (0..sharded.num_shards())
                         .map(|shard| sharded.count_in_shard(shard))
                         .sum::<Option<u64>>();
                     assert_eq!(
                         summed, want,
-                        "{label}, p={p}, {strategy}: shard counts diverged"
+                        "{label}, p={p}, {kernel}: shard counts diverged"
                     );
                 }
             }
@@ -163,12 +174,13 @@ fn early_stop_prefixes_are_kernel_independent() {
         ("turan(21,3)", gen::multipartite(21, 3, 1.0, 5), 3usize),
         ("er(40,0.4)", gen::erdos_renyi(40, 0.4, 5), 4usize),
     ] {
-        let reference = trace_with(&graph, p, KernelStrategy::Recursive);
+        let reference = trace_on(&graph, p, KernelChoice::Recursive);
         assert!(reference.len() > 20, "{label}: workload too sparse");
+        let index = CliqueIndex::build(&graph);
         for k in [1usize, 7, 20, reference.len() + 1] {
-            for strategy in STRATEGIES {
+            for kernel in KERNELS {
                 let mut prefix = Vec::new();
-                let completed = for_each_clique_while_with(&graph, p, strategy, |c| {
+                let completed = index.for_each_clique_while_forced(&graph, p, kernel, |c| {
                     prefix.push(c.to_vec());
                     prefix.len() < k
                 });
@@ -176,12 +188,12 @@ fn early_stop_prefixes_are_kernel_independent() {
                 assert_eq!(
                     prefix,
                     reference[..expected],
-                    "{label}, {strategy}, k={k}: prefix diverged"
+                    "{label}, {kernel}, k={k}: prefix diverged"
                 );
                 assert_eq!(
                     completed,
                     reference.len() < k,
-                    "{label}, {strategy}, k={k}: completion flag wrong"
+                    "{label}, {kernel}, k={k}: completion flag wrong"
                 );
             }
         }
@@ -200,60 +212,91 @@ impl CliqueSink for TraceSink {
     }
 }
 
-fn engine(algorithm: &str, kernel: KernelStrategy, parallelism: Parallelism) -> Engine {
+fn engine(algorithm: &str, parallelism: Parallelism) -> Engine {
     Engine::builder()
         .p(4)
         .algorithm(algorithm)
         .seed(7)
         .experiment_scale()
-        .kernel(kernel)
         .parallelism(parallelism)
         .build()
         .expect("valid engine")
 }
 
+/// The engine cells' graphs, one on each side of the index's kernel choice:
+/// `er(70,0.3)` has degeneracy 15 and runs the recursive kernel,
+/// `er(70,0.6)` has degeneracy 34 and runs the trie. The choice is asserted,
+/// so a change of the selection rule cannot quietly leave the engine cells
+/// on one kernel.
+fn engine_graphs() -> [(&'static str, Graph); 2] {
+    let graphs = [
+        ("er(70,0.3,13)", gen::erdos_renyi(70, 0.3, 13)),
+        ("er(70,0.6,13)", gen::erdos_renyi(70, 0.6, 13)),
+    ];
+    for ((label, graph), kernel) in graphs.iter().zip(KERNELS) {
+        assert_eq!(CliqueIndex::build(graph).kernel(), kernel, "{label}");
+    }
+    graphs
+}
+
+/// Whether an algorithm's emission is the listing of its whole input graph
+/// in the sequential order (its local step enumerates the input itself).
+fn lists_the_whole_graph(algorithm: &str) -> bool {
+    matches!(algorithm, "congested-clique" | "naive-broadcast")
+}
+
 #[test]
 fn engine_runs_are_byte_identical_across_kernels_and_grants() {
-    // The full-pipeline cell: every built-in algorithm, every kernel, every
-    // grant, one dense-enough workload — sink-call traces and `to_json`
-    // bytes must all equal the (Recursive, Off) reference. This is the
-    // battery's teeth for the `RunReport` exclusion contract: the kernel
-    // summary lives on the report but never in its serialised bytes.
-    let graph = gen::erdos_renyi(70, 0.3, 13);
+    // The full-pipeline cell: every built-in algorithm, every grant, one
+    // graph on each side of the kernel choice — sink-call traces and
+    // `to_json` bytes must all equal the `Off` run. The algorithms that
+    // list their whole input must replay the forced recursive kernel's
+    // trace, the others its set.
     let grants = [
         Parallelism::Off,
         Parallelism::Threads(1),
         Parallelism::Threads(2),
         Parallelism::Threads(8),
     ];
-    for algorithm in algorithms() {
-        let name = algorithm.info().name;
-        if !algorithm.info().supports_p(4) {
-            continue;
-        }
-        let mut reference = TraceSink::default();
-        let reference_report =
-            engine(name, KernelStrategy::Recursive, Parallelism::Off).run(&graph, &mut reference);
-        let reference_json = reference_report.to_json();
+    for (label, graph) in engine_graphs() {
+        let recursive = trace_on(&graph, 4, KernelChoice::Recursive);
         assert!(
-            !reference.accepts.is_empty(),
-            "{name}: workload too sparse to exercise the kernels"
+            !recursive.is_empty(),
+            "{label}: workload too sparse to exercise the kernels"
         );
-        for kernel in STRATEGIES {
+        let mut recursive_set = recursive.clone();
+        recursive_set.sort_unstable();
+        for algorithm in algorithms() {
+            let name = algorithm.info().name;
+            if !algorithm.info().supports_p(4) {
+                continue;
+            }
+            let mut reference = TraceSink::default();
+            let reference_json = engine(name, Parallelism::Off)
+                .run(&graph, &mut reference)
+                .to_json();
+            if lists_the_whole_graph(name) {
+                assert_eq!(
+                    reference.accepts, recursive,
+                    "{label}, {name}: trace diverged from the recursive kernel"
+                );
+            }
+            let mut listed = reference.accepts.clone();
+            listed.sort_unstable();
+            assert_eq!(listed, recursive_set, "{label}, {name}: listing diverged");
             for grant in grants {
-                let engine = engine(name, kernel, grant);
+                let engine = engine(name, grant);
                 let mut trace = TraceSink::default();
                 let report = engine.run(&graph, &mut trace);
                 assert_eq!(
                     trace.accepts, reference.accepts,
-                    "{name}, {kernel}, {grant:?}: sink-call trace diverged"
+                    "{label}, {name}, {grant:?}: sink-call trace diverged"
                 );
                 assert_eq!(
                     report.to_json(),
                     reference_json,
-                    "{name}, {kernel}, {grant:?}: to_json not byte-identical"
+                    "{label}, {name}, {grant:?}: to_json not byte-identical"
                 );
-                assert_eq!(report.kernel.requested, kernel, "{name}: summary echo");
             }
         }
     }
@@ -261,30 +304,17 @@ fn engine_runs_are_byte_identical_across_kernels_and_grants() {
 
 #[test]
 fn engine_first_k_prefixes_are_kernel_independent() {
-    let graph = gen::erdos_renyi(70, 0.3, 13);
-    let mut full = TraceSink::default();
-    engine(
-        "congested-clique",
-        KernelStrategy::Recursive,
-        Parallelism::Off,
-    )
-    .run(&graph, &mut full);
-    assert!(full.accepts.len() > 5);
-    for k in [1usize, 5, full.accepts.len() + 3] {
-        let mut reference = FirstK::new(k);
-        engine(
-            "congested-clique",
-            KernelStrategy::Recursive,
-            Parallelism::Off,
-        )
-        .run(&graph, &mut reference);
-        for kernel in STRATEGIES {
+    for (label, graph) in engine_graphs() {
+        let recursive = trace_on(&graph, 4, KernelChoice::Recursive);
+        assert!(recursive.len() > 5, "{label}");
+        for k in [1usize, 5, recursive.len() + 3] {
             for grant in [Parallelism::Off, Parallelism::Threads(4)] {
                 let mut first = FirstK::new(k);
-                engine("congested-clique", kernel, grant).run(&graph, &mut first);
+                engine("congested-clique", grant).run(&graph, &mut first);
                 assert_eq!(
-                    first.cliques, reference.cliques,
-                    "{kernel}, {grant:?}, k={k}: FirstK prefix diverged"
+                    first.cliques,
+                    recursive[..k.min(recursive.len())],
+                    "{label}, {grant:?}, k={k}: FirstK prefix diverged"
                 );
             }
         }
@@ -339,35 +369,32 @@ fn multi_word_candidate_sets_match_across_kernels_and_grants() {
             .max()
             .unwrap_or(0);
         assert_eq!(max_out.div_ceil(64), words, "{label}: out-degree {max_out}");
-        // `Auto` runs the trie here, so the cells below check the two
-        // kernels and leave `Auto` to this line.
-        assert_eq!(
-            index.resolve_kernel(KernelStrategy::Auto),
-            KernelChoice::Trie
-        );
+        // The index runs the trie here, so the engine cells below run it
+        // too; the forced cells check both kernels.
+        assert_eq!(index.kernel(), KernelChoice::Trie, "{label}");
         for p in 3usize..=5 {
             let mut reference = TraceDigest::default();
-            for_each_clique_while_with(&graph, p, KernelStrategy::Recursive, |c| {
+            index.for_each_clique_while_forced(&graph, p, KernelChoice::Recursive, |c| {
                 reference.accept(c);
                 true
             });
             let want = cliques::count_cliques(&graph, p) as u64;
             assert_eq!(reference.count, want, "{label}, p={p}: visiting count");
-            for strategy in [KernelStrategy::Recursive, KernelStrategy::Trie] {
-                let cell = format!("{label}, p={p}, {strategy}");
+            for kernel in KERNELS {
+                let cell = format!("{label}, p={p}, {kernel}");
                 let mut trace = TraceDigest::default();
-                for_each_clique_while_with(&graph, p, strategy, |c| {
+                index.for_each_clique_while_forced(&graph, p, kernel, |c| {
                     trace.accept(c);
                     true
                 });
                 assert_eq!(trace, reference, "{cell}: visit trace diverged");
                 assert_eq!(
-                    index.count_cliques(&graph, p, strategy),
+                    index.count_cliques_forced(&graph, p, kernel),
                     Some(want),
                     "{cell}: count-only count diverged"
                 );
                 let sharded =
-                    ShardedEnumerator::with_index(&graph, &index, p, 4).with_kernel(strategy);
+                    ShardedEnumerator::with_index(&graph, &index, p, 4).with_kernel(kernel);
                 let summed = (0..sharded.num_shards())
                     .map(|shard| sharded.count_in_shard(shard))
                     .sum::<Option<u64>>();
@@ -380,7 +407,6 @@ fn multi_word_candidate_sets_match_across_kernels_and_grants() {
                 let engine = Engine::builder()
                     .p(p)
                     .algorithm("naive-broadcast")
-                    .kernel(KernelStrategy::Trie)
                     .parallelism(grant)
                     .build()
                     .expect("valid engine");
@@ -403,40 +429,31 @@ fn multi_word_candidate_sets_match_across_kernels_and_grants() {
 
 #[test]
 fn auto_resolution_is_deterministic_and_pure() {
-    // `Auto` resolves from the graph's degeneracy alone: rebuilt indexes of
+    // The index picks its kernel from the graph alone: rebuilt indexes of
     // the same graph agree, sparse shapes pin Recursive, dense shapes pin
-    // Trie, and explicit strategies are always honoured. Nothing here may
-    // depend on the host (thread counts, timing, environment).
+    // Trie, and the forced hook overrides the choice both ways. Nothing
+    // here may depend on the host (thread counts, timing, environment).
     let sparse = gen::erdos_renyi(200, 0.02, 1);
     let dense = gen::multipartite(60, 6, 1.0, 2);
-    for graph in [&sparse, &dense] {
-        let a = CliqueIndex::build(graph);
-        let b = CliqueIndex::build(graph);
-        for strategy in STRATEGIES {
+    for (graph, want) in [
+        (&sparse, KernelChoice::Recursive),
+        (&dense, KernelChoice::Trie),
+    ] {
+        let index = CliqueIndex::build(graph);
+        assert_eq!(index.kernel(), want);
+        assert_eq!(
+            CliqueIndex::build(graph).kernel(),
+            want,
+            "rebuilt index chose differently"
+        );
+        for kernel in KERNELS {
             assert_eq!(
-                a.resolve_kernel(strategy),
-                b.resolve_kernel(strategy),
-                "rebuilt index resolved differently"
+                ShardedEnumerator::with_index(graph, &index, 3, 4)
+                    .with_kernel(kernel)
+                    .kernel(),
+                kernel,
+                "the forced {kernel} is honoured whatever the index picks"
             );
         }
     }
-    let sparse_index = CliqueIndex::build(&sparse);
-    let dense_index = CliqueIndex::build(&dense);
-    assert_eq!(
-        sparse_index.resolve_kernel(KernelStrategy::Auto),
-        KernelChoice::Recursive
-    );
-    assert_eq!(
-        dense_index.resolve_kernel(KernelStrategy::Auto),
-        KernelChoice::Trie
-    );
-    assert_eq!(
-        sparse_index.resolve_kernel(KernelStrategy::Trie),
-        KernelChoice::Trie,
-        "explicit Trie is honoured even where Auto declines"
-    );
-    assert_eq!(
-        dense_index.resolve_kernel(KernelStrategy::Recursive),
-        KernelChoice::Recursive
-    );
 }

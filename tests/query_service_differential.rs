@@ -16,11 +16,12 @@
 //! workspace surface: any change to the snapshot, the query parameters or
 //! the seed must miss the cache, and only byte-identical requests may hit.
 //! Finally it holds the three sources of a count equal (the sharded and
-//! inline count-only paths and the visiting reference) and pins the typed,
-//! uncached count-overflow error.
+//! inline count-only paths and the visiting reference), holds snapshots on
+//! either enumeration kernel to the recursive kernel's listing, and pins the
+//! typed, uncached count-overflow error.
 
 use distributed_clique_listing::cliquelist::Parallelism;
-use distributed_clique_listing::graphcore::cliques::{self, KernelChoice, KernelStrategy};
+use distributed_clique_listing::graphcore::cliques::{self, KernelChoice};
 use distributed_clique_listing::graphcore::{gen, Graph};
 use distributed_clique_listing::query::{
     GraphSnapshot, Query, QueryBuilder, QueryError, QueryOutcome, QueryResponse, QueryService,
@@ -489,10 +490,65 @@ fn the_three_count_paths_agree_across_grants() {
     }
 }
 
+/// The snapshot runs the kernel its index picks, so one snapshot on each
+/// side of the choice (`er(70,0.3)` at degeneracy 15 runs the recursive
+/// kernel, `er(70,0.6)` at degeneracy 34 the trie) must answer every query
+/// that enumerates from the roots — counts with and without a budget,
+/// prefixes and existence — with the listing of the forced recursive
+/// kernel, at `Off` and at a grant that sums the count shard by shard.
+#[test]
+fn snapshots_on_either_kernel_answer_with_the_recursive_listing() {
+    for (graph, kernel) in [
+        (gen::erdos_renyi(70, 0.3, 13), KernelChoice::Recursive),
+        (gen::erdos_renyi(70, 0.6, 13), KernelChoice::Trie),
+    ] {
+        let snapshot = GraphSnapshot::build(graph).into_shared();
+        let (graph, index) = (snapshot.graph(), snapshot.index());
+        assert_eq!(index.kernel(), kernel);
+        for p in [3usize, 4] {
+            let mut recursive = Vec::new();
+            index.for_each_clique_while_forced(graph, p, KernelChoice::Recursive, |c| {
+                recursive.push(c.to_vec());
+                true
+            });
+            let total = recursive.len() as u64;
+            let first = |k: usize| {
+                let mut prefix = recursive[..k.min(recursive.len())].to_vec();
+                prefix.sort_unstable();
+                QueryOutcome::Cliques(prefix)
+            };
+            let cases = [
+                (QueryBuilder::new().p(p).count(), QueryOutcome::Count(total)),
+                (
+                    QueryBuilder::new().p(p).budget(total).count(),
+                    QueryOutcome::Count(total),
+                ),
+                (QueryBuilder::new().p(p).first(1), first(1)),
+                (QueryBuilder::new().p(p).first(40), first(40)),
+                (
+                    QueryBuilder::new().p(p).exists(),
+                    QueryOutcome::Exists(total > 0),
+                ),
+            ];
+            for grant in [Parallelism::Off, Parallelism::Threads(2)] {
+                let service = QueryService::with_parallelism(snapshot.clone(), grant);
+                for (builder, want) in &cases {
+                    let query = builder.clone().build(&snapshot).unwrap();
+                    assert_eq!(
+                        &service.execute(&query).unwrap().outcome,
+                        want,
+                        "{kernel}, p={p}, {grant:?}: {query:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// A count past `u64::MAX` is a typed error, the same on a replay, and never
 /// cached; the largest counts that fit are exact. Both complete graphs run
-/// the default kernel, which `Auto` resolves to the trie here: its binomial
-/// shortcut answers them at once, where visiting would never finish.
+/// the kernel their index picks, the trie here: its binomial shortcut
+/// answers them at once, where visiting would never finish.
 #[test]
 fn count_overflow_is_typed_deterministic_and_uncached() {
     let prepared = |n: usize, p: usize| {
@@ -506,13 +562,8 @@ fn count_overflow_is_typed_deterministic_and_uncached() {
     let fits = prepared(66, 33);
     // C(70, 35) ≈ 1.12e20 does not fit.
     let overflows = prepared(70, 35);
-    assert_eq!(fits.resolved_kernel(), KernelChoice::Trie);
-    assert_eq!(
-        overflows
-            .index()
-            .count_cliques(overflows.graph(), 35, KernelStrategy::Auto),
-        None
-    );
+    assert_eq!(fits.index().kernel(), KernelChoice::Trie);
+    assert_eq!(overflows.index().count_cliques(overflows.graph(), 35), None);
     for grant in [Parallelism::Off, Parallelism::Threads(2)] {
         let service = QueryService::with_parallelism(fits.clone(), grant);
         let count = QueryBuilder::new().p(33).count().build(&fits).unwrap();
