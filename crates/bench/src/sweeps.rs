@@ -212,23 +212,30 @@ pub fn perf_sweep() -> Sweep {
 
     // Kernel sweep (PR 10): the recursive kernel against the induced-
     // subgraph trie kernel (and, as `"auto"`, the kernel the index picks)
-    // on the two shapes the selection rule distinguishes. `turan(450,3)` at
-    // p = 4 is the criterion cell — the extremal K4-free graph, pure
-    // intersection work with zero emissions, where the trie's pivot shortcut
-    // dominates; `er(400,0.25)` (degeneracy 83) is its random counterpart.
-    // `er(1000,0.15)` is serve-churn's graph, whose p = 4 count runs inline
-    // in that workload's cold read batch; the p = 3 cells time the level
-    // where the trie's materialisation weighs most. Every cell
-    // times the visiting search (`best_ms`) and the count-only search
-    // (`count_only_best_ms`). The clique count and the resolved kernel are
-    // deterministic and gated byte-exactly; consolidation derives
-    // `speedup_vs_recursive` per workload and p from the timing cells.
+    // on both sides of the selection rule, which reads the density of the
+    // roots' candidate sets. Dense side (the index picks the trie):
+    // `turan(450,3)` at p = 4 is the criterion cell — the extremal K4-free
+    // graph, pure intersection work with zero emissions, where the trie's
+    // pivot shortcut dominates; `er(400,0.25)` (candidate density 0.28) is
+    // its random counterpart; `er(1000,0.15)` (0.16) is serve-churn's graph,
+    // whose p = 4 count runs inline in that workload's cold read batch; and
+    // `rmat(12,16)` (0.63) is the skewed-degree shape. Sparse side (the
+    // recursive kernel): `er(5000,0.01)` is serve-read's graph, degeneracy
+    // 38 but candidate density 0.012. The p = 3 cells time the level where
+    // the trie's materialisation weighs most. Every cell times the visiting
+    // search (`best_ms`) and the count-only search (`count_only_best_ms`).
+    // The clique count and the resolved kernel are deterministic and gated
+    // byte-exactly; consolidation derives `speedup_vs_recursive` per
+    // workload and p from the timing cells.
     let kernel_cells: &[(&str, &str, usize, f64, usize, u64)] = &[
         ("turan(450,3)", "turan", 450, 1.0, 4, 7),
         ("er(400,0.25)", "er", 400, 0.25, 4, 7),
         ("er(1000,0.15)", "er", 1000, 0.15, 3, 3),
         ("er(1000,0.15)", "er", 1000, 0.15, 4, 3),
         ("er(400,0.25)", "er", 400, 0.25, 3, 7),
+        ("er(5000,0.01)", "er", 5000, 0.01, 3, 3),
+        ("er(5000,0.01)", "er", 5000, 0.01, 4, 3),
+        ("rmat(12,16)", "rmat", 12, 16.0, 4, 1),
     ];
     for &(label, generator, n, param, p, graph_seed) in kernel_cells {
         for kernel in ["recursive", "trie", "auto"] {
@@ -793,19 +800,22 @@ mod tests {
             ]
         );
         // The kernel sweep covers all three strategies on the dense
-        // criterion workload, the sparse control and serve-churn's graph.
+        // criterion workload, its random counterpart, serve-churn's graph,
+        // an R-MAT graph and serve-read's sparse graph.
         assert_eq!(
             sweep
                 .cells
                 .iter()
                 .filter(|c| c.experiment == "kernel-sweep")
                 .count(),
-            15
+            24
         );
-        assert!(sweep
-            .cells
-            .iter()
-            .any(|c| c.experiment == "kernel-sweep" && c.workload == "turan(450,3)"));
+        for workload in ["turan(450,3)", "rmat(12,16)", "er(5000,0.01)"] {
+            assert!(sweep
+                .cells
+                .iter()
+                .any(|c| c.experiment == "kernel-sweep" && c.workload == workload));
+        }
         // The scaling sweep pins both axes: each explicit kernel runs the
         // full thread grid, so the per-kernel speedup curves are derivable.
         for kernel in ["recursive", "trie"] {

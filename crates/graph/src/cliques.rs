@@ -41,7 +41,7 @@ use crate::{Clique, Graph};
 #[path = "cliques_trie.rs"]
 pub mod trie;
 
-pub use trie::{KernelChoice, AUTO_TRIE_DEGENERACY, TRIE_NODE_WORD_BUDGET};
+pub use trie::{KernelChoice, TRIE_NODE_WORD_BUDGET};
 
 /// Ceiling on the adaptive bitset degree threshold (the value every graph
 /// used before the threshold became adaptive).
@@ -210,13 +210,15 @@ impl CliqueIndex {
     /// adjacency bitsets, in `O(n + m)` time plus the bounded bitset table.
     /// One peel yields both the ordering and the DAG (it writes each
     /// vertex's row of later neighbours as it peels the vertex). The
-    /// enumeration kernel is picked here, once, from the degeneracy and the
-    /// largest candidate set (the rule is on [`KernelChoice`]).
+    /// enumeration kernel is picked here, once, from a fixed-size sample of
+    /// the candidate sets' density and the largest candidate set (the rule
+    /// is on [`KernelChoice`]).
     pub fn build(graph: &Graph) -> CliqueIndex {
         let (ordering, dag) = degeneracy_dag(graph);
         let bitsets = NeighborBitsets::build(graph, bitset_threshold(graph));
         let max_out = dag.max_out_degree();
-        let kernel = KernelChoice::for_graph(ordering.degeneracy, max_out);
+        let sample = trie::DensitySample::probe(graph, &bitsets, &dag, &ordering.order);
+        let kernel = KernelChoice::for_graph(sample, max_out);
         CliqueIndex {
             ordering,
             dag,
@@ -1651,36 +1653,62 @@ mod tests {
     }
 
     #[test]
-    fn auto_kernel_resolution_is_a_pure_degeneracy_rule() {
-        // The build-time choice flips exactly at AUTO_TRIE_DEGENERACY: K_32
-        // has degeneracy 31, K_33 has 32.
-        for (n, want) in [(32, KernelChoice::Recursive), (33, KernelChoice::Trie)] {
-            let g = gen::complete_graph(n);
+    fn the_index_picks_the_kernel_by_candidate_density() {
+        // er(5000,0.01) is serve-read's graph and the one the former
+        // degeneracy rule (trie from degeneracy 32 on) got wrong: degeneracy
+        // 38, but candidate density 0.012, where the trie loses by 1.2–1.5x.
+        // The dense shapes keep the trie whatever their degeneracy (K_33:
+        // 32). Rebuilt indexes agree, the sharded enumerator runs the
+        // index's choice, and the forced hook overrides it.
+        let rmat_probs = (0.57, 0.19, 0.19, 0.05);
+        let sparse = gen::erdos_renyi(5000, 0.01, 3);
+        assert_eq!(CliqueIndex::build(&sparse).degeneracy(), 38);
+        for (label, g, want) in [
+            ("er(5000,0.01)", sparse, KernelChoice::Recursive),
+            (
+                "er(1000,0.15)",
+                gen::erdos_renyi(1000, 0.15, 3),
+                KernelChoice::Trie,
+            ),
+            (
+                "er(400,0.25)",
+                gen::erdos_renyi(400, 0.25, 7),
+                KernelChoice::Trie,
+            ),
+            (
+                "turan(450,3)",
+                gen::multipartite(450, 3, 1.0, 7),
+                KernelChoice::Trie,
+            ),
+            (
+                "rmat(12,16)",
+                gen::rmat(12, 16, rmat_probs, 1),
+                KernelChoice::Trie,
+            ),
+            ("K_33", gen::complete_graph(33), KernelChoice::Trie),
+        ] {
             let index = CliqueIndex::build(&g);
-            assert_eq!(index.degeneracy(), n - 1);
-            assert_eq!(index.kernel(), want, "K_{n}");
-            assert_eq!(CliqueIndex::build(&g), index, "K_{n}");
-            // The sharded enumerator runs the index's choice; the forced
-            // hook overrides it.
-            let sharded = ShardedEnumerator::with_index(&g, &index, 3, 4);
-            assert_eq!(sharded.kernel(), want, "K_{n}");
-            assert_eq!(
-                sharded.with_kernel(KernelChoice::Recursive).kernel(),
-                KernelChoice::Recursive
-            );
+            assert_eq!(index.kernel(), want, "{label}");
+            assert_eq!(CliqueIndex::build(&g), index, "{label}");
+            let sharded = || ShardedEnumerator::with_index(&g, &index, 3, 4);
+            assert_eq!(sharded().kernel(), want, "{label}");
+            for forced in [KernelChoice::Recursive, KernelChoice::Trie] {
+                assert_eq!(sharded().with_kernel(forced).kernel(), forced);
+            }
         }
-        assert_eq!(AUTO_TRIE_DEGENERACY, 32);
-        assert_eq!(KernelChoice::for_graph(31, 31), KernelChoice::Recursive);
-        assert_eq!(KernelChoice::for_graph(32, 32), KernelChoice::Trie);
         // The node-budget fallback: a candidate set whose node would take
         // more than TRIE_NODE_WORD_BUDGET words runs the recursive kernel,
         // both when the index picks and when a test forces the trie.
+        let dense = trie::DensitySample {
+            pairs: 1,
+            adjacent: 1,
+        };
         let (fits, overflows) = (11_584usize, 11_585usize);
         assert!(fits * fits.div_ceil(64) <= TRIE_NODE_WORD_BUDGET);
         assert!(overflows * overflows.div_ceil(64) > TRIE_NODE_WORD_BUDGET);
-        assert_eq!(KernelChoice::for_graph(fits, fits), KernelChoice::Trie);
+        assert_eq!(KernelChoice::for_graph(dense, fits), KernelChoice::Trie);
         assert_eq!(
-            KernelChoice::for_graph(overflows, overflows),
+            KernelChoice::for_graph(dense, overflows),
             KernelChoice::Recursive
         );
         assert_eq!(KernelChoice::Trie.within_budget(fits), KernelChoice::Trie);

@@ -34,9 +34,10 @@
 //! clique sizes, workload families, seeds and thread grants.
 //!
 //! Which kernel runs is not an option: the index picks it once, at build
-//! time, by the degeneracy rule documented on [`KernelChoice`], and only
-//! tests and benches force the other one. See `DESIGN.md` §14 for the trie layout, the memory-budget
-//! interaction with the global bitset table, and the selection rule.
+//! time, by the candidate-density rule documented on [`KernelChoice`], and
+//! only tests and benches force the other one. See `DESIGN.md` §14 for the
+//! trie layout, the memory-budget interaction with the global bitset table,
+//! and the selection rule with its measurements.
 
 use super::NeighborBitsets;
 use crate::graph::Graph;
@@ -48,12 +49,17 @@ use serde::{Deserialize, Serialize};
 /// The choice controls only *wall-clock* behaviour: both kernels emit the
 /// same cliques in the same order, byte for byte (the kernel differential
 /// battery holds them to that). [`CliqueIndex::build`](super::CliqueIndex::build)
-/// makes it once per graph: the trie from a degeneracy of
-/// [`AUTO_TRIE_DEGENERACY`] on, as long as the largest candidate set's node
-/// fits [`TRIE_NODE_WORD_BUDGET`], and the recursive kernel otherwise. Dense
-/// graphs, where the materialisation amortises over a deep subtree, get the
-/// trie; sparse graphs, where candidate sets are tiny and the local
-/// re-labelling would dominate, keep the recursive kernel.
+/// makes it once per graph, from a fixed-size sample of the roots'
+/// candidate sets (their DAG out-rows): the trie when at least one sampled
+/// candidate pair in 24 is adjacent, as long as the largest candidate set's
+/// node fits [`TRIE_NODE_WORD_BUDGET`], and the recursive kernel otherwise.
+/// In dense candidate sets a child mask keeps much of its parent and one
+/// materialisation per root serves a deep subtree; in sparse ones the
+/// recursive kernel's intersections empty out within a level or two, and
+/// the trie's `k²/2`-probe materialisation is most of its work. The
+/// degeneracy does not decide it: serve-read's `G(5000, 0.01)` has
+/// degeneracy 38 and candidate density 0.012, and runs faster on the
+/// recursive kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum KernelChoice {
     /// The classic per-root recursive kernel: sorted-merge / global-bitset
@@ -65,16 +71,22 @@ pub enum KernelChoice {
     Trie,
 }
 
-/// Degeneracy at or above which an index picks the trie kernel.
+/// An index picks the trie iff at least one sampled candidate pair in this
+/// many is adjacent: a candidate density of 1/24 ≈ 0.042.
 ///
-/// The materialisation of one root costs `k²/2` adjacency probes for a
-/// candidate set of size `k` (folded 64 to a stored word when the members
-/// have global bitset rows); the subtree below it has up to `k^{p-2}` nodes
-/// that each save `Ω(k)` probe work. Below ~32 candidates the saved probes
-/// fit in a couple of cache lines anyway and the re-labelling overhead wins;
-/// from a few dozen candidates onward the masks win clearly (see the
-/// `kernel-sweep` bench leg).
-pub const AUTO_TRIE_DEGENERACY: usize = 32;
+/// Forced whole-graph runs at p ∈ {3, 4} (2-vCPU host): the trie loses by
+/// 1.2–1.5x at density 0.012 (`G(5000, 0.01)`), ties at 0.056
+/// (`G(2000, 0.05)`) and wins from 0.088 on (`BA(5000, 20)`,
+/// `G(1000, 0.15)`, R-MAT, Turán); see `DESIGN.md` §14.
+const TRIE_DENSITY_RATIO: u128 = 24;
+
+/// Candidate pairs the density probe draws in all: a fixed budget, so the
+/// probe costs microseconds on any graph (under 1% of the build of
+/// `G(5000, 0.01)` and `G(1000, 0.15)`).
+const DENSITY_PROBE_PAIRS: usize = 1024;
+
+/// Pairs the density probe draws from each probed root's candidate set.
+const PROBE_PAIRS_PER_ROOT: usize = 8;
 
 /// Word budget for a single materialised trie node (`k` rows of `⌈k/64⌉`
 /// words). The same 16 MiB ceiling as the global bitset table
@@ -84,15 +96,96 @@ pub const AUTO_TRIE_DEGENERACY: usize = 32;
 /// decision.
 pub const TRIE_NODE_WORD_BUDGET: usize = 1 << 21;
 
+/// A deterministic, fixed-size estimate of the density of the roots'
+/// candidate sets (DAG out-rows) over all their pairs,
+/// `Σ edges(C) / Σ C(|C|, 2)`: that is `adjacent / pairs`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct DensitySample {
+    /// The candidate pairs the draws stand for: each draw counts the
+    /// `C(|C|, 2)` pairs of its root's set.
+    pub(crate) pairs: u128,
+    /// The part of them the adjacent draws stand for, counted the same way.
+    pub(crate) adjacent: u128,
+}
+
+impl DensitySample {
+    /// Draws [`PROBE_PAIRS_PER_ROOT`] pairs from the candidate set of each
+    /// of at most `DENSITY_PROBE_PAIRS / PROBE_PAIRS_PER_ROOT` roots spread
+    /// evenly over `order`, skipping roots with fewer than two candidates.
+    /// A draw is two distinct members picked by a fixed hash of its
+    /// sequence number: uniform over the set's pairs, and blind to id
+    /// patterns such as `gen::multipartite`'s `v mod parts` classes, which
+    /// a fixed offset would alias with. Weighting each root's draws by its
+    /// pair count makes the sample estimate the density over all candidate
+    /// pairs, which is the density weighted by root work (`|C|²`).
+    /// Adjacency is read from a global bitset row when either end has one,
+    /// from the CSR otherwise. Pure in the graph, so every build of a graph
+    /// draws the same sample on every host.
+    pub(crate) fn probe(
+        graph: &Graph,
+        bitsets: &NeighborBitsets,
+        dag: &OrientedDag,
+        order: &[u32],
+    ) -> DensitySample {
+        let step = order
+            .len()
+            .div_ceil(DENSITY_PROBE_PAIRS / PROBE_PAIRS_PER_ROOT)
+            .max(1);
+        let mut sample = DensitySample {
+            pairs: 0,
+            adjacent: 0,
+        };
+        let mut draw = 0u64;
+        for &v in order.iter().step_by(step) {
+            let candidates = dag.out_neighbors(v);
+            let d = candidates.len() as u64;
+            if d < 2 {
+                continue;
+            }
+            let mut hits = 0u64;
+            for _ in 0..PROBE_PAIRS_PER_ROOT {
+                let h = mix64(draw);
+                draw += 1;
+                // Two distinct indices by multiply-shift range reduction.
+                let a = (((h & 0xFFFF_FFFF) * d) >> 32) as usize;
+                let mut b = (((h >> 32) * (d - 1)) >> 32) as usize;
+                b += usize::from(b >= a);
+                let (u, w) = (candidates[a], candidates[b]);
+                let adjacent = if let Some(row) = bitsets.row(u) {
+                    row[w as usize >> 6] >> (w & 63) & 1 == 1
+                } else if let Some(row) = bitsets.row(w) {
+                    row[u as usize >> 6] >> (u & 63) & 1 == 1
+                } else {
+                    graph.has_edge(u, w)
+                };
+                hits += u64::from(adjacent);
+            }
+            let weight = u128::from(d * (d - 1) / 2);
+            sample.pairs += weight * PROBE_PAIRS_PER_ROOT as u128;
+            sample.adjacent += weight * u128::from(hits);
+        }
+        sample
+    }
+}
+
+/// The SplitMix64 finaliser: a fixed bijective mix of `x`.
+fn mix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 impl KernelChoice {
-    /// The kernel an index picks for a graph of degeneracy `degeneracy`
-    /// whose largest candidate set has `largest` members: the trie from
-    /// [`AUTO_TRIE_DEGENERACY`] on, the recursive kernel below it, and the
-    /// recursive kernel whenever the trie's node would overflow
-    /// [`TRIE_NODE_WORD_BUDGET`]. Pure and host-independent, so every build
-    /// of the same graph picks the same kernel on every machine.
-    pub(crate) fn for_graph(degeneracy: usize, largest: usize) -> KernelChoice {
-        let wanted = if degeneracy >= AUTO_TRIE_DEGENERACY {
+    /// The kernel an index picks for a graph whose candidate sets gave
+    /// `sample` and whose largest candidate set has `largest` members: the
+    /// trie iff at least one sampled pair in [`TRIE_DENSITY_RATIO`] is
+    /// adjacent, the recursive kernel otherwise (also when no root has two
+    /// candidates), and the recursive kernel whenever the trie's node would
+    /// overflow [`TRIE_NODE_WORD_BUDGET`]. Pure, so every build of the same
+    /// graph picks the same kernel on every machine.
+    pub(crate) fn for_graph(sample: DensitySample, largest: usize) -> KernelChoice {
+        let wanted = if sample.pairs > 0 && sample.adjacent * TRIE_DENSITY_RATIO >= sample.pairs {
             KernelChoice::Trie
         } else {
             KernelChoice::Recursive
@@ -686,23 +779,79 @@ mod tests {
     }
 
     #[test]
-    fn resolution_is_pure_in_strategy_and_degeneracy() {
+    fn resolution_is_pure_in_the_density_sample() {
         // A forced kernel keeps itself whatever the graph (inside the node
-        // budget); the index's own pick flips at AUTO_TRIE_DEGENERACY.
+        // budget); the index's own pick flips at one adjacent pair in
+        // TRIE_DENSITY_RATIO, a ratio between 1/32 and 1/20, and an empty
+        // sample keeps the recursive kernel.
         assert_eq!(
             KernelChoice::Recursive.within_budget(10_000),
             KernelChoice::Recursive
         );
         assert_eq!(KernelChoice::Trie.within_budget(0), KernelChoice::Trie);
-        let below = AUTO_TRIE_DEGENERACY - 1;
-        assert_eq!(
-            KernelChoice::for_graph(below, below),
-            KernelChoice::Recursive
-        );
-        assert_eq!(
-            KernelChoice::for_graph(AUTO_TRIE_DEGENERACY, AUTO_TRIE_DEGENERACY),
-            KernelChoice::Trie
-        );
+        assert!((20..=32).contains(&TRIE_DENSITY_RATIO));
+        let sample = |pairs, adjacent| DensitySample { pairs, adjacent };
+        for (pairs, adjacent, want) in [
+            (TRIE_DENSITY_RATIO, 1, KernelChoice::Trie),
+            (TRIE_DENSITY_RATIO + 1, 1, KernelChoice::Recursive),
+            (TRIE_DENSITY_RATIO * 1000, 1000, KernelChoice::Trie),
+            (TRIE_DENSITY_RATIO * 1000, 999, KernelChoice::Recursive),
+            (0, 0, KernelChoice::Recursive),
+        ] {
+            assert_eq!(
+                KernelChoice::for_graph(sample(pairs, adjacent), 8),
+                want,
+                "{adjacent}/{pairs}"
+            );
+        }
+    }
+
+    /// `Σ edges(C) / Σ C(|C|, 2)` over every root's candidate set, by
+    /// testing every pair.
+    fn exact_candidate_density(g: &Graph, index: &super::super::CliqueIndex) -> f64 {
+        let (mut adjacent, mut pairs) = (0u64, 0u64);
+        for v in 0..g.num_vertices() as u32 {
+            let c = index.dag().out_neighbors(v);
+            for (i, &u) in c.iter().enumerate() {
+                adjacent += match index.bitset_row(u) {
+                    Some(row) => c[i + 1..]
+                        .iter()
+                        .filter(|&&w| row[w as usize >> 6] >> (w & 63) & 1 == 1)
+                        .count(),
+                    None => c[i + 1..].iter().filter(|&&w| g.has_edge(u, w)).count(),
+                } as u64;
+            }
+            pairs += (c.len() * c.len().saturating_sub(1) / 2) as u64;
+        }
+        adjacent as f64 / pairs as f64
+    }
+
+    #[test]
+    fn density_sample_tracks_the_exact_candidate_density() {
+        // 1,024 draws leave a sampling error of a few percent of the
+        // density; the tolerance is 0.005 plus an eighth of the density,
+        // which keeps each graph on its side of the 1/24 threshold.
+        // serve-read's graph at both benchmark seeds, serve-churn's, and
+        // Turán, whose `v mod 3` classes a fixed-offset draw would alias.
+        let rmat_probs = (0.57, 0.19, 0.19, 0.05);
+        for (label, g, exact) in [
+            ("er(5000,0.01,3)", gen::erdos_renyi(5000, 0.01, 3), 0.0118),
+            ("er(5000,0.01,17)", gen::erdos_renyi(5000, 0.01, 17), 0.0119),
+            ("er(1000,0.15,3)", gen::erdos_renyi(1000, 0.15, 3), 0.1644),
+            ("turan(450,3)", gen::multipartite(450, 3, 1.0, 7), 0.5025),
+            ("rmat(12,16)", gen::rmat(12, 16, rmat_probs, 1), 0.6264),
+        ] {
+            let index = super::super::CliqueIndex::build(&g);
+            let measured = exact_candidate_density(&g, &index);
+            assert!((measured - exact).abs() < 5e-5, "{label}: {measured}");
+            let s = DensitySample::probe(&g, &index.bitsets, index.dag(), &index.ordering().order);
+            assert!(s.pairs > 0, "{label}");
+            let sampled = s.adjacent as f64 / s.pairs as f64;
+            assert!(
+                (sampled - exact).abs() <= 0.005 + exact / 8.0,
+                "{label}: sampled {sampled:.4}, exact {exact:.4}"
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Kernel selection walkthrough: run the recursive and trie enumeration
-//! kernels side by side on one dense and one sparse workload, cross-check
-//! that they count exactly the same cliques, and show which kernel the
+//! kernels side by side on dense and sparse workloads, cross-check that
+//! they count exactly the same cliques, and show which kernel the
 //! `CliqueIndex` picks on each graph. Each kernel is forced through the
 //! index's bench hook and timed twice: visiting each clique, and through the
 //! count-only descent (`CliqueIndex::count_cliques_forced`), which must give
@@ -10,12 +10,16 @@
 //! cargo run --release --example kernel_bench
 //! ```
 //!
-//! The dense workload is a 6-partite Turán-style graph (every candidate set
-//! is large, so the trie kernel's one-off induced-subgraph materialisation
-//! amortises over a deep subtree and its pivot shortcut fires constantly);
-//! the sparse workload is a low-degeneracy Erdős–Rényi graph, where
-//! candidate sets are tiny and the recursive kernel's plain merges win —
-//! which is exactly why the index picks a different kernel on each.
+//! The index picks by the density of the roots' candidate sets, not by
+//! their size. The dense workloads are Turán-style multipartite graphs
+//! (candidate sets are dense, so the trie kernel's one-off induced-subgraph
+//! materialisation amortises over a deep subtree and its pivot shortcut
+//! fires constantly); the sparse workloads are Erdős–Rényi graphs, where
+//! candidate sets are sparse and the recursive kernel's plain merges win.
+//! `G(5000, 0.01)` is the case a degeneracy rule gets wrong: its candidate
+//! sets hold up to 38 vertices, as many as a dense graph's, but only about
+//! 1.2% of their pairs are edges, and the index keeps the recursive kernel
+//! there.
 
 use std::time::Instant;
 
@@ -105,6 +109,14 @@ fn main() {
     // Sparse: low-degeneracy random graph, the recursive kernel's home turf.
     let sparse = gen::erdos_renyi(3000, 0.004, 9);
     compare("sparse er (K3)", &sparse, 3);
+
+    // Sparse with large candidate sets: degeneracy 38, which a rule on the
+    // degeneracy (the trie from 32 on) would hand to the trie, but
+    // candidate density 0.012, so the index picks the recursive kernel.
+    let wide_sparse = gen::erdos_renyi(5000, 0.01, 3);
+    for p in [3, 4] {
+        compare("sparse er(5000,0.01)", &wide_sparse, p);
+    }
 
     println!("\nall kernel outputs agreed with the sequential ground truth");
 }

@@ -223,14 +223,32 @@ fn engine(algorithm: &str, parallelism: Parallelism) -> Engine {
         .expect("valid engine")
 }
 
+/// The ten edges of a `K_5` on `members`.
+fn k5_edges(members: [u32; 5]) -> impl Iterator<Item = (u32, u32)> {
+    (0..5).flat_map(move |i| (i + 1..5).map(move |j| (members[i], members[j])))
+}
+
+/// A clearly sparse graph that still holds `K_4`s: a random bipartite
+/// background, where every root's candidate set lies in one part and holds
+/// no edge, with `K_5`s planted on two fixed vertex sets. 65 `K_3`s, 12
+/// `K_4`s; candidate density 0.012, under a third of the trie threshold.
+fn sparse_planted() -> Graph {
+    let edges: Vec<(u32, u32)> = [[5, 22, 47, 80, 113], [10, 31, 58, 91, 116]]
+        .into_iter()
+        .flat_map(k5_edges)
+        .collect();
+    gen::multipartite(120, 2, 0.3, 13)
+        .with_edges_added(&edges)
+        .expect("planted ids are in range")
+}
+
 /// The engine cells' graphs, one on each side of the index's kernel choice:
-/// `er(70,0.3)` has degeneracy 15 and runs the recursive kernel,
-/// `er(70,0.6)` has degeneracy 34 and runs the trie. The choice is asserted,
-/// so a change of the selection rule cannot quietly leave the engine cells
-/// on one kernel.
+/// [`sparse_planted`] runs the recursive kernel, `er(70,0.6)` (candidate
+/// density 0.68) the trie. The choice is asserted, so a change of the
+/// selection rule cannot quietly leave the engine cells on one kernel.
 fn engine_graphs() -> [(&'static str, Graph); 2] {
     let graphs = [
-        ("er(70,0.3,13)", gen::erdos_renyi(70, 0.3, 13)),
+        ("bipartite(120,0.3,13) + 2 K_5", sparse_planted()),
         ("er(70,0.6,13)", gen::erdos_renyi(70, 0.6, 13)),
     ];
     for ((label, graph), kernel) in graphs.iter().zip(KERNELS) {
@@ -353,14 +371,36 @@ fn multi_word_candidate_sets_match_across_kernels_and_grants() {
     // DAG out-degrees past 64 and 128 give the trie two- and three-word
     // nodes, masks and rows; the brute-force cells above stay under 64.
     // None of these graphs is complete, so the masked descent does the work
-    // rather than the combination shortcut.
-    for (label, graph, words) in [
-        ("er(600,0.15)", gen::erdos_renyi(600, 0.15, 1), 2),
-        ("er(1100,0.15)", gen::erdos_renyi(1100, 0.15, 1), 3),
+    // rather than the combination shortcut. Every (kernel, node width, p,
+    // grant, FirstK prefix) combination runs: the engine cells on
+    // er(600,0.15) (two words) and on the 3-partite graph with a planted
+    // K_5 (three words; the K_5 gives it K_4s and K_5s: 22,438 and 12,080),
+    // the kernel cells on all three graphs; er(1100,0.15), the one
+    // three-word graph with random masks, runs the kernel cells at p = 4.
+    let planted: Vec<(u32, u32)> = k5_edges([3, 50, 101, 152, 203]).collect();
+    for (label, graph, words, ps, engine_cells) in [
         (
-            "multipartite(240,3,0.9)",
-            gen::multipartite(240, 3, 0.9, 1),
+            "er(600,0.15)",
+            gen::erdos_renyi(600, 0.15, 1),
+            2,
+            3usize..=5,
+            true,
+        ),
+        (
+            "er(1100,0.15)",
+            gen::erdos_renyi(1100, 0.15, 1),
             3,
+            4..=4,
+            false,
+        ),
+        (
+            "multipartite(240,3,0.9) + K_5",
+            gen::multipartite(240, 3, 0.9, 1)
+                .with_edges_added(&planted)
+                .expect("planted ids are in range"),
+            3,
+            3..=5,
+            true,
         ),
     ] {
         let index = CliqueIndex::build(&graph);
@@ -372,25 +412,26 @@ fn multi_word_candidate_sets_match_across_kernels_and_grants() {
         // The index runs the trie here, so the engine cells below run it
         // too; the forced cells check both kernels.
         assert_eq!(index.kernel(), KernelChoice::Trie, "{label}");
-        for p in 3usize..=5 {
+        for p in ps {
+            // The forced recursive visit is the reference trace.
             let mut reference = TraceDigest::default();
             index.for_each_clique_while_forced(&graph, p, KernelChoice::Recursive, |c| {
                 reference.accept(c);
                 true
             });
-            let want = cliques::count_cliques(&graph, p) as u64;
-            assert_eq!(reference.count, want, "{label}, p={p}: visiting count");
+            assert!(reference.count > 0, "{label}, p={p}: no clique to compare");
+            let mut trace = TraceDigest::default();
+            index.for_each_clique_while_forced(&graph, p, KernelChoice::Trie, |c| {
+                trace.accept(c);
+                true
+            });
+            assert_eq!(trace, reference, "{label}, p={p}: trie trace diverged");
+            let want = Some(reference.count);
             for kernel in KERNELS {
                 let cell = format!("{label}, p={p}, {kernel}");
-                let mut trace = TraceDigest::default();
-                index.for_each_clique_while_forced(&graph, p, kernel, |c| {
-                    trace.accept(c);
-                    true
-                });
-                assert_eq!(trace, reference, "{cell}: visit trace diverged");
                 assert_eq!(
                     index.count_cliques_forced(&graph, p, kernel),
-                    Some(want),
+                    want,
                     "{cell}: count-only count diverged"
                 );
                 let sharded =
@@ -398,7 +439,10 @@ fn multi_word_candidate_sets_match_across_kernels_and_grants() {
                 let summed = (0..sharded.num_shards())
                     .map(|shard| sharded.count_in_shard(shard))
                     .sum::<Option<u64>>();
-                assert_eq!(summed, Some(want), "{cell}: shard counts diverged");
+                assert_eq!(summed, want, "{cell}: shard counts diverged");
+            }
+            if !engine_cells {
+                continue;
             }
             // The sharded trie enumeration behind the engine, replayed in
             // order at both grants.
@@ -433,7 +477,9 @@ fn auto_resolution_is_deterministic_and_pure() {
     // the same graph agree, sparse shapes pin Recursive, dense shapes pin
     // Trie, and the forced hook overrides the choice both ways. Nothing
     // here may depend on the host (thread counts, timing, environment).
-    let sparse = gen::erdos_renyi(200, 0.02, 1);
+    // The sparse shape is a sparse ER graph with planted K_5s (candidate
+    // density 0.009), the dense one complete 6-partite (0.82).
+    let sparse = gen::planted_cliques(2000, 0.005, 4, 5, 1).0;
     let dense = gen::multipartite(60, 6, 1.0, 2);
     for (graph, want) in [
         (&sparse, KernelChoice::Recursive),

@@ -491,15 +491,25 @@ fn the_three_count_paths_agree_across_grants() {
 }
 
 /// The snapshot runs the kernel its index picks, so one snapshot on each
-/// side of the choice (`er(70,0.3)` at degeneracy 15 runs the recursive
-/// kernel, `er(70,0.6)` at degeneracy 34 the trie) must answer every query
-/// that enumerates from the roots — counts with and without a budget,
-/// prefixes and existence — with the listing of the forced recursive
-/// kernel, at `Off` and at a grant that sums the count shard by shard.
+/// side of the choice must answer every query that enumerates from the
+/// roots — counts with and without a budget, prefixes and existence — with
+/// the listing of the forced recursive kernel, at `Off` and at a grant that
+/// sums the count shard by shard. The recursive side is a random bipartite
+/// graph with two planted `K_5`s (candidate density 0.012: the bipartite
+/// candidate sets hold no edge; 65 `K_3`s, 12 `K_4`s), the trie side
+/// `er(70,0.6)` (density 0.68).
 #[test]
 fn snapshots_on_either_kernel_answer_with_the_recursive_listing() {
+    let planted = [[5u32, 22, 47, 80, 113], [10, 31, 58, 91, 116]];
+    let edges: Vec<(u32, u32)> = planted
+        .iter()
+        .flat_map(|c| (0..5).flat_map(move |i| (i + 1..5).map(move |j| (c[i], c[j]))))
+        .collect();
+    let sparse = gen::multipartite(120, 2, 0.3, 13)
+        .with_edges_added(&edges)
+        .unwrap();
     for (graph, kernel) in [
-        (gen::erdos_renyi(70, 0.3, 13), KernelChoice::Recursive),
+        (sparse, KernelChoice::Recursive),
         (gen::erdos_renyi(70, 0.6, 13), KernelChoice::Trie),
     ] {
         let snapshot = GraphSnapshot::build(graph).into_shared();
