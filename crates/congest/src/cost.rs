@@ -124,14 +124,6 @@ impl ChargePolicy {
     pub fn id_assignment_rounds(&self, n: usize) -> u64 {
         self.polylog_factor(n).max(1)
     }
-
-    /// Rounds charged for a direct exchange over graph edges where every node
-    /// sends and receives at most `max_load` words and each incident edge can
-    /// carry one word per round: `ceil(max_load / min_degree_used)` — callers
-    /// pass the relevant per-node bandwidth.
-    pub fn direct_exchange_rounds(&self, max_load: u64, per_round_capacity: u64) -> u64 {
-        max_load.div_ceil(per_round_capacity.max(1)).max(1)
-    }
 }
 
 /// Accumulates charged rounds, broken down by primitive.

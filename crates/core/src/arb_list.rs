@@ -8,8 +8,8 @@
 //!
 //! * `Ê_m` — the goal edges, all of whose `K_p` instances were listed and
 //!   which can therefore be removed from the graph;
-//! * `E'_s` — new low-arboricity edges, as the out-lists of their peeling
-//!   orientation, to be merged into `E_s`;
+//! * `E'_s` — new low-arboricity edges, as the arcs `(source, target)` of
+//!   their peeling orientation, to be merged into `E_s`;
 //! * `Ê_r`  — the remaining edges (`E'_r` plus the bad-bad edges), at most a
 //!   quarter of the incoming `E_r`.
 //!
@@ -72,7 +72,7 @@
 use crate::cluster_knowledge::{gather_knowledge, ClusterKnowledge};
 use crate::config::{ListingConfig, Variant};
 use crate::result::{phase, Diagnostics, Rounds};
-use crate::sink::{CliqueSink, ShardBuffer};
+use crate::sink::{CliqueSink, GatedBuffer, ShardBuffer};
 use crate::sparse_listing::{cluster_listing, SparseListingInput};
 use expander::{decompose_sorted, Cluster, SortedDecomposition};
 use graphcore::ordered_merge::{balanced_ranges, fanout, ordered_merge};
@@ -103,9 +103,9 @@ pub(crate) fn light_key(clique: &[u32]) -> [u32; 4] {
 pub struct ArbListOutcome<Edges = EdgeSet> {
     /// The goal edges `Ê_m` (removed from the graph by the caller).
     pub goal_edges: Edges,
-    /// Out-neighbour lists of the peeling orientation of the new `E_s`
-    /// edges `E'_s`.
-    pub es_out: Vec<Vec<u32>>,
+    /// The new `E_s` edges `E'_s`, as the arcs `(source, target)` of their
+    /// peeling orientation.
+    pub es_arcs: Vec<(u32, u32)>,
     /// The new remainder `Ê_r`.
     pub er_new: Edges,
     /// Round breakdown of this invocation.
@@ -137,34 +137,6 @@ struct ClusterYield {
     emissions: ShardBuffer,
     /// The fast-`K_4` light listing's rows, replayed after `emissions`.
     light_emissions: ShardBuffer,
-}
-
-/// A [`ShardBuffer`] whose saturation mirrors a shared stop flag: the
-/// consume step raises the flag once the *real* sink saturates, and
-/// producers — inline or on worker threads — observe it through the
-/// ordinary [`CliqueSink::is_saturated`] probes of the in-cluster listing,
-/// stopping their enumeration early instead of buffering cliques that the
-/// replay guard would discard anyway.
-///
-/// The flag never changes what reaches the sink: it is raised only while
-/// the sink is saturated, consumption is strictly ascending, and a yield
-/// consumed after the raise is not replayed at all — so a buffer truncated
-/// by the flag is never the one being replayed. It is purely a
-/// work-avoidance signal, which is what keeps `FirstK`-style runs as cheap
-/// as they were when clusters streamed straight into the sink.
-struct GatedBuffer<'a> {
-    buffer: ShardBuffer,
-    stop: &'a std::sync::atomic::AtomicBool,
-}
-
-impl CliqueSink for GatedBuffer<'_> {
-    fn accept(&mut self, clique: &[u32]) {
-        self.buffer.accept(clique);
-    }
-
-    fn is_saturated(&self) -> bool {
-        self.stop.load(std::sync::atomic::Ordering::Relaxed)
-    }
 }
 
 /// Runs one invocation of ARB-LIST, emitting every listed `K_p` into `sink`,
@@ -205,7 +177,7 @@ pub fn arb_list(
     let set = |edges: Vec<(u32, u32)>| edges.into_iter().map(Edge::from).collect();
     ArbListOutcome {
         goal_edges: set(s.goal_edges),
-        es_out: s.es_out,
+        es_arcs: s.es_arcs,
         er_new: set(s.er_new),
         rounds: s.rounds,
         diagnostics: s.diagnostics,
@@ -229,17 +201,14 @@ pub(crate) fn arb_list_sorted(
     sink: &mut dyn CliqueSink,
 ) -> ArbListOutcome<Vec<(u32, u32)>> {
     let n = graph.num_vertices();
-    let mut outcome = ArbListOutcome {
-        es_out: vec![Vec::new(); n],
-        ..Default::default()
-    };
+    let mut outcome = ArbListOutcome::default();
 
     // --- Expander decomposition on E_r (Theorem 2.3) -----------------------
     let er_graph = Graph::from_edges(n, er).expect("E_r endpoints are in range");
     let SortedDecomposition {
         cluster_edges,
         er,
-        es_orientation,
+        es_arcs,
         clusters,
         cluster_of,
     } = decompose_sorted(&er_graph, delta, &config.decomposition, seed);
@@ -252,9 +221,7 @@ pub(crate) fn arb_list_sorted(
     outcome.diagnostics.arb_iterations = 1;
 
     // E'_s joins E_s; E'_r starts the new remainder.
-    for (u, v) in es_orientation.edges() {
-        outcome.es_out[u as usize].push(v);
-    }
+    outcome.es_arcs = es_arcs;
     outcome.er_new = er;
 
     if clusters.is_empty() {
@@ -289,10 +256,7 @@ pub(crate) fn arb_list_sorted(
             heavy_threshold,
             config,
         );
-        let gated = |width| GatedBuffer {
-            buffer: ShardBuffer::new(index, width),
-            stop: &stop_listing,
-        };
+        let gated = |width| GatedBuffer::new(index, width, &stop_listing);
         let mut emissions = gated(config.p);
 
         // In-cluster sparsity-aware listing.
@@ -558,11 +522,9 @@ mod tests {
     use graphcore::{cliques::EdgeCliqueEnumerator, gen, Clique};
     use std::collections::HashSet;
 
-    /// The new `E_s` edges of an invocation, read off its out-lists.
+    /// The new `E_s` edges of an invocation, read off its arcs.
     fn es_added(out: &ArbListOutcome) -> EdgeSet {
-        let es = out.es_out.iter().enumerate();
-        es.flat_map(|(u, vs)| vs.iter().map(move |&v| Edge::new(u as u32, v)))
-            .collect()
+        out.es_arcs.iter().map(|&arc| Edge::from(arc)).collect()
     }
 
     fn run_arb(graph: &Graph, p: usize, variant: Variant) -> (ArbListOutcome, HashSet<Clique>) {

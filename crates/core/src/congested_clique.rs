@@ -65,7 +65,7 @@ pub(crate) fn run_streaming(
 
     // Orientation with out-degree O(arboricity): each node is responsible for
     // its outgoing edges.
-    let orientation = Orientation::from_positions(graph, &ordering.position);
+    let orientation = Orientation::from_ordering(graph, &ordering);
 
     // Partition into ~n^{1/p} parts; announcing one part per owned vertex is a
     // single round (every node broadcasts its own part).

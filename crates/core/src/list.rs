@@ -9,7 +9,8 @@
 //! `n^δ · log n ≤ A/2`, together with an explicit orientation.
 //!
 //! `E_r` and the goal edges are sorted lists of canonical pairs and `E_s` is
-//! its out-lists; the goal edges leave the working graph and its orientation
+//! a list of arcs `(source, target)`, which becomes the returned orientation
+//! once per call; the goal edges leave the working graph and its orientation
 //! by one merge per row.
 //!
 //! Listed instances are streamed into the caller's [`CliqueSink`], each
@@ -107,7 +108,7 @@ pub(crate) fn list_once_in_run(
     let mut outcome = ListOutcome::default();
     let mut current = graph.clone();
     let mut current_orientation = orientation.clone();
-    let mut es_out: Vec<Vec<u32>> = vec![Vec::new(); n];
+    let mut es_arcs: Vec<(u32, u32)> = Vec::new();
     let mut er: Vec<(u32, u32)> = graph.edges().collect();
 
     let mut iterations = 0usize;
@@ -128,10 +129,8 @@ pub(crate) fn list_once_in_run(
         outcome.diagnostics.absorb(&step.diagnostics);
         outcome.threads_used = outcome.threads_used.max(step.threads_used);
 
-        // Merge E'_s, kept as its orientation's out-lists.
-        for (out, added) in es_out.iter_mut().zip(step.es_out) {
-            out.extend(added);
-        }
+        // Merge E'_s, kept as its orientation's arcs.
+        es_arcs.extend(step.es_arcs);
 
         // Remove the listed goal edges from the working graph.
         if !step.goal_edges.is_empty() {
@@ -151,11 +150,9 @@ pub(crate) fn list_once_in_run(
     }
 
     // Whatever is left of E_r survives as part of the remaining graph.
-    for &(u, v) in &er {
-        es_out[u as usize].push(v);
-    }
+    es_arcs.extend(er);
 
-    outcome.remaining_orientation = Orientation::from_out_lists(es_out);
+    outcome.remaining_orientation = Orientation::from_arcs(n, es_arcs);
     let es: Vec<(u32, u32)> = outcome.remaining_orientation.edges().collect();
     outcome.remaining = Graph::from_edges(n, &es).expect("E_s endpoints are in range");
     outcome

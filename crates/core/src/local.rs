@@ -18,7 +18,8 @@
 //! with the thread count but their concatenation is always the full root
 //! sequence, so the accept sequence is byte-identical to the sequential
 //! path's (`DESIGN.md` §8). Saturation stops the replay immediately and
-//! tells the workers to abandon their remaining shards.
+//! tells the workers to abandon their remaining shards and the ones they are
+//! filling.
 
 use crate::config::ListingConfig;
 use crate::sink::CliqueSink;
@@ -63,9 +64,11 @@ pub(crate) fn stream_cliques(
 /// [`graphcore::ordered_merge::ordered_merge`] (the single orchestration
 /// shared with the cluster fan-out of `arb_list` and the query crate's batch
 /// and delta fan-outs — fan-out rule, stop flag, ordered replay and
-/// backpressure live there), with one [`ShardBuffer`] per shard bridging the
-/// enumeration to the `dyn CliqueSink`. Only this thread ever touches
-/// `sink`. Returns the fan-out the merge ran on
+/// backpressure live there), with one gated
+/// [`ShardBuffer`](crate::sink::ShardBuffer) per shard bridging the
+/// enumeration to the `dyn CliqueSink`: once the sink saturates, producers
+/// abandon the shards they are filling, as `arb_list`'s clusters do. Only
+/// this thread ever touches `sink`. Returns the fan-out the merge ran on
 /// ([`graphcore::ordered_merge::fanout`] of the grant and the shard count);
 /// a fan-out of 1 enumerates inline, without buffering.
 fn parallel_stream(
@@ -75,9 +78,10 @@ fn parallel_stream(
     threads: usize,
     sink: &mut dyn CliqueSink,
 ) -> usize {
-    use crate::sink::ShardBuffer;
+    use crate::sink::GatedBuffer;
     use graphcore::cliques::{ShardedEnumerator, SHARDS_PER_THREAD};
     use graphcore::ordered_merge::{fanout, ordered_merge};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     let p = config.p;
     let enumerator =
@@ -91,15 +95,24 @@ fn parallel_stream(
         });
         return 1;
     }
+    // Raised once the sink saturates, so producers stop mid-shard.
+    let stop = AtomicBool::new(false);
     ordered_merge(
         shards,
         threads,
         |shard| {
-            let mut buffer = ShardBuffer::new(shard, p);
-            enumerator.for_each_in_shard(shard, |c| buffer.accept(c));
-            buffer
+            let mut gated = GatedBuffer::new(shard, p, &stop);
+            enumerator.for_each_in_shard_while(shard, |c| {
+                gated.accept(c);
+                !gated.is_saturated()
+            });
+            gated.buffer
         },
-        |buffer| buffer.replay_into(sink),
+        |buffer| {
+            let accepting = buffer.replay_into(sink);
+            stop.store(!accepting, Ordering::Relaxed);
+            accepting
+        },
     );
     threads_used
 }

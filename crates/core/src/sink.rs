@@ -17,6 +17,7 @@
 
 use graphcore::Clique;
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A consumer of listed cliques.
 ///
@@ -272,6 +273,44 @@ impl CliqueSink for ShardBuffer {
     fn accept(&mut self, clique: &[u32]) {
         debug_assert_eq!(clique.len(), self.width, "clique width mismatch");
         self.flat.extend_from_slice(clique);
+    }
+}
+
+/// A [`ShardBuffer`] whose saturation mirrors a shared stop flag: the
+/// consume step of a fan-out raises the flag once the *real* sink
+/// saturates, and producers — inline or on worker threads — observe it
+/// through the ordinary [`CliqueSink::is_saturated`] probes of their
+/// enumeration, stopping early instead of buffering cliques the replay would
+/// discard anyway. The cluster fan-out of `arb_list` and the sharded local
+/// enumeration both gate their buffers this way.
+///
+/// The flag never changes what reaches the sink: it is raised only while
+/// the sink is saturated, consumption is strictly ascending, and a buffer
+/// consumed after the raise is not replayed at all — so a buffer truncated
+/// by the flag is never the one being replayed. It is purely a
+/// work-avoidance signal.
+pub(crate) struct GatedBuffer<'a> {
+    pub(crate) buffer: ShardBuffer,
+    stop: &'a AtomicBool,
+}
+
+impl<'a> GatedBuffer<'a> {
+    /// An empty [`ShardBuffer`] for `shard`, gated by `stop`.
+    pub(crate) fn new(shard: usize, width: usize, stop: &'a AtomicBool) -> Self {
+        GatedBuffer {
+            buffer: ShardBuffer::new(shard, width),
+            stop,
+        }
+    }
+}
+
+impl CliqueSink for GatedBuffer<'_> {
+    fn accept(&mut self, clique: &[u32]) {
+        self.buffer.accept(clique);
+    }
+
+    fn is_saturated(&self) -> bool {
+        self.stop.load(Ordering::Relaxed)
     }
 }
 

@@ -276,8 +276,9 @@ pub struct SortedDecomposition {
     pub cluster_edges: Vec<Vec<(u32, u32)>>,
     /// Leftover edges `E_r`, sorted.
     pub er: Vec<(u32, u32)>,
-    /// `E_s`, as its orientation of out-degree at most `n^δ`.
-    pub es_orientation: Orientation,
+    /// `E_s`, as the arcs `(source, target)` of its orientation of
+    /// out-degree at most `n^δ`, in peel order.
+    pub es_arcs: Vec<(u32, u32)>,
     /// The clusters (connected components of `E_m` with at least two nodes).
     pub clusters: Vec<Cluster>,
     /// For every vertex, the id of the cluster containing it (if any).
@@ -285,7 +286,8 @@ pub struct SortedDecomposition {
 }
 
 /// Builds a δ-expander decomposition of `graph`: [`decompose_sorted`], with
-/// its edge lists collected into [`EdgeSet`]s.
+/// its edge lists collected into [`EdgeSet`]s and `E_s`'s arcs into its
+/// [`Orientation`].
 pub fn decompose(
     graph: &Graph,
     delta: f64,
@@ -298,9 +300,9 @@ pub fn decompose(
         delta,
         degree_threshold: config.degree_threshold(graph.num_vertices(), delta),
         em: set(&sorted.cluster_edges.concat()),
-        es: sorted.es_orientation.edges().map(Edge::from).collect(),
+        es: set(&sorted.es_arcs),
         er: set(&sorted.er),
-        es_orientation: sorted.es_orientation,
+        es_orientation: Orientation::from_arcs(graph.num_vertices(), sorted.es_arcs),
         clusters: sorted.clusters,
         cluster_of: sorted.cluster_of,
         config: *config,
@@ -335,9 +337,9 @@ pub fn decompose_sorted(
     // One vertex mask shared by the helpers below; each leaves it all false.
     let mut mask = vec![false; n];
 
-    // E_s is kept as its orientation: the out-lists of the peeled vertices.
-    // Cut edges are distinct, so E_r is a list, sorted at the end.
-    let mut es_out: Vec<Vec<u32>> = vec![Vec::new(); n];
+    // E_s is kept as its orientation: the arcs away from the peeled
+    // vertices. Cut edges are distinct, so E_r is a list, sorted at the end.
+    let mut es_arcs: Vec<(u32, u32)> = Vec::new();
     let mut er: Vec<(u32, u32)> = Vec::new();
     let mut cluster_edges: Vec<Vec<(u32, u32)>> = Vec::new();
     let mut clusters: Vec<Cluster> = Vec::new();
@@ -345,7 +347,7 @@ pub fn decompose_sorted(
 
     // Global peel.
     let all: Vec<u32> = (0..n as u32).collect();
-    peel(&mut remaining, &all, threshold, &mut es_out, &mut mask);
+    peel(&mut remaining, &all, threshold, &mut es_arcs, &mut mask);
 
     // Component queue.
     let mut queue: Vec<Vec<u32>> = components(&remaining, &all, &mut mask);
@@ -392,7 +394,7 @@ pub fn decompose_sorted(
             &mut remaining,
             &component,
             threshold,
-            &mut es_out,
+            &mut es_arcs,
             &mut mask,
         );
         queue.extend(components(&remaining, &component, &mut mask));
@@ -402,7 +404,7 @@ pub fn decompose_sorted(
     SortedDecomposition {
         cluster_edges,
         er,
-        es_orientation: Orientation::from_out_lists(es_out),
+        es_arcs,
         clusters,
         cluster_of,
     }
@@ -417,13 +419,13 @@ fn remove_from_row(row: &mut Vec<u32>, w: u32) {
 
 /// Repeatedly removes vertices (restricted to `scope`) whose remaining degree
 /// is below `threshold`, assigning their remaining incident edges to `E_s`
-/// oriented away from the removed vertex (appended to its `es_out` list).
-/// `queued` marks the stack.
+/// oriented away from the removed vertex (appended to `es_arcs`). `queued`
+/// marks the stack.
 fn peel(
     remaining: &mut [Vec<u32>],
     scope: &[u32],
     threshold: usize,
-    es_out: &mut [Vec<u32>],
+    es_arcs: &mut Vec<(u32, u32)>,
     queued: &mut [bool],
 ) {
     let peelable = |row: &Vec<u32>| !row.is_empty() && row.len() < threshold;
@@ -448,7 +450,7 @@ fn peel(
                 stack.push(w);
             }
         }
-        es_out[v as usize].extend_from_slice(&nbrs);
+        es_arcs.extend(nbrs.iter().map(|&w| (v, w)));
     }
 }
 

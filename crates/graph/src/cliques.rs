@@ -2,9 +2,9 @@
 //! parallelise it.
 //!
 //! The enumerator follows the standard ordered-search scheme (kClist-style):
-//! fix a degeneracy ordering, build the [`OrientedDag`] of later neighbours
-//! once, and for every vertex `v` enumerate cliques inside its out-neighbour
-//! set. Because that candidate set has size at most the degeneracy `k`, the
+//! fix a degeneracy ordering, build its DAG of later neighbours (an
+//! [`Orientation`]) once, and for every vertex `v` enumerate cliques inside
+//! its out-neighbour set. Because that candidate set has size at most the degeneracy `k`, the
 //! running time is `O(n · k^{p-1})` for a graph of degeneracy `k`.
 //!
 //! The hot loop is allocation-free: one candidate arena with a pre-sized
@@ -35,7 +35,7 @@
 //! share it across concurrent full, per-vertex and per-edge enumerations by
 //! `&self` (see `DESIGN.md` §11).
 
-use crate::orientation::{degeneracy_dag, DegeneracyOrdering, OrientedDag};
+use crate::orientation::{degeneracy_dag, DegeneracyOrdering, Orientation};
 use crate::{Clique, Graph};
 
 #[path = "cliques_trie.rs"]
@@ -175,7 +175,7 @@ fn intersect_candidates(
 }
 
 /// The build-once, query-many state of the ordered clique search: the
-/// degeneracy ordering, its [`OrientedDag`] of later neighbours, the
+/// degeneracy ordering, its DAG of later neighbours (an [`Orientation`]), the
 /// high-degree adjacency bitsets and the enumeration kernel picked for the
 /// graph, all owned and immutable.
 ///
@@ -192,14 +192,14 @@ fn intersect_candidates(
 /// size. Only [`ShardPlan`]s are per-`p`, and those are planned from the
 /// index's DAG via [`ShardPlan::balanced`].
 ///
-/// `PartialEq` compares the *entire* built state — ordering, DAG, bitset
+/// `PartialEq` compares the *entire* built state — ordering, DAG rows, bitset
 /// table, out-degree bound, kernel — which is what lets the churn differential
 /// battery assert that the index under a derived snapshot is structurally
 /// identical to one built from the independently mutated edge list.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CliqueIndex {
     ordering: DegeneracyOrdering,
-    dag: OrientedDag,
+    dag: Orientation,
     bitsets: NeighborBitsets,
     max_out: usize,
     kernel: KernelChoice,
@@ -248,7 +248,7 @@ impl CliqueIndex {
     }
 
     /// The DAG of later neighbours under the degeneracy ordering.
-    pub fn dag(&self) -> &OrientedDag {
+    pub fn dag(&self) -> &Orientation {
         &self.dag
     }
 
@@ -599,7 +599,7 @@ pub fn for_each_clique_while(graph: &Graph, p: usize, visit: impl FnMut(&[u32]) 
 fn enumerate_roots(
     graph: &Graph,
     bitsets: &NeighborBitsets,
-    dag: &OrientedDag,
+    dag: &Orientation,
     p: usize,
     roots: &[u32],
     arena: &mut [Vec<u32>],
@@ -752,7 +752,7 @@ impl ShardPlan {
     /// reaches an equal share of the total. Every shard is non-empty; the
     /// plan may hold fewer shards than requested (e.g. on tiny graphs).
     pub fn balanced(
-        dag: &OrientedDag,
+        dag: &Orientation,
         ordering: &DegeneracyOrdering,
         p: usize,
         target_shards: usize,
@@ -1077,9 +1077,12 @@ impl<'g> EdgeCliqueEnumerator<'g> {
 
 /// Lists every `p`-clique that contains the given edge `{a, b}`.
 ///
-/// Returns an empty list if the edge is absent. One-shot convenience over
-/// [`EdgeCliqueEnumerator`]; callers querying many edges of the same graph
-/// should hold an enumerator instead and amortise its setup.
+/// Returns an empty list if the edge is absent. Runs the same clique
+/// extension as [`EdgeCliqueEnumerator`] from the common neighbours of `a`
+/// and `b`, without an enumerator: every call allocates an `n`-entry empty
+/// bitset table and a fresh candidate arena. Callers querying many edges of
+/// the same graph should hold an [`EdgeCliqueEnumerator`] instead and
+/// amortise that setup.
 pub fn cliques_containing_edge(graph: &Graph, p: usize, a: u32, b: u32) -> Vec<Clique> {
     if p < 2 || !graph.has_edge(a, b) {
         return Vec::new();
@@ -1345,7 +1348,7 @@ mod tests {
         for (n, prob, seed) in [(0usize, 0.0, 0u64), (1, 0.0, 0), (50, 0.2, 3), (90, 0.4, 7)] {
             let g = gen::erdos_renyi(n, prob, seed);
             let ordering = degeneracy_ordering(&g);
-            let dag = OrientedDag::from_ordering(&g, &ordering);
+            let dag = Orientation::from_ordering(&g, &ordering);
             for target in [1usize, 2, 3, 7, 64, 1000] {
                 let plan = ShardPlan::balanced(&dag, &ordering, 4, target);
                 if n == 0 {

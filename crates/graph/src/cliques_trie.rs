@@ -41,7 +41,7 @@
 
 use super::NeighborBitsets;
 use crate::graph::Graph;
-use crate::orientation::OrientedDag;
+use crate::orientation::Orientation;
 use serde::{Deserialize, Serialize};
 
 /// Which enumeration kernel drives the ordered clique search.
@@ -124,7 +124,7 @@ impl DensitySample {
     pub(crate) fn probe(
         graph: &Graph,
         bitsets: &NeighborBitsets,
-        dag: &OrientedDag,
+        dag: &Orientation,
         order: &[u32],
     ) -> DensitySample {
         let step = order
@@ -325,7 +325,7 @@ impl TrieKernel {
         &mut self,
         graph: &Graph,
         bitsets: &NeighborBitsets,
-        dag: &OrientedDag,
+        dag: &Orientation,
         p: usize,
         roots: &[u32],
         stack: &mut Vec<u32>,
@@ -355,7 +355,7 @@ impl TrieKernel {
         &mut self,
         graph: &Graph,
         bitsets: &NeighborBitsets,
-        dag: &OrientedDag,
+        dag: &Orientation,
         p: usize,
         roots: &[u32],
     ) -> Option<u64> {

@@ -50,13 +50,12 @@ pub mod ordered_merge;
 pub mod orientation;
 pub mod partition;
 pub mod spectral;
-pub mod stats;
 
 pub use churn::{AppliedBatch, BatchError, EdgeBatch};
 pub use cliques::KernelChoice;
 pub use edge::{Edge, EdgeSet};
 pub use graph::{intersect_sorted_into, Graph, GraphError};
-pub use orientation::{Orientation, OrientedDag};
+pub use orientation::Orientation;
 
 /// A clique, stored as a strictly increasing list of vertex identifiers.
 ///

@@ -5,12 +5,14 @@
 //! orientation with out-degree `O(A)`, and the algorithms repeatedly halve the
 //! arboricity of the "remaining" edge set while maintaining such an
 //! orientation (Theorem 2.8). This module provides the sequential machinery:
-//! degeneracy (core) orderings, the induced acyclic orientation, and upper and
-//! lower bounds on the arboricity.
+//! degeneracy (core) orderings, upper and lower bounds on the arboricity, and
+//! one type for oriented rows, [`Orientation`]. The same CSR rows hold the
+//! later-neighbour DAG that the clique enumeration walks (built by the peel
+//! that finds the ordering) and the orientations the CONGEST pipeline carries
+//! between LIST invocations (built from arcs, thinned by one merge per row).
 
 use crate::edge::EdgeSet;
 use crate::graph::{push_difference, Graph};
-use serde::{Deserialize, Serialize};
 
 /// A degeneracy (smallest-last / core) ordering of a graph.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -31,32 +33,33 @@ pub struct DegeneracyOrdering {
 /// the one whose degree reached that value last goes first; `DESIGN.md` §13
 /// treats this tie-breaking as a contract, because every listing order
 /// follows the ordering. This is the loop behind
-/// [`OrientedDag::from_degeneracy`] without the DAG rows.
+/// [`Orientation::from_degeneracy`] without the rows.
 pub fn degeneracy_ordering(graph: &Graph) -> DegeneracyOrdering {
     peel::<false>(graph).0
 }
 
-/// The degeneracy ordering of `graph` and its [`OrientedDag`], both from one
-/// peel: the neighbours still unpeeled when `v` is peeled are exactly its
-/// later neighbours, already sorted by id, so the peel writes `v`'s row as
-/// it goes. Equal to [`degeneracy_ordering`] followed by
-/// [`OrientedDag::from_ordering`].
-pub(crate) fn degeneracy_dag(graph: &Graph) -> (DegeneracyOrdering, OrientedDag) {
+/// The degeneracy ordering of `graph` and its later-neighbour
+/// [`Orientation`], both from one peel: the neighbours still unpeeled when
+/// `v` is peeled are exactly its later neighbours, already sorted by id, so
+/// the peel writes `v`'s row as it goes. Equal to [`degeneracy_ordering`]
+/// followed by [`Orientation::from_ordering`].
+pub(crate) fn degeneracy_dag(graph: &Graph) -> (DegeneracyOrdering, Orientation) {
     peel::<true>(graph)
 }
 
 /// Marks a peeled vertex in the peel's degree array.
 const PEELED: u32 = u32::MAX;
 
-/// The bucket-queue peel. With `ROWS` it writes each peeled vertex's DAG
-/// row; without, the returned DAG is empty and nothing is allocated for it.
+/// The bucket-queue peel. With `ROWS` it writes each peeled vertex's row of
+/// later neighbours; without, the returned orientation is empty and nothing
+/// is allocated for it.
 ///
 /// Buckets hold stale entries: a vertex whose degree drops is pushed again
 /// one bucket lower and its old entry is skipped when popped. Every unpeeled
 /// vertex `v` has exactly one live entry, in bucket `degree[v]`, and
 /// `cursor` never exceeds the smallest remaining degree (it drops with every
 /// decrement below it), so scanning up from `cursor` finds the next vertex.
-fn peel<const ROWS: bool>(graph: &Graph) -> (DegeneracyOrdering, OrientedDag) {
+fn peel<const ROWS: bool>(graph: &Graph) -> (DegeneracyOrdering, Orientation) {
     let n = graph.num_vertices();
     let mut degree: Vec<u32> = (0..n as u32).map(|v| graph.degree(v) as u32).collect();
     let max_deg = degree.iter().copied().max().unwrap_or(0) as usize;
@@ -69,9 +72,9 @@ fn peel<const ROWS: bool>(graph: &Graph) -> (DegeneracyOrdering, OrientedDag) {
     let mut degeneracy = 0usize;
     let mut cursor = 0usize;
     let mut dag = if ROWS {
-        OrientedDag::with_capacity(n, graph.num_edges())
+        Orientation::with_capacity(n, graph.num_edges())
     } else {
-        OrientedDag::with_capacity(0, 0)
+        Orientation::with_capacity(0, 0)
     };
     for _ in 0..n {
         let v = loop {
@@ -109,32 +112,40 @@ fn peel<const ROWS: bool>(graph: &Graph) -> (DegeneracyOrdering, OrientedDag) {
     (ordering, dag)
 }
 
-/// The acyclic "later-neighbour" DAG of a degeneracy ordering.
+/// An orientation of (a subset of) a graph's edges: each edge is directed
+/// away from exactly one endpoint, and the quantity of interest is the
+/// maximum out-degree.
 ///
-/// For every vertex `v`, the structure stores the neighbours that appear
-/// *after* `v` in the peeling order, sorted by vertex id (the same order the
-/// underlying CSR rows use). The rows are laid out in peeling order, the
-/// order the ordered search visits its roots, and each vertex records the
-/// span of its row. Built in `O(n + m)`, by the peel itself
-/// ([`OrientedDag::from_degeneracy`]) or from any ordering
-/// ([`OrientedDag::from_ordering`]), it is the substrate of the ordered
-/// clique enumeration in [`crate::cliques`]: the out-degree of every vertex
-/// is at most the degeneracy, so per-depth candidate buffers can be sized
-/// once up front, and candidate sets stay sorted so intersections are plain
-/// merges.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OrientedDag {
+/// The rows are CSR: each vertex records the `[start, end)` span of its
+/// out-neighbours in one `targets` array, every row sorted by vertex id.
+/// Built by the peel ([`Orientation::from_degeneracy`]) or from any ordering
+/// ([`Orientation::from_ordering`]), it is the acyclic "later-neighbour" DAG
+/// of that ordering with the rows laid out in peeling order, the order the
+/// ordered search visits its roots: the substrate of the clique enumeration
+/// in [`crate::cliques`], whose out-degrees are at most the degeneracy, so
+/// per-depth candidate buffers are sized once up front and candidate sets
+/// stay sorted for merge intersections. Built from arcs
+/// ([`Orientation::from_arcs`]) or by dropping edges
+/// ([`Orientation::without_edges_of`], [`Orientation::restrict_to`]), the
+/// rows lie in id order. Equality compares each vertex's row, not the
+/// layout.
+#[derive(Clone, Debug, Default)]
+pub struct Orientation {
     /// `spans[v]` is the `[start, end)` range of `v`'s row in `targets`.
     spans: Vec<[u32; 2]>,
-    /// Concatenated out-neighbour rows in peeling order, each sorted by
-    /// vertex id.
+    /// Concatenated out-neighbour rows, each sorted by vertex id.
     targets: Vec<u32>,
 }
 
-impl OrientedDag {
-    /// A DAG over `n` vertices with empty rows and room for `m` arcs.
+/// [`Orientation`] under the name the repository benchmark (`perfbench/`)
+/// still calls `from_ordering` through.
+pub type OrientedDag = Orientation;
+
+impl Orientation {
+    /// An orientation over `n` vertices with empty rows and room for `m`
+    /// arcs.
     fn with_capacity(n: usize, m: usize) -> Self {
-        OrientedDag {
+        Orientation {
             spans: vec![[0, 0]; n],
             targets: Vec::with_capacity(m),
         }
@@ -145,8 +156,9 @@ impl OrientedDag {
         self.spans[v as usize] = [start, self.targets.len() as u32];
     }
 
-    /// Builds the DAG of an arbitrary `ordering` over `graph` in one linear
-    /// pass over the ordering.
+    /// Orients every edge of `graph` from the endpoint that appears earlier
+    /// in `ordering` towards the later one, in one linear pass over the
+    /// ordering.
     ///
     /// # Panics
     ///
@@ -155,24 +167,48 @@ impl OrientedDag {
         let n = graph.num_vertices();
         assert_eq!(ordering.order.len(), n, "ordering must cover every vertex");
         let position = &ordering.position;
-        let mut dag = OrientedDag::with_capacity(n, graph.num_edges());
+        let mut orientation = Orientation::with_capacity(n, graph.num_edges());
         for (i, &v) in ordering.order.iter().enumerate() {
-            let start = dag.targets.len() as u32;
-            dag.targets.extend(
+            let start = orientation.targets.len() as u32;
+            orientation.targets.extend(
                 graph
                     .neighbors(v)
                     .iter()
                     .filter(|&&w| position[w as usize] > i),
             );
-            dag.close_row(v, start);
+            orientation.close_row(v, start);
         }
-        dag
+        orientation
     }
 
-    /// Computes a degeneracy ordering of `graph` and builds its DAG, in one
-    /// peel.
+    /// Orients every edge of `graph` along a degeneracy ordering, in one
+    /// peel. The maximum out-degree equals the degeneracy, which is at most
+    /// `2A - 1` for a graph of arboricity `A`.
     pub fn from_degeneracy(graph: &Graph) -> Self {
         degeneracy_dag(graph).1
+    }
+
+    /// Builds an orientation over `n` vertices from its arcs
+    /// `(source, target)`, given in any order: each row is sorted by id and
+    /// repeated arcs count once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a source is not below `n`.
+    pub fn from_arcs(n: usize, mut arcs: Vec<(u32, u32)>) -> Self {
+        arcs.sort_unstable();
+        arcs.dedup();
+        let mut orientation = Orientation::with_capacity(n, arcs.len());
+        let mut rest = arcs.as_slice();
+        for v in 0..n as u32 {
+            let start = orientation.targets.len() as u32;
+            let (row, tail) = rest.split_at(rest.partition_point(|&(u, _)| u <= v));
+            orientation.targets.extend(row.iter().map(|&(_, w)| w));
+            orientation.close_row(v, start);
+            rest = tail;
+        }
+        assert!(rest.is_empty(), "arc source out of range");
+        orientation
     }
 
     /// Number of vertices.
@@ -180,13 +216,13 @@ impl OrientedDag {
         self.spans.len()
     }
 
-    /// Number of directed edges (equals the number of undirected edges of the
-    /// source graph).
+    /// Number of oriented edges.
     pub fn num_edges(&self) -> usize {
         self.targets.len()
     }
 
-    /// The out-neighbours of `v` (its later neighbours), sorted by vertex id.
+    /// The out-neighbours of `v` (edges directed away from `v`), sorted by
+    /// vertex id.
     pub fn out_neighbors(&self, v: u32) -> &[u32] {
         let [start, end] = self.spans[v as usize];
         &self.targets[start as usize..end as usize]
@@ -199,7 +235,7 @@ impl OrientedDag {
     }
 
     /// Maximum out-degree over all vertices (at most the degeneracy when the
-    /// DAG comes from a degeneracy ordering).
+    /// orientation comes from a degeneracy ordering).
     pub fn max_out_degree(&self) -> usize {
         self.spans
             .iter()
@@ -207,92 +243,10 @@ impl OrientedDag {
             .max()
             .unwrap_or(0)
     }
-}
-
-/// An orientation of (a subset of) a graph's edges: each edge is directed away
-/// from exactly one endpoint, and the quantity of interest is the maximum
-/// out-degree.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Orientation {
-    out: Vec<Vec<u32>>,
-}
-
-impl Orientation {
-    /// Creates an empty orientation over `n` vertices.
-    pub fn new(n: usize) -> Self {
-        Orientation {
-            out: vec![Vec::new(); n],
-        }
-    }
-
-    /// Orients every edge of `graph` from the endpoint that appears *earlier*
-    /// in a degeneracy ordering towards the later one. The resulting maximum
-    /// out-degree equals the degeneracy, which is at most `2A - 1` for a graph
-    /// of arboricity `A`.
-    pub fn from_degeneracy(graph: &Graph) -> Self {
-        let ordering = degeneracy_ordering(graph);
-        Orientation::from_positions(graph, &ordering.position)
-    }
-
-    /// Orients every edge from the endpoint with the smaller `position` value
-    /// to the one with the larger (ties broken by vertex id).
-    pub fn from_positions(graph: &Graph, position: &[usize]) -> Self {
-        let mut out = vec![Vec::new(); graph.num_vertices()];
-        for (u, v) in graph.edges() {
-            let u_first = (position[u as usize], u) < (position[v as usize], v);
-            if u_first {
-                out[u as usize].push(v);
-            } else {
-                out[v as usize].push(u);
-            }
-        }
-        for list in &mut out {
-            list.sort_unstable();
-        }
-        Orientation { out }
-    }
-
-    /// Builds an orientation directly from per-vertex out-neighbour lists.
-    ///
-    /// Used when an algorithm carries an orientation across iterations (the
-    /// out-lists of surviving edges keep their direction).
-    pub fn from_out_lists(out: Vec<Vec<u32>>) -> Self {
-        let mut out = out;
-        for list in &mut out {
-            list.sort_unstable();
-            list.dedup();
-        }
-        Orientation { out }
-    }
-
-    /// Number of vertices covered by the orientation.
-    pub fn num_vertices(&self) -> usize {
-        self.out.len()
-    }
-
-    /// Out-neighbours of `v` (edges directed away from `v`).
-    pub fn out_neighbors(&self, v: u32) -> &[u32] {
-        &self.out[v as usize]
-    }
-
-    /// Out-degree of `v`.
-    pub fn out_degree(&self, v: u32) -> usize {
-        self.out[v as usize].len()
-    }
-
-    /// Maximum out-degree over all vertices.
-    pub fn max_out_degree(&self) -> usize {
-        self.out.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
-    /// Total number of oriented edges.
-    pub fn num_edges(&self) -> usize {
-        self.out.iter().map(Vec::len).sum()
-    }
 
     /// Whether edge `u -> v` is oriented away from `u`.
     pub fn is_oriented(&self, u: u32, v: u32) -> bool {
-        self.out[u as usize].binary_search(&v).is_ok()
+        self.out_neighbors(u).binary_search(&v).is_ok()
     }
 
     /// The vertex an undirected edge `{u, v}` is oriented away from, if the
@@ -307,38 +261,34 @@ impl Orientation {
         }
     }
 
+    /// The orientation whose row of each vertex `v` is what `keep` appends
+    /// given `v`'s row, with the rows in id order.
+    fn map_rows(&self, mut keep: impl FnMut(u32, &[u32], &mut Vec<u32>)) -> Orientation {
+        let mut kept = Orientation::with_capacity(self.num_vertices(), self.num_edges());
+        for v in 0..self.num_vertices() as u32 {
+            let start = kept.targets.len() as u32;
+            keep(v, self.out_neighbors(v), &mut kept.targets);
+            kept.close_row(v, start);
+        }
+        kept
+    }
+
     /// Restricts the orientation to the edges in `keep`, preserving directions.
     pub fn restrict_to(&self, keep: &EdgeSet) -> Orientation {
-        let out = self
-            .out
-            .iter()
-            .enumerate()
-            .map(|(u, nbrs)| {
-                nbrs.iter()
-                    .copied()
-                    .filter(|&v| keep.contains_pair(u as u32, v))
-                    .collect()
-            })
-            .collect();
-        Orientation { out }
+        self.map_rows(|u, row, kept| kept.extend(row.iter().filter(|&&v| keep.contains_pair(u, v))))
     }
 
     /// Drops the edges of `removed`, a graph on at least as many vertices,
-    /// preserving the other directions: one merge per out-list.
+    /// preserving the other directions: one merge per row.
     pub fn without_edges_of(&self, removed: &Graph) -> Orientation {
-        let mut out = vec![Vec::new(); self.out.len()];
-        for (u, (row, kept)) in self.out.iter().zip(&mut out).enumerate() {
-            push_difference(row, removed.neighbors(u as u32), kept);
-        }
-        Orientation { out }
+        self.map_rows(|u, row, kept| push_difference(row, removed.neighbors(u), kept))
     }
 
-    /// Iterates over all oriented edges as `(source, target)` pairs.
+    /// Iterates over all oriented edges as `(source, target)` pairs, by
+    /// source id and then target id.
     pub fn edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.out
-            .iter()
-            .enumerate()
-            .flat_map(|(u, nbrs)| nbrs.iter().map(move |&v| (u as u32, v)))
+        (0..self.num_vertices() as u32)
+            .flat_map(move |u| self.out_neighbors(u).iter().map(move |&v| (u, v)))
     }
 
     /// Checks that the orientation covers exactly the edges of `graph`
@@ -351,6 +301,18 @@ impl Orientation {
             && self.edges().all(|(u, v)| !self.is_oriented(v, u) || u == v)
     }
 }
+
+impl PartialEq for Orientation {
+    /// Equal when both have the same vertices and each vertex the same row,
+    /// whichever order the rows are laid out in.
+    fn eq(&self, other: &Self) -> bool {
+        self.num_vertices() == other.num_vertices()
+            && (0..self.num_vertices() as u32)
+                .all(|v| self.out_neighbors(v) == other.out_neighbors(v))
+    }
+}
+
+impl Eq for Orientation {}
 
 /// Upper bound on the arboricity: the degeneracy `k` satisfies
 /// `arboricity ≤ k ≤ 2·arboricity − 1`.
@@ -431,7 +393,12 @@ mod tests {
     #[test]
     fn orientation_queries() {
         let g = gen::path_graph(4); // 0-1-2-3
-        let o = Orientation::from_positions(&g, &[0, 1, 2, 3]);
+        let identity = DegeneracyOrdering {
+            order: vec![0, 1, 2, 3],
+            position: vec![0, 1, 2, 3],
+            degeneracy: 1,
+        };
+        let o = Orientation::from_ordering(&g, &identity);
         assert!(o.is_oriented(0, 1));
         assert!(!o.is_oriented(1, 0));
         assert_eq!(o.source_of(1, 2), Some(1));
@@ -483,7 +450,7 @@ mod tests {
     fn oriented_dag_covers_every_edge_once_with_bounded_out_degree() {
         let g = gen::erdos_renyi(70, 0.2, 13);
         let ordering = degeneracy_ordering(&g);
-        let dag = OrientedDag::from_ordering(&g, &ordering);
+        let dag = Orientation::from_ordering(&g, &ordering);
         assert_eq!(dag.num_vertices(), 70);
         assert_eq!(dag.num_edges(), g.num_edges());
         assert!(dag.max_out_degree() <= ordering.degeneracy);
@@ -496,7 +463,7 @@ mod tests {
                 assert!(ordering.position[w as usize] > ordering.position[v as usize]);
             }
         }
-        assert_eq!(OrientedDag::from_degeneracy(&g), dag);
+        assert_eq!(Orientation::from_degeneracy(&g), dag);
     }
 
     /// The stale-entry bucket loop `degeneracy_ordering` ran before the peel
@@ -557,9 +524,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn one_peel_matches_the_reference_ordering_and_dag() {
-        let graphs = [
+    /// The shapes the peel is pinned on: degenerate, sparse, dense and skewed.
+    fn peel_graphs() -> [(&'static str, Graph); 9] {
+        [
             ("empty", Graph::new(0)),
             ("isolated", Graph::new(7)),
             ("path", gen::path_graph(12)),
@@ -569,14 +536,18 @@ mod tests {
             ("dense er", gen::erdos_renyi(120, 0.6, 8)),
             ("rmat", gen::rmat(9, 8, (0.57, 0.19, 0.19, 0.05), 2)),
             ("multipartite", gen::multipartite(220, 3, 0.8, 1)),
-        ];
-        for (name, g) in &graphs {
+        ]
+    }
+
+    #[test]
+    fn one_peel_matches_the_reference_ordering_and_dag() {
+        for (name, g) in &peel_graphs() {
             let want = reference_ordering(g);
             assert_eq!(degeneracy_ordering(g), want, "{name}: ordering");
             let (ordering, dag) = degeneracy_dag(g);
             assert_eq!(ordering, want, "{name}: one-peel ordering");
-            assert_eq!(dag, OrientedDag::from_ordering(g, &want), "{name}: dag");
-            assert_eq!(OrientedDag::from_degeneracy(g), dag, "{name}: dag");
+            assert_eq!(dag, Orientation::from_ordering(g, &want), "{name}: dag");
+            assert_eq!(Orientation::from_degeneracy(g), dag, "{name}: dag");
             assert_eq!(dag.num_vertices(), g.num_vertices(), "{name}");
             assert_eq!(dag.num_edges(), g.num_edges(), "{name}");
             assert_eq!(dag.max_out_degree(), want.degeneracy, "{name}");
@@ -594,9 +565,88 @@ mod tests {
 
     #[test]
     fn from_out_lists_dedups() {
-        let o = Orientation::from_out_lists(vec![vec![2, 1, 2], vec![], vec![]]);
+        let o = Orientation::from_arcs(3, vec![(0, 2), (0, 1), (0, 2)]);
         assert_eq!(o.out_neighbors(0), &[1, 2]);
         assert_eq!(o.num_edges(), 2);
+        assert_eq!(o.num_vertices(), 3);
+    }
+
+    /// Rows the way a `Vec<Vec<u32>>` orientation built them: every edge
+    /// from the endpoint with the smaller `(position, id)` to the other,
+    /// each row sorted.
+    fn reference_rows(graph: &Graph, position: &[usize]) -> Vec<Vec<u32>> {
+        let mut out = vec![Vec::new(); graph.num_vertices()];
+        for (u, v) in graph.edges() {
+            if (position[u as usize], u) < (position[v as usize], v) {
+                out[u as usize].push(v);
+            } else {
+                out[v as usize].push(u);
+            }
+        }
+        for row in &mut out {
+            row.sort_unstable();
+        }
+        out
+    }
+
+    fn rows_of(o: &Orientation) -> Vec<Vec<u32>> {
+        (0..o.num_vertices() as u32)
+            .map(|v| o.out_neighbors(v).to_vec())
+            .collect()
+    }
+
+    #[test]
+    fn one_type_gives_the_vec_of_rows_reference() {
+        let mut layouts_differ = false;
+        for (seed, (name, g)) in peel_graphs().iter().enumerate() {
+            let n = g.num_vertices();
+            let ordering = degeneracy_ordering(g);
+            let want = reference_rows(g, &ordering.position);
+            let peeled = Orientation::from_degeneracy(g);
+            assert_eq!(rows_of(&peeled), want, "{name}: from_degeneracy");
+            assert_eq!(
+                rows_of(&Orientation::from_ordering(g, &ordering)),
+                want,
+                "{name}: from_ordering"
+            );
+
+            // The arcs reversed, every third one twice: unsorted, with repeats.
+            let arcs: Vec<(u32, u32)> = want
+                .iter()
+                .enumerate()
+                .flat_map(|(u, row)| row.iter().map(move |&v| (u as u32, v)))
+                .rev()
+                .enumerate()
+                .flat_map(|(i, arc)| std::iter::repeat_n(arc, 1 + usize::from(i % 3 == 0)))
+                .collect();
+            let from_arcs = Orientation::from_arcs(n, arcs);
+            assert_eq!(rows_of(&from_arcs), want, "{name}: from_arcs");
+            // Peel order and id order: two layouts, one orientation.
+            assert_eq!(peeled, from_arcs, "{name}: layouts compare by rows");
+            layouts_differ |= peeled.targets != from_arcs.targets;
+
+            // Goal edges leave by an independent coin per edge.
+            let coin = gen::erdos_renyi(n, 0.5, 40 + seed as u64);
+            let goal: Vec<(u32, u32)> = g.edges().filter(|&(u, v)| coin.has_edge(u, v)).collect();
+            let goal = Graph::from_edges(n, &goal).unwrap();
+            let rest = g.without_edges_of(&goal);
+            let thinned = peeled.without_edges_of(&goal);
+            assert_eq!(
+                rows_of(&thinned),
+                reference_rows(&rest, &ordering.position),
+                "{name}: without_edges_of"
+            );
+            assert_eq!(
+                peeled.restrict_to(&rest.edge_set()),
+                thinned,
+                "{name}: restrict_to"
+            );
+            assert!(thinned.covers_exactly(&rest), "{name}");
+        }
+        assert!(
+            layouts_differ,
+            "some graph must lay its peel rows out apart from id order"
+        );
     }
 
     #[test]

@@ -28,7 +28,7 @@
 
 use distributed_clique_listing::cliquelist::{CliqueSink, CountSink, Engine, FirstK, Parallelism};
 use distributed_clique_listing::graphcore::cliques::{ShardPlan, ShardedEnumerator};
-use distributed_clique_listing::graphcore::orientation::{degeneracy_ordering, OrientedDag};
+use distributed_clique_listing::graphcore::orientation::{degeneracy_ordering, Orientation};
 use distributed_clique_listing::graphcore::{gen, Clique, Graph};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -164,7 +164,7 @@ fn shard_plans_partition_the_ordering_with_balanced_work() {
         let prob = f64::from(rng.gen_range(5u32..50)) / 100.0;
         let graph = gen::erdos_renyi(n, prob, rng.gen_range(0u64..1_000));
         let ordering = degeneracy_ordering(&graph);
-        let dag = OrientedDag::from_ordering(&graph, &ordering);
+        let dag = Orientation::from_ordering(&graph, &ordering);
         for target in [1usize, 2, 4, 16, 64] {
             let plan = ShardPlan::balanced(&dag, &ordering, 4, target);
             assert!(plan.num_shards() >= 1, "case {case}");
